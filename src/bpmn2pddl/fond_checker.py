@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
 from .pddl_encoder import (
@@ -122,34 +123,30 @@ class _SExpr:
 
 
 def _read(tokens: list[tuple[str, int, int]]) -> _SExpr:
-    pos = 0
-
-    def read_one() -> object:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise PddlSyntaxError("unexpected end of input")
-        tok, line, col = tokens[pos]
-        pos += 1
+    """Read one top-level form, keeping the open forms on an explicit stack."""
+    stack: list[_SExpr] = []
+    for pos, (tok, line, col) in enumerate(tokens):
         if tok == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise PddlSyntaxError("missing )", line, col)
-                if tokens[pos][0] == ")":
-                    pos += 1
-                    return _SExpr(items, line, col)
-                items.append(read_one())
+            stack.append(_SExpr([], line, col))
+            continue
         if tok == ")":
-            raise PddlSyntaxError("unexpected )", line, col)
-        return (tok, line, col)
-
-    expr = read_one()
-    if pos != len(tokens):
-        tok, line, col = tokens[pos]
-        raise PddlSyntaxError(f"trailing input {tok!r}", line, col)
-    if not isinstance(expr, _SExpr):
-        raise PddlSyntaxError("expected a parenthesized form", expr[1], expr[2])
-    return expr
+            if not stack:
+                raise PddlSyntaxError("unexpected )", line, col)
+            expr = stack.pop()
+        else:
+            expr = (tok, line, col)
+        if stack:
+            stack[-1].items.append(expr)
+            continue
+        if pos + 1 != len(tokens):
+            tok, line, col = tokens[pos + 1]
+            raise PddlSyntaxError(f"trailing input {tok!r}", line, col)
+        if not isinstance(expr, _SExpr):
+            raise PddlSyntaxError("expected a parenthesized form", line, col)
+        return expr
+    if stack:
+        raise PddlSyntaxError("missing )", stack[-1].line, stack[-1].col)
+    raise PddlSyntaxError("unexpected end of input")
 
 
 def _sym(item: object, what: str) -> str:
@@ -463,6 +460,10 @@ class StateSpace:
     double_adds: list[DoubleAdd]
     actions: dict[str, GroundAction]
 
+    @cached_property
+    def _pairs(self) -> _Pairs:
+        return _Pairs(self.transitions)
+
 
 def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = None) -> StateSpace:
     """BFS over every state reachable from init via every outcome."""
@@ -536,6 +537,66 @@ class Policy:
     kind: SolveMode
 
 
+class _Pairs:
+    """Every (state, action) pair of a state space, grouped once.
+
+    Pair ``p`` is action ``name[p]`` applied in state ``owner[p]``, with the
+    successor of each outcome in ``succs[p]``. ``of_state[s]`` lists the
+    pairs of state ``s`` by action name; ``rev[t]`` lists the pairs that
+    have ``t`` as a successor, once per outcome leading there.
+    """
+
+    def __init__(self, transitions: list[list[tuple[str, int, int]]]):
+        self.owner: list[int] = []
+        self.name: list[str] = []
+        self.succs: list[list[int]] = []
+        self.of_state: list[list[int]] = []
+        self.rev: list[list[int]] = [[] for _ in transitions]
+        for s, trs in enumerate(transitions):
+            grouped: dict[str, list[int]] = {}
+            for name, _oidx, succ in trs:
+                grouped.setdefault(name, []).append(succ)
+            mine = []
+            for name in sorted(grouped):
+                p = len(self.owner)
+                self.owner.append(s)
+                self.name.append(name)
+                self.succs.append(grouped[name])
+                mine.append(p)
+                for t in grouped[name]:
+                    self.rev[t].append(p)
+            self.of_state.append(mine)
+
+
+def _backward(owner: list[int], rev: list[list[int]], pending: list[int], goals) -> list[int]:
+    """Backward induction from `goals` over (state, successor-list) pairs.
+
+    A pair fires when its `pending` counter reaches 0; each popped successor
+    decrements it once per outcome. Starting counters at the number of
+    outcomes asks for every outcome to win (strong); starting at 1 asks for
+    some outcome to reach (strong-cyclic); 0 disables the pair. The first
+    pair to fire gives its owner a level one above the state that fired it.
+    The queue is FIFO, so levels are BFS layers: for "some outcome" they are
+    goal distances, for "every outcome" 1 + the max over the successors of
+    the best pair. Returns the level of each state of `rev`, -1 where
+    none. O(states + transitions), iterative; `pending` is consumed.
+    """
+    level = [-1] * len(rev)
+    queue = list(goals)
+    for g in queue:
+        level[g] = 0
+    for t in queue:  # grows while it is read: a FIFO
+        above = level[t] + 1
+        for p in rev[t]:
+            pending[p] -= 1
+            if pending[p] == 0:
+                s = owner[p]
+                if level[s] < 0:
+                    level[s] = above
+                    queue.append(s)
+    return level
+
+
 def solve(
     domain: PddlDomain,
     problem: PddlProblem,
@@ -545,146 +606,68 @@ def solve(
 ) -> Policy:
     """Decide solvability and extract a deterministic policy.
 
-    Strong mode: backward AND-OR fixpoint (a state wins when some action
-    has every outcome winning). Strong-cyclic mode: iterative pruning
-    fixpoint. Ties between qualifying actions break lexicographically.
-    Raises :class:`Unsolvable` when the initial state is not winning.
+    Both modes run the backward induction of :func:`_backward` over every
+    (state, action) pair, O(states + transitions) per fixpoint round and
+    without recursion. Strong mode is one "every outcome wins" pass (an
+    attractor computation). Strong-cyclic mode is the nested greatest
+    fixpoint of Cimatti, Pistore, Roveri & Traverso (AIJ 147, 2003): each
+    round keeps the actions whose outcomes all stay in the winning set and
+    makes one "some outcome reaches" pass over them, until the winning set
+    is stable; the stable round's levels are the goal distances. A state
+    takes the first action by name whose outcomes all win with a lower
+    level (strong), or that stays winning with some outcome of lower level
+    (strong-cyclic). Raises :class:`Unsolvable` when the initial state is
+    not winning.
     """
     if space is None:
         space = explore(domain, problem, limits)
-    by_action = [_group_by_action(trs) for trs in space.transitions]
+    pairs = space._pairs
 
     if mode is SolveMode.STRONG:
-        mapping = _solve_strong(space, by_action)
-    else:
-        mapping = _solve_strong_cyclic(space, by_action)
+        level = _backward(pairs.owner, pairs.rev, [len(x) for x in pairs.succs], space.goal_states)
+        if level[0] < 0:
+            raise Unsolvable(mode)
 
-    policy = Policy(mapping=mapping, kind=mode)
+        def fits(succs: list[int], mine: int) -> bool:
+            return all(0 <= level[t] < mine for t in succs)
+
+    else:
+        level = [0] * len(space.states)  # the first round starts from every state
+        while True:
+            pending = [
+                int(level[s] >= 0 and all(level[t] >= 0 for t in succs))
+                for s, succs in zip(pairs.owner, pairs.succs)
+            ]
+            reach = _backward(pairs.owner, pairs.rev, pending, space.goal_states)
+            if reach[0] < 0:
+                raise Unsolvable(mode)
+            stable = reach.count(-1) == level.count(-1)
+            level = reach
+            if stable:
+                break
+
+        def fits(succs: list[int], mine: int) -> bool:
+            return all(level[t] >= 0 for t in succs) and any(level[t] < mine for t in succs)
+
+    policy = Policy(mapping=_extract(space, pairs, level, fits), kind=mode)
     verify_policy(space, policy)
     return policy
 
 
-def _group_by_action(transitions: list[tuple[str, int, int]]) -> dict[str, list[int]]:
-    grouped: dict[str, list[int]] = {}
-    for name, _oidx, succ in transitions:
-        grouped.setdefault(name, []).append(succ)
-    return grouped
-
-
-def _solve_strong(space: StateSpace, by_action) -> dict[frozenset, str]:
-    n = len(space.states)
-    level = {s: 0 for s in space.goal_states}
-    winning = set(space.goal_states)
-    current = 0
-    changed = True
-    while changed:
-        changed = False
-        current += 1
-        added = []
-        for s in range(n):
-            if s in winning:
-                continue
-            for name in by_action[s]:
-                if all(succ in winning for succ in by_action[s][name]):
-                    added.append(s)
-                    break
-        for s in added:
-            winning.add(s)
-            level[s] = current
-            changed = True
-    if 0 not in winning:
-        raise Unsolvable(SolveMode.STRONG)
-
-    full: dict[int, str] = {}
-    for s in winning - space.goal_states:
-        candidates = [
-            name
-            for name, succs in sorted(by_action[s].items())
-            if all(succ in winning and level[succ] < level[s] for succ in succs)
-        ]
-        full[s] = candidates[0]
-    return _restrict_to_reachable(space, full, by_action)
-
-
-def _solve_strong_cyclic(space: StateSpace, by_action) -> dict[frozenset, str]:
-    n = len(space.states)
-    winning = set(range(n))
-    while True:
-        allowed: dict[int, dict[str, list[int]]] = {}
-        for s in winning:
-            acts = {
-                name: succs
-                for name, succs in by_action[s].items()
-                if all(succ in winning for succ in succs)
-            }
-            if acts:
-                allowed[s] = acts
-        # states that can reach a goal through allowed actions
-        reach = set(g for g in space.goal_states if g in winning)
-        changed = True
-        while changed:
-            changed = False
-            for s in winning:
-                if s in reach or s not in allowed:
-                    continue
-                for succs in allowed[s].values():
-                    if any(t in reach for t in succs):
-                        reach.add(s)
-                        changed = True
-                        break
-        if reach == winning:
-            break
-        winning = reach
-        if 0 not in winning:
-            raise Unsolvable(SolveMode.STRONG_CYCLIC)
-    if 0 not in winning:
-        raise Unsolvable(SolveMode.STRONG_CYCLIC)
-
-    # fair-progress extraction: pick actions with some outcome strictly closer to goal
-    level = {g: 0 for g in space.goal_states if g in winning}
-    frontier = deque(level)
-    allowed = {
-        s: {
-            name: succs
-            for name, succs in by_action[s].items()
-            if all(succ in winning for succ in succs)
-        }
-        for s in winning
-    }
-    while frontier:
-        t = frontier.popleft()
-        for s in winning:
-            if s in level:
-                continue
-            for succs in allowed[s].values():
-                if t in succs:
-                    level[s] = level[t] + 1
-                    frontier.append(s)
-                    break
-    full: dict[int, str] = {}
-    for s in winning - space.goal_states:
-        candidates = [
-            name
-            for name, succs in sorted(allowed[s].items())
-            if any(succ in level and level[succ] < level[s] for succ in succs)
-        ]
-        full[s] = candidates[0]
-    return _restrict_to_reachable(space, full, by_action)
-
-
-def _restrict_to_reachable(space: StateSpace, full: dict[int, str], by_action) -> dict[frozenset, str]:
+def _extract(space: StateSpace, pairs: _Pairs, level: list[int], fits) -> dict[frozenset, str]:
+    """Choose an action for each winning state the policy reaches from init."""
     mapping: dict[frozenset, str] = {}
     seen = {0}
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        if s in space.goal_states or s not in full:
+    queue = [0]
+    for s in queue:
+        if s in space.goal_states:
             continue
-        mapping[space.states[s]] = full[s]
-        for succ in by_action[s][full[s]]:
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
+        p = next(p for p in pairs.of_state[s] if fits(pairs.succs[p], level[s]))
+        mapping[space.states[s]] = pairs.name[p]
+        for t in pairs.succs[p]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
     return mapping
 
 
@@ -693,61 +676,60 @@ class PolicyVerificationError(Exception):
 
 
 def verify_policy(space: StateSpace, policy: Policy) -> None:
-    """Check closure and the mode's success guarantee by simulation."""
-    by_action = [_group_by_action(trs) for trs in space.transitions]
-    reached = {0}
-    queue = deque([0])
-    edges: dict[int, list[int]] = {}
-    while queue:
-        s = queue.popleft()
+    """Check closure and the mode's success guarantee on the policy graph.
+
+    A breadth-first pass from the initial state follows the policy's action
+    in every reached non-goal state; it must be mapped and applicable there,
+    unless the state has no applicable action at all (a non-goal leaf).
+    Then one :func:`_backward` pass over the policy edges checks the mode:
+    strong asks every outcome to win, so the initial state wins exactly when
+    the policy graph has no cycle and no non-goal leaf; strong-cyclic asks
+    some outcome to reach, so every reached state must still reach a goal.
+    O(states + transitions) and iterative, so long chains cannot overflow
+    the stack. Raises :class:`PolicyVerificationError`.
+    """
+    pairs = space._pairs
+    local = {0: 0}  # state -> position in `reached`
+    reached = [0]
+    owner: list[int] = []
+    edges: list[list[int]] = []
+    goals: list[int] = []
+    leaves = False
+    for i, s in enumerate(reached):
         if s in space.goal_states:
+            goals.append(i)
             continue
         state = space.states[s]
-        if state not in policy.mapping:
-            raise PolicyVerificationError(f"policy is not closed: state {sorted(state)} unmapped")
-        name = policy.mapping[state]
-        if name not in by_action[s]:
+        name = policy.mapping.get(state)
+        if name is None:
+            if pairs.of_state[s]:
+                raise PolicyVerificationError(f"policy is not closed: state {sorted(state)} unmapped")
+            leaves = True
+            continue
+        p = next((p for p in pairs.of_state[s] if pairs.name[p] == name), None)
+        if p is None:
             raise PolicyVerificationError(f"policy action {name!r} not applicable")
-        succs = by_action[s][name]
-        edges[s] = succs
+        for t in pairs.succs[p]:
+            if t not in local:
+                local[t] = len(reached)
+                reached.append(t)
+        owner.append(i)
+        edges.append([local[t] for t in pairs.succs[p]])
+
+    rev: list[list[int]] = [[] for _ in reached]
+    for e, succs in enumerate(edges):
         for t in succs:
-            if t not in reached:
-                reached.add(t)
-                queue.append(t)
-
+            rev[t].append(e)
     if policy.kind is SolveMode.STRONG:
-        # acyclic and every leaf a goal state
-        color: dict[int, int] = {}
-
-        def dfs(s: int) -> None:
-            color[s] = 1
-            for t in edges.get(s, []):
-                if color.get(t) == 1:
-                    raise PolicyVerificationError("strong policy revisits a state")
-                if color.get(t, 0) == 0:
-                    dfs(t)
-            color[s] = 2
-            if s not in edges and s not in space.goal_states:
-                raise PolicyVerificationError("strong policy reaches a non-goal leaf")
-
-        dfs(0)
-    else:
-        # every reachable state must still reach a goal inside the policy graph
-        goal_reaching = set(g for g in space.goal_states if g in reached)
-        changed = True
-        while changed:
-            changed = False
-            for s in reached:
-                if s in goal_reaching:
-                    continue
-                if any(t in goal_reaching for t in edges.get(s, [])):
-                    goal_reaching.add(s)
-                    changed = True
-        missing = reached - goal_reaching
-        if missing:
+        level = _backward(owner, rev, [len(x) for x in edges], goals)
+        if level[0] < 0:
             raise PolicyVerificationError(
-                "strong-cyclic policy can get stuck away from the goal"
+                "strong policy reaches a non-goal leaf" if leaves else "strong policy revisits a state"
             )
+    else:
+        level = _backward(owner, rev, [1] * len(edges), goals)
+        if -1 in level:
+            raise PolicyVerificationError("strong-cyclic policy can get stuck away from the goal")
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,11 @@ class _Encoder:
         return [self.marker(f) for f in self.graph.outgoing[node_id]]
 
     def _match_inclusive_joins(self) -> dict[str, str]:
+        """Pair each inclusive join with the nearest inclusive split that
+        dominates it: every path from its pool's start events passes that
+        split, and no other dominating split comes later. A join that no
+        split dominates keeps the first split in document order that
+        reaches it."""
         splits = [
             nid
             for nid, n in self.graph.nodes.items()
@@ -239,15 +244,31 @@ class _Encoder:
         for nid, node in self.graph.nodes.items():
             if node.kind is not NodeKind.INCLUSIVE_GATEWAY or len(self.graph.incoming[nid]) < 2:
                 continue
-            for split in splits:
-                if nid in self._reach(split):
-                    mapping[nid] = split
-                    break
-            else:
+            reaching = [split for split in splits if nid in self._reach(split)]
+            if not reaching:
                 raise EncodingError(
                     f"inclusive join {nid!r} has no matching diverging inclusive gateway"
                 )
+            starts = self.graph.start_nodes[node.pool]
+            depth = self._depths(starts)
+            dominating = [
+                split for split in reaching if nid in depth and nid not in self._depths(starts, split)
+            ]
+            mapping[nid] = max(dominating, key=depth.__getitem__) if dominating else reaching[0]
         return mapping
+
+    def _depths(self, roots: list[str], avoid: str | None = None) -> dict[str, int]:
+        """BFS distance from `roots` along the pool's own sequence flows,
+        never entering `avoid`."""
+        depth = dict.fromkeys(roots, 0)
+        queue = list(roots)
+        for nid in queue:
+            for fid in self.graph.normal_outgoing(nid):
+                target = self.graph.flows[fid].target
+                if target != avoid and target not in depth:
+                    depth[target] = depth[nid] + 1
+                    queue.append(target)
+        return depth
 
     def _reach(self, root: str) -> set[str]:
         seen: set[str] = set()

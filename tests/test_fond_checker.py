@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import random
 from itertools import product
 
 import pytest
@@ -12,6 +13,8 @@ from bpmn2pddl.fond_checker import (
     LimitExceeded,
     Limits,
     PddlSyntaxError,
+    Policy,
+    PolicyVerificationError,
     SolveMode,
     Unsolvable,
     UnsupportedFeature,
@@ -26,8 +29,10 @@ from bpmn2pddl.fond_checker import (
     solve,
     token_double_adds,
     traces_to_json,
+    verify_policy,
 )
 from bpmn2pddl.pddl_encoder import (
+    DoneMode,
     EffAdd,
     EffAnd,
     EffOneOf,
@@ -40,7 +45,8 @@ from bpmn2pddl.pddl_encoder import (
     render_pddl,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import fixture
+from conftest import CORPUS_FILES, fixture, translate
+from reference_solver import reference_mapping
 
 FIG_DOMAIN = """(define (domain credit_scoring)
 (:requirements :strips :typing)
@@ -137,6 +143,25 @@ class TestParsePddl:
     def test_predicate_arguments_rejected(self):
         with pytest.raises(UnsupportedFeature):
             parse_pddl("(define (domain d) (:predicates (at ?x)))")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(PddlSyntaxError, match="expected define"):
+            parse_pddl("(" * 5000 + ")" * 5000)
+        with pytest.raises(PddlSyntaxError, match=r"missing \) \(line 1, column 5000\)"):
+            parse_pddl("(" * 5000)
+
+    def test_reader_error_positions(self):
+        cases = [
+            ("(define (domain d)\n  (:predicates (p)", "missing ) (line 2, column 3)"),
+            ("(define (domain d)) )", "trailing input ')' (line 1, column 21)"),
+            ("(define (domain d)) x", "trailing input 'x' (line 1, column 21)"),
+            (")", "unexpected ) (line 1, column 1)"),
+            ("\n  define", "expected a parenthesized form (line 2, column 3)"),
+        ]
+        for text, message in cases:
+            with pytest.raises(PddlSyntaxError) as exc:
+                parse_pddl(text)
+            assert str(exc.value) == message
 
     def test_syntax_error_has_position(self):
         with pytest.raises(PddlSyntaxError) as exc:
@@ -504,6 +529,152 @@ class TestSolverDifferential:
             if expected_strong:
                 assert expected_cyclic  # strong-winning is cyclic-winning
         assert checked >= 100, f"only {checked} instances were small enough to brute-force"
+
+
+def _mappings(domain, problem, space=None):
+    """Per mode: the backward core's mapping and the reference solver's (None when unsolvable)."""
+    space = space or explore(domain, problem)
+    for mode in (SolveMode.STRONG, SolveMode.STRONG_CYCLIC):
+        try:
+            expected = reference_mapping(space, mode)
+        except Unsolvable:
+            expected = None
+        try:
+            got = solve(domain, problem, mode, space=space).mapping
+        except Unsolvable:
+            got = None
+        yield mode, got, expected
+
+
+class TestPolicyOracle:
+    """The backward core returns the reference solvers' exact policies."""
+
+    def test_random_instances(self):
+        rng = random.Random(0x5EED)
+        for i in range(220):
+            domain, problem = TestSolverDifferential._random_instance(rng)
+            for mode, got, expected in _mappings(domain, problem):
+                assert got == expected, f"instance {i} {mode.value}"
+
+    def test_fixtures(self):
+        for name in (
+            "inclusive_pair.bpmn",
+            "loop_retry.bpmn",
+            "msg_task_event.bpmn",
+            "msg_task_task.bpmn",
+            "xor_and_deadlock.bpmn",
+        ):
+            for strategy in MessageStrategy:
+                domain, problems = _pipeline(fixture(name).read_text(), strategy)
+                for problem in problems:
+                    for mode, got, expected in _mappings(domain, problem):
+                        assert got == expected, f"{name} {problem.variant} {mode.value}"
+
+    def test_corpus_variants_under_1000_states(self):
+        compared = 0
+        for path in CORPUS_FILES:
+            for strategy in MessageStrategy:
+                for done_mode in DoneMode:
+                    result = translate(path, strategy, done_mode=done_mode)
+                    for problem in result.problems:
+                        space = explore(result.domain, problem)
+                        if len(space.states) >= 1000:
+                            continue
+                        compared += 1
+                        for mode, got, expected in _mappings(result.domain, problem, space):
+                            label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
+                            assert got == expected, f"{label} {mode.value}"
+        assert compared == 58  # all but the two 6k-state credit_scoring all_starts variants
+
+
+def _chain(n: int) -> str:
+    ids = ["S1", *(f"T{i}" for i in range(n)), "E1"]
+    nodes = ['<bpmn:startEvent id="S1"/>', *(f'<bpmn:task id="T{i}"/>' for i in range(n))]
+    flows = [
+        f'<bpmn:sequenceFlow id="F{i}" sourceRef="{a}" targetRef="{b}"/>'
+        for i, (a, b) in enumerate(zip(ids, ids[1:]))
+    ]
+    return (
+        '<?xml version="1.0"?>\n<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D">'
+        '<bpmn:process id="P1" name="Chain">'
+        + "".join(nodes)
+        + '<bpmn:endEvent id="E1"/>'
+        + "".join(flows)
+        + "</bpmn:process></bpmn:definitions>"
+    )
+
+
+class TestVerifyPolicy:
+    """Hand-made policies, one per rejection."""
+
+    # s -go-> a -back-> s, a -fin-> g, s -dead-> d (d has no applicable action),
+    # s -try-> g or t, t -spin-> t
+    DOMAIN = PddlDomain(
+        name="v",
+        requirements=[":strips"],
+        types=[],
+        predicates=["s", "a", "g", "d", "t"],
+        actions=[
+            PddlAction("go", ["s"], EffAnd([EffAdd("a"), EffNot("s")])),
+            PddlAction("back", ["a"], EffAnd([EffAdd("s"), EffNot("a")])),
+            PddlAction("fin", ["a"], EffAnd([EffAdd("g"), EffNot("a")])),
+            PddlAction("dead", ["s"], EffAnd([EffAdd("d"), EffNot("s")])),
+            PddlAction(
+                "try",
+                ["s"],
+                EffAnd([EffNot("s"), EffOneOf([EffAnd([EffAdd("g")]), EffAnd([EffAdd("t")])])]),
+            ),
+            PddlAction("spin", ["t"], EffAnd([EffAdd("t")])),
+        ],
+    )
+    PROBLEM = PddlProblem(name="p", domain_name="v", init=["s"], goal=["g"])
+    S, A, T = frozenset({"s"}), frozenset({"a"}), frozenset({"t"})
+
+    def _verify(self, mapping, kind):
+        verify_policy(explore(self.DOMAIN, self.PROBLEM), Policy(mapping, kind))
+
+    def test_valid_policy_passes_in_both_modes(self):
+        for kind in SolveMode:
+            self._verify({self.S: "go", self.A: "fin"}, kind)
+
+    def test_unmapped_state(self):
+        for kind in SolveMode:
+            with pytest.raises(PolicyVerificationError, match=r"not closed: state \['a'\] unmapped"):
+                self._verify({self.S: "go"}, kind)
+
+    def test_inapplicable_action(self):
+        for kind in SolveMode:
+            with pytest.raises(PolicyVerificationError, match="policy action 'fin' not applicable"):
+                self._verify({self.S: "fin"}, kind)
+
+    def test_strong_policy_with_cycle(self):
+        with pytest.raises(PolicyVerificationError, match="strong policy revisits a state"):
+            self._verify({self.S: "go", self.A: "back"}, SolveMode.STRONG)
+
+    def test_strong_policy_into_deadlock(self):
+        with pytest.raises(PolicyVerificationError, match="strong policy reaches a non-goal leaf"):
+            self._verify({self.S: "dead"}, SolveMode.STRONG)
+
+    def test_cyclic_policy_stuck_away_from_goal(self):
+        # the last policy reaches the goal from init, but never from t
+        for mapping in ({self.S: "go", self.A: "back"}, {self.S: "dead"}, {self.S: "try", self.T: "spin"}):
+            with pytest.raises(PolicyVerificationError, match="can get stuck away from the goal"):
+                self._verify(mapping, SolveMode.STRONG_CYCLIC)
+
+    def test_retry_loop_is_cyclic_not_strong(self):
+        domain, (problem,) = _pipeline(fixture("loop_retry.bpmn").read_text())
+        space = explore(domain, problem)
+        policy = solve(domain, problem, SolveMode.STRONG_CYCLIC, space=space)
+        with pytest.raises(PolicyVerificationError, match="strong policy revisits a state"):
+            verify_policy(space, Policy(policy.mapping, SolveMode.STRONG))
+
+    def test_long_chain_solves_without_recursion(self):
+        n = 3000
+        domain, (problem,) = _pipeline(_chain(n))
+        space = explore(domain, problem)
+        assert len(space.states) == n + 2
+        for mode in SolveMode:
+            assert len(solve(domain, problem, mode, space=space).mapping) == n + 1
 
 
 class TestTraces:

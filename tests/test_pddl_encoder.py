@@ -305,6 +305,79 @@ class TestInclusiveEncoding:
             emit_domain(graph)
 
 
+def _inclusive_blocks(order: list[str], flows: list[tuple[str, str]]) -> str:
+    """A one-pool diagram with the given nodes (kind by name prefix) and flows."""
+    def kind(n: str) -> str:
+        if n.startswith(("Split", "Join")):
+            return "inclusiveGateway"
+        return {"S": "startEvent", "E": "endEvent", "T": "task"}[n[0]]
+
+    nodes = "".join(f'<bpmn:{kind(n)} id="{n}"/>' for n in order)
+    seq = "".join(
+        f'<bpmn:sequenceFlow id="F{i}" sourceRef="{a}" targetRef="{b}"/>' for i, (a, b) in enumerate(flows)
+    )
+    return (
+        '<?xml version="1.0"?>\n<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"'
+        f' id="D"><bpmn:process id="P1" name="Blocks">{nodes}{seq}</bpmn:process></bpmn:definitions>'
+    )
+
+
+def _block(i: int, entry: str, exit_: str) -> tuple[list[str], list[tuple[str, str]]]:
+    split, join = f"Split_{i}", f"Join_{i}"
+    nodes = [split, f"T{i}a", f"T{i}b", join]
+    flows = [(entry, split), (split, f"T{i}a"), (split, f"T{i}b"),
+             (f"T{i}a", join), (f"T{i}b", join), (join, exit_)]
+    return nodes, flows
+
+
+class TestInclusiveJoinMatching:
+    """Each inclusive join takes the counter of the nearest split that dominates it."""
+
+    @staticmethod
+    def _sequence(first: int) -> str:
+        n1, f1 = _block(1, "S1", "Split_2")
+        n2, f2 = _block(2, "Join_1", "E1")
+        blocks = n1 + n2 if first == 1 else n2 + n1
+        return _inclusive_blocks(["S1", *blocks, "E1"], f1[:-1] + f2)
+
+    @staticmethod
+    def _nested(outer_first: bool) -> str:
+        # the outer block's first branch holds the inner block
+        outer = ["Split_1", "T1b", "Join_1"]
+        inner, inner_flows = _block(2, "Split_1", "Join_1")
+        flows = [("S1", "Split_1"), *inner_flows, ("Split_1", "T1b"), ("T1b", "Join_1"), ("Join_1", "E1")]
+        nodes = outer + inner if outer_first else inner + outer
+        return _inclusive_blocks(["S1", *nodes, "E1"], flows)
+
+    def _check(self, xml: str, joins: dict[str, str], n_states: int | None = None):
+        from bpmn2pddl.fond_checker import analyze, explore
+        from token_game import TokenGame
+
+        graph = _graph(xml)
+        domain = emit_domain(graph)
+        (problem,) = emit_problems(graph)
+        for join, split in joins.items():
+            release = next(a for a in domain.actions if a.name == f"event_{join}")
+            assert release.precondition == [f"count_{split}_0", join]
+        report = analyze(domain, problem)
+        assert report.n_deadlocks == 0
+        assert report.strong is not None and report.strong_cyclic is not None
+        if n_states is not None:
+            assert report.n_states == n_states
+        game = TokenGame(graph)
+        states, _edges, _ = game.explore(game.initial(graph.start_nodes["P1"]))
+        assert set(explore(domain, problem).states) == states
+
+    def test_two_blocks_in_sequence_both_orders(self):
+        # start, 3^2 states per block, the second split's entry, the end's entry and done
+        for first in (1, 2):
+            self._check(self._sequence(first), {"Join_1": "Split_1", "Join_2": "Split_2"}, 2 * 3**2 + 4)
+
+    def test_nested_blocks_both_orders(self):
+        for outer_first in (True, False):
+            self._check(self._nested(outer_first), {"Join_1": "Split_1", "Join_2": "Split_2"})
+
+
 class TestDomainAssembly:
     def test_linear_counts(self):
         graph = _graph(LINEAR)

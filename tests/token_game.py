@@ -75,7 +75,26 @@ class TokenGame:
         self.join_split = self._match_joins()
 
     def _match_joins(self) -> dict[str, str]:
+        """Each inclusive join takes the nearest inclusive split dominating
+        it from its pool's start events (the last one every path passes);
+        with none, the first split in document order that reaches it."""
         graph = self.graph
+
+        def walk(roots, avoid=None, normal_only=True):
+            """Nodes reachable from `roots` (roots included) without entering `avoid`."""
+            seen = set(roots)
+            frontier = list(roots)
+            while frontier:
+                x = frontier.pop()
+                for f in graph.outgoing[x]:
+                    flow = graph.flows[f]
+                    if normal_only and flow.synthetic:
+                        continue
+                    if flow.target != avoid and flow.target not in seen:
+                        seen.add(flow.target)
+                        frontier.append(flow.target)
+            return seen
+
         splits = [
             nid
             for nid, n in graph.nodes.items()
@@ -85,18 +104,23 @@ class TokenGame:
         for nid, node in graph.nodes.items():
             if node.kind is not NodeKind.INCLUSIVE_GATEWAY or len(graph.incoming[nid]) < 2:
                 continue
-            for split in splits:
-                seen: set[str] = set()
-                frontier = [graph.flows[f].target for f in graph.outgoing[split]]
-                while frontier:
-                    x = frontier.pop()
-                    if x in seen:
-                        continue
-                    seen.add(x)
-                    frontier.extend(graph.flows[f].target for f in graph.outgoing[x])
-                if nid in seen:
-                    mapping[nid] = split
+            reaching = [
+                s
+                for s in splits
+                if nid in walk([graph.flows[f].target for f in graph.outgoing[s]], normal_only=False)
+            ]
+            starts = graph.start_nodes[node.pool]
+            dominating = [
+                s for s in reaching if nid in walk(starts) and nid not in walk(starts, avoid=s)
+            ]
+            # of two dominators, the nearer one is dominated by the other
+            for d in dominating:
+                if all(o == d or d not in walk(starts, avoid=o) for o in dominating):
+                    mapping[nid] = d
                     break
+            else:
+                if reaching:
+                    mapping[nid] = reaching[0]
         return mapping
 
     def marker(self, fid: str) -> str:
