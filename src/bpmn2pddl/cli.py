@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import fond_checker
 from .bpmn_parser import ParseError, parse_bpmn
-from .fond_checker import CheckReport, Limits, LimitExceeded, SolveMode
+from .fond_checker import Limits, LimitExceeded, SolveMode
 from .pddl_encoder import (
     DoneMode,
     EncodeOptions,
@@ -157,18 +157,32 @@ def cmd_translate(config: RunConfig) -> int:
     return 0
 
 
-def _check_problems(result: TranslationResult, config: RunConfig) -> tuple[list[CheckReport], bool]:
-    reports: list[CheckReport] = []
-    limit_hit = False
-    for problem in result.problems:
-        try:
-            reports.append(
-                fond_checker.analyze(result.domain, problem, config.solve_modes(), config.limits)
-            )
-        except LimitExceeded as exc:
-            print(f"limit exceeded on {problem.name}: {exc}", file=sys.stderr)
-            limit_hit = True
-    return reports, limit_hit
+def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunConfig) -> bool:
+    """Analyze one variant, print its line and write its policy DOT and
+    traces from the explored state space. True when it has a policy."""
+    wanted = config.solve_modes()
+    report = fond_checker.analyze(result.domain, problem, wanted, config.limits)
+    strong_txt = _solvable_text(report.strong, SolveMode.STRONG in wanted)
+    cyclic_txt = _solvable_text(report.strong_cyclic, SolveMode.STRONG_CYCLIC in wanted)
+    policy = report.strong_cyclic or report.strong
+    size = len(policy.mapping) if policy else 0
+    print(
+        f"{report.problem_name}: states={report.n_states} deadlocks={report.n_deadlocks} "
+        f"strong={strong_txt} strong_cyclic={cyclic_txt} policy_size={size}"
+    )
+    if policy is None:
+        return False
+    out = Path(config.output_dir)
+    if config.write_dot:
+        dot = fond_checker.export_policy_dot(result.domain, problem, policy, report.space)
+        (out / f"{result.stem}.{problem.variant}.policy.dot").write_text(dot, encoding="utf-8", newline="\n")
+    if config.write_traces:
+        traces = fond_checker.enumerate_traces(result.domain, problem, policy, config.limits, report.space)
+        payload = fond_checker.traces_to_json(traces)
+        (out / f"{result.stem}.{problem.variant}.traces.json").write_text(
+            json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
+        )
+    return True
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -177,34 +191,13 @@ def cmd_check(config: RunConfig) -> int:
         return 1
 
     check_start = time.perf_counter()
-    reports, limit_hit = _check_problems(result, config)
-    failed = limit_hit
-    out = Path(config.output_dir)
-    for report in reports:
-        wanted = config.solve_modes()
-        strong_txt = _solvable_text(report.strong, SolveMode.STRONG in wanted)
-        cyclic_txt = _solvable_text(report.strong_cyclic, SolveMode.STRONG_CYCLIC in wanted)
-        policy = report.strong_cyclic or report.strong
-        size = len(policy.mapping) if policy else 0
-        print(
-            f"{report.problem_name}: states={report.n_states} deadlocks={report.n_deadlocks} "
-            f"strong={strong_txt} strong_cyclic={cyclic_txt} policy_size={size}"
-        )
-        if policy is None:
+    failed = False
+    for problem in result.problems:  # one at a time: only one state space is alive
+        try:
+            failed |= not _check_variant(result, problem, config)
+        except LimitExceeded as exc:
+            print(f"limit exceeded on {problem.name}: {exc}", file=sys.stderr)
             failed = True
-        else:
-            problem = next(p for p in result.problems if p.name == report.problem_name)
-            if config.write_dot:
-                dot = fond_checker.export_policy_dot(result.domain, problem, policy)
-                (out / f"{result.stem}.{report.variant}.policy.dot").write_text(
-                    dot, encoding="utf-8", newline="\n"
-                )
-            if config.write_traces:
-                traces = fond_checker.enumerate_traces(result.domain, problem, policy, config.limits)
-                payload = fond_checker.traces_to_json(traces)
-                (out / f"{result.stem}.{report.variant}.traces.json").write_text(
-                    json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
-                )
     print(f"check elapsed_ms={(time.perf_counter() - check_start) * 1000.0:.1f}")
     if failed:
         return 2
@@ -238,14 +231,10 @@ def cmd_corpus(config: RunConfig) -> int:
             rows.append(f"{path.name}\tERROR\t\t\t\t\t\t\t")
             any_failed = True
             continue
-        reports, limit_hit = _check_problems(result, config)
+        n_states, strong_ok, cyclic_ok = _summarize(result, config)
         wanted = config.solve_modes()
-        n_states = max((r.n_states for r in reports), default=0)
-        strong_txt = cyclic_txt = "-"
-        if SolveMode.STRONG in wanted:
-            strong_txt = _yn(all(r.strong is not None for r in reports) and not limit_hit)
-        if SolveMode.STRONG_CYCLIC in wanted:
-            cyclic_txt = _yn(all(r.strong_cyclic is not None for r in reports) and not limit_hit)
+        strong_txt = _yn(strong_ok) if SolveMode.STRONG in wanted else "-"
+        cyclic_txt = _yn(cyclic_ok) if SolveMode.STRONG_CYCLIC in wanted else "-"
         lines = result.domain_text.count("\n")
         rows.append(
             f"{path.name}\t{result.n_nodes}\t{len(result.domain.predicates)}"
@@ -258,6 +247,24 @@ def cmd_corpus(config: RunConfig) -> int:
     (out / "corpus_summary.tsv").write_text(tsv, encoding="utf-8", newline="\n")
     print(tsv, end="")
     return 1 if any_failed else 0
+
+
+def _summarize(result: TranslationResult, config: RunConfig) -> tuple[int, bool, bool]:
+    """The largest variant's state count, and whether every variant has a
+    strong and a strong-cyclic policy (no, when a limit was hit)."""
+    n_states, strong_ok, cyclic_ok = 0, True, True
+    for problem in result.problems:
+        try:
+            report = fond_checker.analyze(result.domain, problem, config.solve_modes(), config.limits)
+        except LimitExceeded as exc:
+            print(f"limit exceeded on {problem.name}: {exc}", file=sys.stderr)
+            strong_ok = cyclic_ok = False
+            continue
+        n_states = max(n_states, report.n_states)
+        strong_ok &= report.strong is not None
+        cyclic_ok &= report.strong_cyclic is not None
+        del report  # free this variant's state space before exploring the next
+    return n_states, strong_ok, cyclic_ok
 
 
 def _yn(flag: bool) -> str:
@@ -299,7 +306,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     limits = Limits()
     env_max = os.environ.get(ENV_MAX_STATES)
     if env_max is not None:
-        limits.max_states = int(env_max)
+        try:
+            limits.max_states = int(env_max)
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_STATES} must be an integer") from None
     if args.max_states is not None:
         limits.max_states = args.max_states
     return RunConfig(
@@ -322,7 +332,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    config = config_from_args(args)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "translate":
         return cmd_translate(config)
     if args.command == "check":

@@ -294,7 +294,16 @@ def _parse_effect(value: object, inside_oneof: bool) -> EffAdd | EffNot | EffAnd
         if word in _UNSUPPORTED_EFFECTS:
             raise UnsupportedFeature(f"({word} ...) effects are outside the supported subset")
         if word == "and":
-            return EffAnd([_parse_effect(sub, inside_oneof) for sub in value.items[1:]])
+            # splice nested (and ...) forms into this one, so deep nesting never recurses
+            items = []
+            todo = value.items[:0:-1]
+            while todo:
+                sub = todo.pop()
+                if isinstance(sub, _SExpr) and sub.items and isinstance(sub.items[0], tuple) and sub.items[0][0] == "and":
+                    todo.extend(sub.items[:0:-1])
+                else:
+                    items.append(_parse_effect(sub, inside_oneof))
+            return EffAnd(items)
         if word == "not":
             if len(value.items) != 2:
                 raise PddlSyntaxError("(not ...) takes one atom", value.line, value.col)
@@ -752,51 +761,65 @@ def enumerate_traces(
     problem: PddlProblem,
     policy: Policy | None = None,
     limits: Limits | None = None,
+    space: StateSpace | None = None,
 ) -> TraceSet:
-    """DFS enumeration of maximal traces.
+    """DFS enumeration of maximal traces over the explored state space.
 
     Under a policy only the outcome branches; in all mode (policy=None)
     both the action and the outcome branch. A trace ends at the goal, in
-    a deadlock, or at the first state it revisits (cycle cutoff).
+    a deadlock (including a state the policy leaves unmapped or maps to an
+    inapplicable action), or at the first state it revisits (cycle
+    cutoff). Without `space` the problem is explored first, so
+    ``limits.max_states`` applies as well as the trace limits.
     """
     limits = limits or Limits()
-    actions = ground_domain(domain)
-    init = frozenset(problem.init)
-    goal = frozenset(problem.goal)
+    if space is None:
+        space = explore(domain, problem, limits)
     result = TraceSet()
 
-    # stack of (state, path-set, steps)
-    stack: list[tuple[frozenset, frozenset, tuple]] = [(init, frozenset([init]), ())]
-    while stack:
-        state, path, steps = stack.pop()
+    def record(terminal: str, steps: list[tuple[int, str, int]]) -> None:
+        if len(result.traces) >= limits.max_traces:
+            raise LimitExceeded(f"more than {limits.max_traces} traces")
+        result.traces.append(Trace([(space.states[s], a, o) for s, a, o in steps], terminal))
+
+    def visit(s: int) -> list[tuple[str, int, int]]:
+        """Record the traces that end at or right after `s`; return the moves to descend into."""
         if len(steps) > limits.max_trace_len:
             raise LimitExceeded(f"trace longer than {limits.max_trace_len} steps")
-        if goal <= state:
-            _record(result, Trace(list(steps), "goal"), limits)
-            continue
+        if s in space.goal_states:
+            record("goal", steps)
+            return []
+        moves = space.transitions[s]
         if policy is not None:
-            chosen = policy.mapping.get(state)
-            applicable_actions = [a for a in actions if a.name == chosen and applicable(state, a)]
-        else:
-            applicable_actions = [a for a in actions if applicable(state, a)]
-        if not applicable_actions:
-            _record(result, Trace(list(steps), "deadlock"), limits)
+            chosen = policy.mapping.get(space.states[s])
+            moves = [m for m in moves if m[0] == chosen]
+        if not moves:
+            record("deadlock", steps)
+            return []
+        descend = []
+        for name, oidx, t in moves:
+            if t in on_path:
+                record("cycle", [*steps, (s, name, oidx)])
+            else:
+                descend.append((name, oidx, t))
+        return descend  # popped from the end, so the last move is explored first
+
+    steps: list[tuple[int, str, int]] = []  # (state index, action, outcome) from the initial state
+    on_path = {0}
+    todo = [(0, visit(0))]  # per state on the path: the moves not yet descended into
+    while todo:
+        s, moves = todo[-1]
+        if not moves:
+            todo.pop()
+            on_path.discard(s)
+            if steps:
+                steps.pop()
             continue
-        for action in applicable_actions:
-            for oidx in range(len(action.outcomes)):
-                succ = apply(state, action, oidx)
-                new_steps = steps + ((state, action.name, oidx),)
-                if succ in path:
-                    _record(result, Trace(list(new_steps), "cycle"), limits)
-                    continue
-                stack.append((succ, path | {succ}, new_steps))
+        name, oidx, t = moves.pop()
+        steps.append((s, name, oidx))
+        on_path.add(t)
+        todo.append((t, visit(t)))
     return result
-
-
-def _record(result: TraceSet, trace: Trace, limits: Limits) -> None:
-    if len(result.traces) >= limits.max_traces:
-        raise LimitExceeded(f"more than {limits.max_traces} traces")
-    result.traces.append(trace)
 
 
 def traces_to_json(traces: TraceSet) -> list[dict]:
@@ -824,6 +847,7 @@ class CheckReport:
     n_deadlocks: int
     strong: Policy | None
     strong_cyclic: Policy | None
+    space: StateSpace
 
 
 def analyze(
@@ -844,6 +868,9 @@ def analyze(
             cyclic = solve(domain, problem, SolveMode.STRONG_CYCLIC, limits, space)
         except Unsolvable:
             cyclic = None
+    # the report's readers (traces, DOT) walk `transitions`; drop the solvers'
+    # cached grouping so it does not stay alive next to them
+    space.__dict__.pop("_pairs", None)
     return CheckReport(
         problem_name=problem.name,
         variant=problem.variant,
@@ -851,43 +878,39 @@ def analyze(
         n_deadlocks=len(space.deadlock_states),
         strong=strong,
         strong_cyclic=cyclic,
+        space=space,
     )
 
 
-def export_policy_dot(domain: PddlDomain, problem: PddlProblem, policy: Policy) -> str:
+def export_policy_dot(
+    domain: PddlDomain, problem: PddlProblem, policy: Policy, space: StateSpace | None = None
+) -> str:
     """DOT digraph of the policy: states labeled by their true predicates,
-    edges labeled action/outcome, goal states double-circled."""
-    actions = {a.name: a for a in ground_domain(domain)}
-    init = frozenset(problem.init)
-    goal = frozenset(problem.goal)
+    edges labeled action/outcome, goal states double-circled. Walks the
+    policy's edges in `space`, exploring the problem first when it is None."""
+    if space is None:
+        space = explore(domain, problem)
 
-    order: list[frozenset] = [init]
-    ids = {init: "s0"}
-    queue = deque([init])
+    order = [0]  # state indices in breadth-first order; state order[i] is node s<i>
+    ids = {0: "s0"}
     edges: list[tuple[str, str, str]] = []
-    while queue:
-        state = queue.popleft()
-        if goal <= state:
+    for s in order:
+        if s in space.goal_states:
             continue
-        name = policy.mapping.get(state)
-        if name is None:
-            continue
-        action = actions[name]
-        for oidx in range(len(action.outcomes)):
-            succ = apply(state, action, oidx)
-            if succ not in ids:
-                ids[succ] = f"s{len(order)}"
-                order.append(succ)
-                queue.append(succ)
-            label = name if len(action.outcomes) == 1 else f"{name}/{oidx}"
-            edges.append((ids[state], ids[succ], label))
+        name = policy.mapping.get(space.states[s])
+        moves = [(oidx, t) for a, oidx, t in space.transitions[s] if a == name]
+        for oidx, t in moves:
+            if t not in ids:
+                ids[t] = f"s{len(order)}"
+                order.append(t)
+            label = name if len(moves) == 1 else f"{name}/{oidx}"
+            edges.append((ids[s], ids[t], label))
 
     lines = ["digraph policy {", "  rankdir=LR;"]
-    for state in order:
-        sid = ids[state]
-        label = "\\n".join(sorted(state)) or "{}"
-        shape = "doublecircle" if goal <= state else "box"
-        lines.append(f'  {sid} [shape={shape} label="{label}"];')
+    for s in order:
+        label = "\\n".join(sorted(space.states[s])) or "{}"
+        shape = "doublecircle" if s in space.goal_states else "box"
+        lines.append(f'  {ids[s]} [shape={shape} label="{label}"];')
     for src, dst, label in edges:
         lines.append(f'  {src} -> {dst} [label="{label}"];')
     lines.append("}")

@@ -508,59 +508,6 @@ def _outcome_items(outcome: EffAdd | EffAnd) -> list:
 # Public operations
 
 
-def encode_task(node: FlowNode, graph: ProcessGraph, options: EncodeOptions | None = None) -> PddlAction:
-    enc = _Encoder(graph, options or EncodeOptions())
-    return enc._encode_task(node)
-
-
-def encode_event(
-    node: FlowNode, graph: ProcessGraph, options: EncodeOptions | None = None
-) -> PddlAction | None:
-    enc = _Encoder(graph, options or EncodeOptions())
-    return enc._encode_event(node)
-
-
-def encode_exclusive(
-    node: FlowNode, graph: ProcessGraph, options: EncodeOptions | None = None
-) -> list[PddlAction]:
-    if node.kind not in (NodeKind.EXCLUSIVE_GATEWAY, NodeKind.EVENT_BASED_GATEWAY):
-        raise EncodingError(f"{node.id!r} is not an exclusive or event-based gateway")
-    enc = _Encoder(graph, options or EncodeOptions())
-    return enc._encode_gateway(node)
-
-
-def encode_parallel(
-    node: FlowNode, graph: ProcessGraph, options: EncodeOptions | None = None
-) -> list[PddlAction]:
-    if node.kind is not NodeKind.PARALLEL_GATEWAY:
-        raise EncodingError(f"{node.id!r} is not a parallel gateway")
-    enc = _Encoder(graph, options or EncodeOptions())
-    return enc._encode_gateway(node)
-
-
-def encode_inclusive(
-    node: FlowNode,
-    graph: ProcessGraph,
-    counter: CounterEncoding | None = None,
-    options: EncodeOptions | None = None,
-) -> list[PddlAction]:
-    if node.kind is not NodeKind.INCLUSIVE_GATEWAY:
-        raise EncodingError(f"{node.id!r} is not an inclusive gateway")
-    enc = _Encoder(graph, options or EncodeOptions())
-    if counter is not None:
-        if len(graph.incoming[node.id]) < 2:
-            enc.counters[node.id] = counter
-        else:
-            enc.counters[enc.join_split[node.id]] = counter
-    return enc._encode_gateway(node)
-
-
-def counter_for(node: FlowNode, graph: ProcessGraph, options: EncodeOptions | None = None) -> CounterEncoding:
-    """The counter family emitted for a diverging inclusive gateway."""
-    enc = _Encoder(graph, options or EncodeOptions())
-    return enc.counters[node.id]
-
-
 def emit_domain(graph: ProcessGraph, options: EncodeOptions | None = None) -> PddlDomain:
     return _Encoder(graph, options or EncodeOptions()).domain()
 

@@ -1,17 +1,35 @@
-"""Reference strong and strong-cyclic solvers for the policy-identity oracle.
+"""Reference solvers, trace enumeration and policy DOT export for the oracles.
 
 These are the original quadratic solvers of ``fond_checker``, kept verbatim:
 round-by-round rescans of every state until nothing changes, and a
 goal-distance BFS that scans every winning state for each popped one. The
 linear-time backward core must return the same ``Policy.mapping`` on every
 input; ``tests/test_fond_checker.py`` compares the two.
+
+``enumerate_traces`` and ``export_policy_dot`` are the original
+re-simulating versions, also verbatim: each grounds the domain again and
+applies actions to states instead of walking an explored ``StateSpace``.
+The ``fond_checker`` versions must produce the same traces and DOT text.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from bpmn2pddl.fond_checker import SolveMode, StateSpace, Unsolvable
+from bpmn2pddl.fond_checker import (
+    LimitExceeded,
+    Limits,
+    Policy,
+    SolveMode,
+    StateSpace,
+    Trace,
+    TraceSet,
+    Unsolvable,
+    applicable,
+    apply,
+    ground_domain,
+)
+from bpmn2pddl.pddl_encoder import PddlDomain, PddlProblem
 
 
 def reference_mapping(space: StateSpace, mode: SolveMode) -> dict[frozenset, str]:
@@ -144,3 +162,95 @@ def _restrict_to_reachable(space: StateSpace, full: dict[int, str], by_action) -
                 seen.add(succ)
                 queue.append(succ)
     return mapping
+
+
+def enumerate_traces(
+    domain: PddlDomain,
+    problem: PddlProblem,
+    policy: Policy | None = None,
+    limits: Limits | None = None,
+) -> TraceSet:
+    """DFS enumeration of maximal traces.
+
+    Under a policy only the outcome branches; in all mode (policy=None)
+    both the action and the outcome branch. A trace ends at the goal, in
+    a deadlock, or at the first state it revisits (cycle cutoff).
+    """
+    limits = limits or Limits()
+    actions = ground_domain(domain)
+    init = frozenset(problem.init)
+    goal = frozenset(problem.goal)
+    result = TraceSet()
+
+    # stack of (state, path-set, steps)
+    stack: list[tuple[frozenset, frozenset, tuple]] = [(init, frozenset([init]), ())]
+    while stack:
+        state, path, steps = stack.pop()
+        if len(steps) > limits.max_trace_len:
+            raise LimitExceeded(f"trace longer than {limits.max_trace_len} steps")
+        if goal <= state:
+            _record(result, Trace(list(steps), "goal"), limits)
+            continue
+        if policy is not None:
+            chosen = policy.mapping.get(state)
+            applicable_actions = [a for a in actions if a.name == chosen and applicable(state, a)]
+        else:
+            applicable_actions = [a for a in actions if applicable(state, a)]
+        if not applicable_actions:
+            _record(result, Trace(list(steps), "deadlock"), limits)
+            continue
+        for action in applicable_actions:
+            for oidx in range(len(action.outcomes)):
+                succ = apply(state, action, oidx)
+                new_steps = steps + ((state, action.name, oidx),)
+                if succ in path:
+                    _record(result, Trace(list(new_steps), "cycle"), limits)
+                    continue
+                stack.append((succ, path | {succ}, new_steps))
+    return result
+
+
+def _record(result: TraceSet, trace: Trace, limits: Limits) -> None:
+    if len(result.traces) >= limits.max_traces:
+        raise LimitExceeded(f"more than {limits.max_traces} traces")
+    result.traces.append(trace)
+
+
+def export_policy_dot(domain: PddlDomain, problem: PddlProblem, policy: Policy) -> str:
+    """DOT digraph of the policy: states labeled by their true predicates,
+    edges labeled action/outcome, goal states double-circled."""
+    actions = {a.name: a for a in ground_domain(domain)}
+    init = frozenset(problem.init)
+    goal = frozenset(problem.goal)
+
+    order: list[frozenset] = [init]
+    ids = {init: "s0"}
+    queue = deque([init])
+    edges: list[tuple[str, str, str]] = []
+    while queue:
+        state = queue.popleft()
+        if goal <= state:
+            continue
+        name = policy.mapping.get(state)
+        if name is None:
+            continue
+        action = actions[name]
+        for oidx in range(len(action.outcomes)):
+            succ = apply(state, action, oidx)
+            if succ not in ids:
+                ids[succ] = f"s{len(order)}"
+                order.append(succ)
+                queue.append(succ)
+            label = name if len(action.outcomes) == 1 else f"{name}/{oidx}"
+            edges.append((ids[state], ids[succ], label))
+
+    lines = ["digraph policy {", "  rankdir=LR;"]
+    for state in order:
+        sid = ids[state]
+        label = "\\n".join(sorted(state)) or "{}"
+        shape = "doublecircle" if goal <= state else "box"
+        lines.append(f'  {sid} [shape={shape} label="{label}"];')
+    for src, dst, label in edges:
+        lines.append(f'  {src} -> {dst} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import os
 
-from bpmn2pddl.cli import main
+from bpmn2pddl import fond_checker
+from bpmn2pddl.cli import RunConfig, cmd_check, main
+from bpmn2pddl.fond_checker import Limits
 from conftest import CORPUS_DIR, fixture
 
 CREDIT = str(CORPUS_DIR / "credit_scoring.bpmn")
-
 
 def test_translate_writes_files(tmp_path, capsys):
     code = main(["translate", CREDIT, "--out", str(tmp_path)])
@@ -82,6 +83,35 @@ def test_check_max_states_env(tmp_path, capsys, monkeypatch):
     code = main(["check", CREDIT, "--out", str(tmp_path), "--solve", "cyclic"])
     assert code == 2
     assert "limit exceeded" in capsys.readouterr().err
+
+
+def test_check_bad_max_states_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BPMN2PDDL_MAX_STATES", "abc")
+    code = main(["check", CREDIT, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: BPMN2PDDL_MAX_STATES must be an integer\n"
+
+
+def test_check_trace_limit_exits_2(tmp_path, capsys):
+    config = RunConfig(  # the retry loop's policy has a goal trace and a cycle trace
+        input_path=str(fixture("loop_retry.bpmn")),
+        output_dir=str(tmp_path),
+        write_traces=True,
+        limits=Limits(max_traces=1),
+    )
+    assert cmd_check(config) == 2
+    assert "limit exceeded on loop_retry_all_starts: more than 1 traces" in capsys.readouterr().err
+
+
+def test_check_grounds_once_per_variant(tmp_path, monkeypatch):
+    calls = []
+    ground = fond_checker.ground_domain
+    monkeypatch.setattr(fond_checker, "ground_domain", lambda domain: calls.append(1) or ground(domain))
+    code = main(["check", CREDIT, "--out", str(tmp_path), "--dot", "--traces"])
+    assert code == 0
+    assert len(calls) == 4  # all_starts and the three prestarted variants
+    assert len(list(tmp_path.glob("*.policy.dot"))) == 4
+    assert len(list(tmp_path.glob("*.traces.json"))) == 4
 
 
 def test_corpus_all_files(tmp_path, capsys):

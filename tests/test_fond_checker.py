@@ -46,6 +46,7 @@ from bpmn2pddl.pddl_encoder import (
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
 from conftest import CORPUS_FILES, fixture, translate
+import reference_solver
 from reference_solver import reference_mapping
 
 FIG_DOMAIN = """(define (domain credit_scoring)
@@ -101,6 +102,15 @@ DIAMOND = """<?xml version="1.0"?>
 </bpmn:definitions>"""
 
 
+FIXTURES = (
+    "inclusive_pair.bpmn",
+    "loop_retry.bpmn",
+    "msg_task_event.bpmn",
+    "msg_task_task.bpmn",
+    "xor_and_deadlock.bpmn",
+)
+
+
 def _pipeline(xml: str, strategy=MessageStrategy.IGNORE):
     graph = build_graph(parse_bpmn(xml), strategy)
     domain = emit_domain(graph)
@@ -149,6 +159,20 @@ class TestParsePddl:
             parse_pddl("(" * 5000 + ")" * 5000)
         with pytest.raises(PddlSyntaxError, match=r"missing \) \(line 1, column 5000\)"):
             parse_pddl("(" * 5000)
+
+    def test_deeply_nested_and_effect_is_spliced(self):
+        depth = 3000
+        effect = "(and " * depth + "(q) (not (p))" + ")" * depth
+        text = f"(define (domain d) (:predicates (p) (q)) (:action a :precondition (p) :effect {effect}))"
+        domain = parse_pddl(text)
+        assert domain.actions[0].effect == EffAnd([EffAdd("q"), EffNot("p")])
+        (action,) = ground_domain(domain)
+        assert [(set(o.adds), set(o.dels)) for o in action.outcomes] == [({"q"}, {"p"})]
+        nested = "(oneof (and (and (p)) (q)) " + "(and " * depth + "(q)" + ")" * depth + ")"
+        domain = parse_pddl(text.replace(effect, f"(and {nested} (not (p)))"))
+        assert domain.actions[0].effect == EffAnd(
+            [EffOneOf([EffAnd([EffAdd("p"), EffAdd("q")]), EffAnd([EffAdd("q")])]), EffNot("p")]
+        )
 
     def test_reader_error_positions(self):
         cases = [
@@ -557,13 +581,7 @@ class TestPolicyOracle:
                 assert got == expected, f"instance {i} {mode.value}"
 
     def test_fixtures(self):
-        for name in (
-            "inclusive_pair.bpmn",
-            "loop_retry.bpmn",
-            "msg_task_event.bpmn",
-            "msg_task_task.bpmn",
-            "xor_and_deadlock.bpmn",
-        ):
+        for name in FIXTURES:
             for strategy in MessageStrategy:
                 domain, problems = _pipeline(fixture(name).read_text(), strategy)
                 for problem in problems:
@@ -585,6 +603,71 @@ class TestPolicyOracle:
                             label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
                             assert got == expected, f"{label} {mode.value}"
         assert compared == 58  # all but the two 6k-state credit_scoring all_starts variants
+
+
+def _assert_same_exports(domain, problem, space, policy, label):
+    """Traces and policy DOT from `space` equal the re-simulating reference's."""
+    got = traces_to_json(enumerate_traces(domain, problem, policy, space=space))
+    assert got == traces_to_json(reference_solver.enumerate_traces(domain, problem, policy)), label
+    if policy is not None:
+        dot = export_policy_dot(domain, problem, policy, space)
+        assert dot == reference_solver.export_policy_dot(domain, problem, policy), label
+
+
+class TestTraceDotOracle:
+    """Traces and DOT read from the explored space match the seed's re-simulation."""
+
+    def test_fixtures(self):
+        for name in FIXTURES:
+            for strategy in MessageStrategy:
+                domain, problems = _pipeline(fixture(name).read_text(), strategy)
+                for problem in problems:
+                    space = explore(domain, problem)
+                    label = f"{name} {strategy.value} {problem.variant}"
+                    _assert_same_exports(domain, problem, space, None, f"{label} all")
+                    for mode in SolveMode:
+                        try:
+                            policy = solve(domain, problem, mode, space=space)
+                        except Unsolvable:
+                            continue
+                        _assert_same_exports(domain, problem, space, policy, f"{label} {mode.value}")
+
+    def test_corpus_variants_under_1000_states(self):
+        compared = 0
+        for path in CORPUS_FILES:
+            for strategy in MessageStrategy:
+                for done_mode in DoneMode:
+                    result = translate(path, strategy, done_mode=done_mode)
+                    for problem in result.problems:
+                        space = explore(result.domain, problem)
+                        if len(space.states) >= 1000:
+                            continue
+                        for mode in SolveMode:
+                            try:
+                                policy = solve(result.domain, problem, mode, space=space)
+                            except Unsolvable:
+                                continue
+                            compared += 1
+                            label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant} {mode.value}"
+                            _assert_same_exports(result.domain, problem, space, policy, label)
+        assert compared == 80  # the 58 variants' strong and strong-cyclic policies
+
+    def test_unmapped_or_inapplicable_action_is_a_deadlock(self):
+        domain, (problem,) = _pipeline(LINEAR)
+        space = explore(domain, problem)
+        for mapping in ({}, {frozenset(problem.init): "event_E1"}, {frozenset(problem.init): "no_such_action"}):
+            policy = Policy(mapping=mapping, kind=SolveMode.STRONG)
+            traces = traces_to_json(enumerate_traces(domain, problem, policy, space=space))
+            assert [t["terminal"] for t in traces] == ["deadlock"]
+            assert traces == traces_to_json(reference_solver.enumerate_traces(domain, problem, policy))
+            assert "->" not in export_policy_dot(domain, problem, policy, space)
+
+    def test_space_is_explored_when_not_given(self):
+        domain, (problem,) = _pipeline(fixture("loop_retry.bpmn").read_text())
+        policy = solve(domain, problem, SolveMode.STRONG_CYCLIC)
+        _assert_same_exports(domain, problem, None, policy, "no space")
+        with pytest.raises(LimitExceeded):
+            enumerate_traces(domain, problem, policy, Limits(max_states=2))
 
 
 def _chain(n: int) -> str:

@@ -15,14 +15,8 @@ from bpmn2pddl.pddl_encoder import (
     EncodeOptions,
     EncodingError,
     DoneMode,
-    counter_for,
     emit_domain,
     emit_problems,
-    encode_event,
-    encode_exclusive,
-    encode_inclusive,
-    encode_parallel,
-    encode_task,
     render_pddl,
     sanitize_id,
 )
@@ -47,6 +41,16 @@ def _graph(xml: str, strategy=MessageStrategy.IGNORE):
 
 def _credit_graph(strategy=MessageStrategy.IGNORE):
     return build_graph(parse_bpmn((CORPUS_DIR / "credit_scoring.bpmn").read_text()), strategy)
+
+
+def _actions(graph, options=None) -> dict:
+    """The emitted domain's actions by name."""
+    return {a.name: a for a in emit_domain(graph, options).actions}
+
+
+def _actions_of(graph, prefix: str) -> list:
+    """The emitted domain's actions whose names start with `prefix`, in domain order."""
+    return [a for a in emit_domain(graph).actions if a.name.startswith(prefix)]
 
 
 class TestSanitizeId:
@@ -76,8 +80,7 @@ class TestSanitizeId:
 class TestTaskEncoding:
     def test_figure_shape_after_start_event(self):
         graph = _credit_graph()
-        action = encode_task(graph.nodes["Activity_0rvq1gc"], graph)
-        assert action.name == "request_credit_score"
+        action = _actions(graph)["request_credit_score"]
         assert action.precondition == ["StartEvent_1els7eb"]
         assert action.effect == EffAnd(
             [EffAdd("EventBasedGateway_02s95tm"), EffNot("StartEvent_1els7eb")]
@@ -85,14 +88,14 @@ class TestTaskEncoding:
 
     def test_message_ignored_is_plain(self):
         graph = _graph(fixture("msg_task_task.bpmn").read_text(), MessageStrategy.IGNORE)
-        action = encode_task(graph.nodes["Task_notify"], graph)
+        action = _actions(graph)["notify_partner"]
         assert action.effect == EffAnd([EffAdd("End_a"), EffNot("Start_a")])
 
     def test_message_emulated_is_oneof(self):
         graph = _graph(
             fixture("msg_task_task.bpmn").read_text(), MessageStrategy.EXCLUSIVE_EMULATION
         )
-        action = encode_task(graph.nodes["Task_notify"], graph)
+        action = _actions(graph)["notify_partner"]
         oneof = action.effect.items[0]
         assert isinstance(oneof, EffOneOf)
         assert len(oneof.outcomes) == 2
@@ -103,25 +106,23 @@ class TestTaskEncoding:
     def test_unnamed_task_uses_id(self):
         xml = LINEAR.replace('name="work"', "")
         graph = _graph(xml)
-        action = encode_task(graph.nodes["T1"], graph)
-        assert action.name == "t1"
+        assert _actions(graph)["t1"].precondition == ["S1"]
 
 
 class TestEventEncoding:
     def test_start_event_has_no_action(self):
         graph = _graph(LINEAR)
-        assert encode_event(graph.nodes["S1"], graph) is None
+        assert list(_actions(graph)) == ["work", "event_E1"]  # S1 emits no action
 
     def test_end_event_sets_done(self):
         graph = _graph(LINEAR)
-        action = encode_event(graph.nodes["E1"], graph)
-        assert action.name == "event_E1"
+        action = _actions(graph)["event_E1"]
         assert action.precondition == ["E1"]
         assert action.effect == EffAnd([EffAdd("done"), EffNot("E1")])
 
     def test_intermediate_event_passes_through(self):
         graph = _credit_graph()
-        action = encode_event(graph.nodes["IntermediateCatchEvent_0yg7cuh"], graph)
+        action = _actions(graph)["event_IntermediateCatchEvent_0yg7cuh"]
         assert action.precondition == ["IntermediateCatchEvent_0yg7cuh"]
         assert action.effect == EffAnd(
             [EffAdd("ExclusiveGateway_11dldcm"), EffNot("IntermediateCatchEvent_0yg7cuh")]
@@ -129,15 +130,14 @@ class TestEventEncoding:
 
     def test_end_event_all_pools_mode(self):
         graph = _graph(LINEAR)
-        action = encode_event(graph.nodes["E1"], graph, EncodeOptions(done_mode=DoneMode.ALL_POOLS))
+        action = _actions(graph, EncodeOptions(done_mode=DoneMode.ALL_POOLS))["event_E1"]
         assert action.effect == EffAnd([EffAdd("pool_done_linear"), EffNot("E1")])
 
 
 class TestExclusiveEncoding:
     def test_event_based_gateway_oneof(self):
         graph = _credit_graph()
-        (action,) = encode_exclusive(graph.nodes["EventBasedGateway_02s95tm"], graph)
-        assert action.name == "event_EventBasedGateway_02s95tm"
+        action = _actions(graph)["event_EventBasedGateway_02s95tm"]
         assert action.precondition == ["EventBasedGateway_02s95tm"]
         assert action.effect == EffAnd(
             [
@@ -159,12 +159,12 @@ class TestExclusiveEncoding:
             '<bpmn:sequenceFlow id="F3" sourceRef="G1" targetRef="E1"/>',
         )
         graph = _graph(xml)
-        (action,) = encode_exclusive(graph.nodes["G1"], graph)
+        (action,) = _actions_of(graph, "event_G1")
         assert action.effect == EffAnd([EffAdd("E1"), EffNot("G1")])
 
     def test_xor_join_one_action_per_branch(self):
         graph = _credit_graph()
-        actions = encode_exclusive(graph.nodes["ExclusiveGateway_1lo9p0a"], graph)
+        actions = _actions_of(graph, "event_ExclusiveGateway_1lo9p0a")
         assert [a.name for a in actions] == [
             "event_ExclusiveGateway_1lo9p0a_0",
             "event_ExclusiveGateway_1lo9p0a_1",
@@ -189,7 +189,7 @@ class TestExclusiveEncoding:
 </bpmn:definitions>"""
         graph = _graph(xml)
         with pytest.raises(EncodingError):
-            encode_exclusive(graph.nodes["G1"], graph)
+            emit_domain(graph)
 
 
 class TestParallelEncoding:
@@ -197,14 +197,14 @@ class TestParallelEncoding:
         graph = _graph(fixture("xor_and_deadlock.bpmn").read_text())
         # reuse the AND-join fixture's parallel join; build a split from dispatch
         dispatch = _graph((CORPUS_DIR / "dispatch_of_goods.bpmn").read_text())
-        (split,) = encode_parallel(dispatch.nodes["ParallelGateway_0prep"], dispatch)
+        (split,) = _actions_of(dispatch, "event_ParallelGateway_0prep")
         adds = [i for i in split.effect.items if isinstance(i, EffAdd)]
         assert {a.pred for a in adds} == {"Activity_0pack", "Activity_0label", "Activity_0insure"}
         assert EffNot("ParallelGateway_0prep") in split.effect.items
 
     def test_join_requires_every_marker(self):
         graph = _graph((CORPUS_DIR / "dispatch_of_goods.bpmn").read_text())
-        (join,) = encode_parallel(graph.nodes["ParallelGateway_0ready"], graph)
+        (join,) = _actions_of(graph, "event_ParallelGateway_0ready")
         assert join.precondition == [
             "arr_ParallelGateway_0ready_0",
             "arr_ParallelGateway_0ready_1",
@@ -221,14 +221,14 @@ class TestParallelEncoding:
             '<bpmn:sequenceFlow id="F3" sourceRef="G1" targetRef="E1"/>',
         )
         graph = _graph(xml)
-        (action,) = encode_parallel(graph.nodes["G1"], graph)
+        (action,) = _actions_of(graph, "event_G1")
         assert action.effect == EffAnd([EffAdd("E1"), EffNot("G1")])
 
 
 class TestInclusiveEncoding:
     def test_split_enumerates_nonempty_subsets(self):
         graph = _graph(fixture("inclusive_pair.bpmn").read_text())
-        (action,) = encode_inclusive(graph.nodes["Split_1"], graph)
+        (action,) = _actions_of(graph, "event_Split_1")
         # the split follows the start event directly, so it consumes the start marker
         assert action.precondition == ["Start_1", "count_Split_1_0"]
         oneof = action.effect.items[0]
@@ -241,13 +241,13 @@ class TestInclusiveEncoding:
 
     def test_counter_width_matches_branches(self):
         graph = _graph(fixture("inclusive_pair.bpmn").read_text())
-        counter = counter_for(graph.nodes["Split_1"], graph)
-        assert counter.width == 2
-        assert counter.count_preds == ["count_Split_1_0", "count_Split_1_1", "count_Split_1_2"]
+        count_preds = [p for p in emit_domain(graph).predicates if p.startswith("count_Split_1_")]
+        assert len(count_preds) - 1 == 2  # the counter's width
+        assert count_preds == ["count_Split_1_0", "count_Split_1_1", "count_Split_1_2"]
 
     def test_join_decrements_and_releases(self):
         graph = _graph(fixture("inclusive_pair.bpmn").read_text())
-        actions = encode_inclusive(graph.nodes["Join_1"], graph)
+        actions = _actions_of(graph, "event_Join_1")
         # 2 branches x 2 counter levels + release
         assert len(actions) == 5
         release = actions[-1]
@@ -265,7 +265,7 @@ class TestInclusiveEncoding:
             '<bpmn:sequenceFlow id="F3" sourceRef="G1" targetRef="E1"/>',
         )
         graph = _graph(xml)
-        (action,) = encode_inclusive(graph.nodes["G1"], graph)
+        (action,) = _actions_of(graph, "event_G1")
         assert action.effect == EffAnd(
             [EffAdd("E1"), EffAdd("count_G1_1"), EffNot("G1"), EffNot("count_G1_0")]
         )
