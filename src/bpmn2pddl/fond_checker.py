@@ -9,7 +9,7 @@ without an external planner.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -57,9 +57,6 @@ class Limits:
     max_states: int = 1_000_000
     max_traces: int = 100_000
     max_trace_len: int = 10_000
-
-
-GroundState = frozenset  # canonical, order-independent state representation
 
 
 @dataclass(frozen=True)
@@ -350,32 +347,28 @@ def _parse_problem(items: list) -> PddlProblem:
 
 def _validate_domain(domain: PddlDomain) -> None:
     declared = set(domain.predicates)
+    named: set[str] = set()
     for action in domain.actions:
+        if action.name in named:  # a policy names its actions
+            raise PddlSyntaxError(f"action {action.name!r} is defined twice")
+        named.add(action.name)
         for p in action.precondition:
             if p not in declared:
-                raise PddlSyntaxError(
-                    f"action {action.name!r} uses undeclared predicate {p!r}"
-                )
+                raise PddlSyntaxError(f"action {action.name!r} uses undeclared predicate {p!r}")
         for p in _effect_preds(action.effect):
             if p not in declared:
-                raise PddlSyntaxError(
-                    f"action {action.name!r} uses undeclared predicate {p!r}"
-                )
+                raise PddlSyntaxError(f"action {action.name!r} uses undeclared predicate {p!r}")
 
 
 def _effect_preds(tree) -> set[str]:
-    if isinstance(tree, EffAdd):
-        return {tree.pred}
-    if isinstance(tree, EffNot):
-        return {tree.pred}
-    if isinstance(tree, EffAnd):
-        out: set[str] = set()
-        for item in tree.items:
-            out |= _effect_preds(item)
-        return out
-    out = set()
-    for o in tree.outcomes:
-        out |= _effect_preds(o)
+    out: set[str] = set()
+    todo = [tree]  # an explicit stack, so deep nesting never recurses
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (EffAdd, EffNot)):
+            out.add(node.pred)
+        else:
+            todo.extend(node.items if isinstance(node, EffAnd) else node.outcomes)
     return out
 
 
@@ -413,29 +406,22 @@ def _flatten_effect(effect: EffAnd) -> list[Outcome]:
     return outcomes
 
 
-def _collect_effect(tree) -> tuple[set, set, list]:
-    if isinstance(tree, EffAdd):
-        return {tree.pred}, set(), []
-    if isinstance(tree, EffNot):
-        return set(), {tree.pred}, []
-    if isinstance(tree, EffAnd):
-        adds: set = set()
-        dels: set = set()
-        groups: list = []
-        for item in tree.items:
-            a, d, g = _collect_effect(item)
-            adds |= a
-            dels |= d
-            groups.extend(g)
-        return adds, dels, groups
-    # EffOneOf
-    group = []
-    for o in tree.outcomes:
-        a, d, g = _collect_effect(o)
-        if g:
+def _collect_effect(tree, inside_oneof: bool = False) -> tuple[set, set, list]:
+    adds, dels, groups = set(), set(), []
+    todo = [tree]  # an explicit stack, children reversed so oneof groups keep tree order
+    while todo:
+        node = todo.pop()
+        if isinstance(node, EffAdd):
+            adds.add(node.pred)
+        elif isinstance(node, EffNot):
+            dels.add(node.pred)
+        elif isinstance(node, EffAnd):
+            todo.extend(reversed(node.items))
+        elif inside_oneof:
             raise UnsupportedFeature("nested oneof effects are outside the supported subset")
-        group.append((a, d))
-    return set(), set(), [group]
+        else:
+            groups.append([_collect_effect(o, inside_oneof=True)[:2] for o in node.outcomes])
+    return adds, dels, groups
 
 
 def applicable(state: frozenset, action: GroundAction) -> bool:
@@ -461,70 +447,140 @@ class DoubleAdd:
 
 @dataclass
 class StateSpace:
-    states: list[frozenset]
-    index: dict[frozenset, int]
-    transitions: list[list[tuple[str, int, int]]]  # per state: (action, outcome, successor)
+    """The explored transition system, with integer bitmask states.
+
+    State ``s`` is the int ``masks[s]``; bit ``i`` is predicate ``preds[i]``.
+    Pair ``p`` is action ``name[p]`` applied in state ``owner[p]``, with each
+    outcome's successor in ``succs[p]``; state ``s`` has the pairs
+    ``range(first[s], first[s + 1])``, in domain order, and ``rev[t]`` lists
+    the pairs leading to ``t``, once per outcome. ``states``, ``index``,
+    ``transitions`` and ``double_adds`` are the public views, built on first
+    use; :meth:`state` decodes one state from its set bits, once, so the
+    solvers, traces and DOT export decode only the states they touch.
+    """
+
+    masks: list[int]
+    preds: list[str]
+    owner: list[int]
+    name: list[str]
+    succs: list[list[int]]
+    first: list[int]
+    rev: list[list[int]]
     goal_states: set[int]
     deadlock_states: set[int]
-    double_adds: list[DoubleAdd]
+    doubled: list[tuple[int, int, int]]  # (pair, outcome, mask of its adds already true)
     actions: dict[str, GroundAction]
+    _decoded: dict[int, frozenset] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def state(self, s: int) -> frozenset:
+        """State `s` as the frozenset of its true predicates."""
+        state = self._decoded.get(s)
+        if state is None:
+            state = self._decoded[s] = frozenset(self.preds[i] for i in _bits(self.masks[s]))
+        return state
+
+    def moves(self, s: int) -> list[tuple[str, int, int]]:
+        """The transitions of state `s`: ``(action, outcome, successor)`` in domain order."""
+        pairs = range(self.first[s], self.first[s + 1])
+        return [(self.name[p], o, t) for p in pairs for o, t in enumerate(self.succs[p])]
 
     @cached_property
-    def _pairs(self) -> _Pairs:
-        return _Pairs(self.transitions)
+    def states(self) -> list[frozenset]:
+        return [self.state(s) for s in range(len(self.masks))]
+
+    @cached_property
+    def index(self) -> dict[frozenset, int]:
+        return {state: s for s, state in enumerate(self.states)}
+
+    @cached_property
+    def transitions(self) -> list[list[tuple[str, int, int]]]:
+        return [self.moves(s) for s in range(len(self.masks))]
+
+    @cached_property
+    def double_adds(self) -> list[DoubleAdd]:
+        """Every outcome that adds an atom already true, atoms in bit order."""
+        owner, name, preds = self.owner, self.name, self.preds
+        return [DoubleAdd(owner[p], name[p], o, preds[i]) for p, o, both in self.doubled for i in _bits(both)]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = None) -> StateSpace:
-    """BFS over every state reachable from init via every outcome."""
+    """BFS over every state reachable from init via every outcome.
+
+    The grounded domain is compiled once into int bitmasks: a bit per
+    declared predicate, then per init or goal atom the domain lacks; per
+    action a precondition mask and per outcome an add mask and a keep mask
+    (the complement of its deletes), so a successor is ``state & keep | add``.
+    Each action is filed under its marker, the precondition bit the fewest
+    actions need (ties to the first declared). A state tests only the
+    actions filed under its set bits, plus those with no precondition, in
+    domain order, so states, transitions and the solvers' (state, action)
+    pairs come out in the order a scan over every action gives.
+    """
     limits = limits or Limits()
     actions = ground_domain(domain)
-    init = frozenset(problem.init)
-    goal = frozenset(problem.goal)
+    bit = {p: i for i, p in enumerate(dict.fromkeys([*domain.predicates, *problem.init, *problem.goal]))}
 
-    states = [init]
-    index = {init: 0}
-    transitions: list[list[tuple[str, int, int]]] = [[]]
-    goal_states: set[int] = set()
-    deadlock_states: set[int] = set()
-    double_adds: list[DoubleAdd] = []
+    def mask(atoms) -> int:
+        return sum(1 << b for b in {bit[p] for p in atoms})
 
-    queue = deque([0])
-    while queue:
-        sidx = queue.popleft()
-        state = states[sidx]
-        if goal <= state:
-            goal_states.add(sidx)
-        any_applicable = False
-        for action in actions:
-            if not applicable(state, action):
+    pres = [mask(a.pre) for a in actions]
+    effects = [[(o, mask(x.adds), ~mask(x.dels)) for o, x in enumerate(a.outcomes)] for a in actions]
+    names = [a.name for a in actions]
+    need = Counter(b for pre in pres for b in _bits(pre))
+    filed: dict[int, list[int]] = {}  # marker bit (-1: no precondition) -> actions, in domain order
+    for a, pre in enumerate(pres):
+        filed.setdefault(min(_bits(pre), key=need.__getitem__, default=-1), []).append(a)
+    always = filed.pop(-1, [])
+    markers = sum(1 << b for b in filed)
+    init, goal = mask(problem.init), mask(problem.goal)
+
+    masks, index, rev = [init], {init: 0}, [[]]
+    owner, name, succs, first, doubled = [], [], [], [], []
+    goal_states, deadlock_states = set(), set()
+    for s, state in enumerate(masks):  # grows while it is read: the BFS queue
+        first.append(len(owner))
+        candidates = always[:]
+        for b in _bits(state & markers):
+            candidates += filed[b]
+        candidates.sort()
+        for a in candidates:
+            pre = pres[a]
+            if state & pre != pre:
                 continue
-            any_applicable = True
-            for oidx, outcome in enumerate(action.outcomes):
-                for pred in outcome.adds & state:
-                    double_adds.append(DoubleAdd(sidx, action.name, oidx, pred))
-                succ = (state - outcome.dels) | outcome.adds
-                tidx = index.get(succ)
-                if tidx is None:
-                    if len(states) >= limits.max_states:
+            p = len(owner)
+            out = []
+            for o, add, keep in effects[a]:
+                if add & state:
+                    doubled.append((p, o, add & state))
+                succ = state & keep | add
+                t = index.get(succ)
+                if t is None:
+                    if len(masks) >= limits.max_states:
                         raise LimitExceeded(f"more than {limits.max_states} states reachable")
-                    tidx = len(states)
-                    states.append(succ)
-                    index[succ] = tidx
-                    transitions.append([])
-                    queue.append(tidx)
-                transitions[sidx].append((action.name, oidx, tidx))
-        if not any_applicable and not (goal <= state):
-            deadlock_states.add(sidx)
+                    t = index[succ] = len(masks)
+                    masks.append(succ)
+                    rev.append([])
+                rev[t].append(p)
+                out.append(t)
+            owner.append(s)
+            name.append(names[a])
+            succs.append(out)
+        if state & goal == goal:
+            goal_states.add(s)
+        elif first[s] == len(owner):
+            deadlock_states.add(s)
+    first.append(len(owner))
 
-    return StateSpace(
-        states=states,
-        index=index,
-        transitions=transitions,
-        goal_states=goal_states,
-        deadlock_states=deadlock_states,
-        double_adds=double_adds,
-        actions={a.name: a for a in actions},
-    )
+    return StateSpace(masks, list(bit), owner, name, succs, first, rev,
+                      goal_states, deadlock_states, doubled, {a.name: a for a in actions})
 
 
 def token_double_adds(space: StateSpace) -> list[DoubleAdd]:
@@ -544,37 +600,6 @@ def token_double_adds(space: StateSpace) -> list[DoubleAdd]:
 class Policy:
     mapping: dict[frozenset, str]
     kind: SolveMode
-
-
-class _Pairs:
-    """Every (state, action) pair of a state space, grouped once.
-
-    Pair ``p`` is action ``name[p]`` applied in state ``owner[p]``, with the
-    successor of each outcome in ``succs[p]``. ``of_state[s]`` lists the
-    pairs of state ``s`` by action name; ``rev[t]`` lists the pairs that
-    have ``t`` as a successor, once per outcome leading there.
-    """
-
-    def __init__(self, transitions: list[list[tuple[str, int, int]]]):
-        self.owner: list[int] = []
-        self.name: list[str] = []
-        self.succs: list[list[int]] = []
-        self.of_state: list[list[int]] = []
-        self.rev: list[list[int]] = [[] for _ in transitions]
-        for s, trs in enumerate(transitions):
-            grouped: dict[str, list[int]] = {}
-            for name, _oidx, succ in trs:
-                grouped.setdefault(name, []).append(succ)
-            mine = []
-            for name in sorted(grouped):
-                p = len(self.owner)
-                self.owner.append(s)
-                self.name.append(name)
-                self.succs.append(grouped[name])
-                mine.append(p)
-                for t in grouped[name]:
-                    self.rev[t].append(p)
-            self.of_state.append(mine)
 
 
 def _backward(owner: list[int], rev: list[list[int]], pending: list[int], goals) -> list[int]:
@@ -630,10 +655,9 @@ def solve(
     """
     if space is None:
         space = explore(domain, problem, limits)
-    pairs = space._pairs
 
     if mode is SolveMode.STRONG:
-        level = _backward(pairs.owner, pairs.rev, [len(x) for x in pairs.succs], space.goal_states)
+        level = _backward(space.owner, space.rev, [len(x) for x in space.succs], space.goal_states)
         if level[0] < 0:
             raise Unsolvable(mode)
 
@@ -641,13 +665,13 @@ def solve(
             return all(0 <= level[t] < mine for t in succs)
 
     else:
-        level = [0] * len(space.states)  # the first round starts from every state
+        level = [0] * len(space.masks)  # the first round starts from every state
         while True:
             pending = [
                 int(level[s] >= 0 and all(level[t] >= 0 for t in succs))
-                for s, succs in zip(pairs.owner, pairs.succs)
+                for s, succs in zip(space.owner, space.succs)
             ]
-            reach = _backward(pairs.owner, pairs.rev, pending, space.goal_states)
+            reach = _backward(space.owner, space.rev, pending, space.goal_states)
             if reach[0] < 0:
                 raise Unsolvable(mode)
             stable = reach.count(-1) == level.count(-1)
@@ -658,12 +682,12 @@ def solve(
         def fits(succs: list[int], mine: int) -> bool:
             return all(level[t] >= 0 for t in succs) and any(level[t] < mine for t in succs)
 
-    policy = Policy(mapping=_extract(space, pairs, level, fits), kind=mode)
+    policy = Policy(mapping=_extract(space, level, fits), kind=mode)
     verify_policy(space, policy)
     return policy
 
 
-def _extract(space: StateSpace, pairs: _Pairs, level: list[int], fits) -> dict[frozenset, str]:
+def _extract(space: StateSpace, level: list[int], fits) -> dict[frozenset, str]:
     """Choose an action for each winning state the policy reaches from init."""
     mapping: dict[frozenset, str] = {}
     seen = {0}
@@ -671,9 +695,10 @@ def _extract(space: StateSpace, pairs: _Pairs, level: list[int], fits) -> dict[f
     for s in queue:
         if s in space.goal_states:
             continue
-        p = next(p for p in pairs.of_state[s] if fits(pairs.succs[p], level[s]))
-        mapping[space.states[s]] = pairs.name[p]
-        for t in pairs.succs[p]:
+        fitting = (p for p in range(space.first[s], space.first[s + 1]) if fits(space.succs[p], level[s]))
+        p = min(fitting, key=space.name.__getitem__)
+        mapping[space.state(s)] = space.name[p]
+        for t in space.succs[p]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
@@ -697,7 +722,6 @@ def verify_policy(space: StateSpace, policy: Policy) -> None:
     O(states + transitions) and iterative, so long chains cannot overflow
     the stack. Raises :class:`PolicyVerificationError`.
     """
-    pairs = space._pairs
     local = {0: 0}  # state -> position in `reached`
     reached = [0]
     owner: list[int] = []
@@ -708,22 +732,23 @@ def verify_policy(space: StateSpace, policy: Policy) -> None:
         if s in space.goal_states:
             goals.append(i)
             continue
-        state = space.states[s]
+        state = space.state(s)
         name = policy.mapping.get(state)
+        mine = range(space.first[s], space.first[s + 1])
         if name is None:
-            if pairs.of_state[s]:
+            if mine:
                 raise PolicyVerificationError(f"policy is not closed: state {sorted(state)} unmapped")
             leaves = True
             continue
-        p = next((p for p in pairs.of_state[s] if pairs.name[p] == name), None)
+        p = next((p for p in mine if space.name[p] == name), None)
         if p is None:
             raise PolicyVerificationError(f"policy action {name!r} not applicable")
-        for t in pairs.succs[p]:
+        for t in space.succs[p]:
             if t not in local:
                 local[t] = len(reached)
                 reached.append(t)
         owner.append(i)
-        edges.append([local[t] for t in pairs.succs[p]])
+        edges.append([local[t] for t in space.succs[p]])
 
     rev: list[list[int]] = [[] for _ in reached]
     for e, succs in enumerate(edges):
@@ -780,7 +805,7 @@ def enumerate_traces(
     def record(terminal: str, steps: list[tuple[int, str, int]]) -> None:
         if len(result.traces) >= limits.max_traces:
             raise LimitExceeded(f"more than {limits.max_traces} traces")
-        result.traces.append(Trace([(space.states[s], a, o) for s, a, o in steps], terminal))
+        result.traces.append(Trace([(space.state(s), a, o) for s, a, o in steps], terminal))
 
     def visit(s: int) -> list[tuple[str, int, int]]:
         """Record the traces that end at or right after `s`; return the moves to descend into."""
@@ -789,9 +814,9 @@ def enumerate_traces(
         if s in space.goal_states:
             record("goal", steps)
             return []
-        moves = space.transitions[s]
+        moves = space.moves(s)
         if policy is not None:
-            chosen = policy.mapping.get(space.states[s])
+            chosen = policy.mapping.get(space.state(s))
             moves = [m for m in moves if m[0] == chosen]
         if not moves:
             record("deadlock", steps)
@@ -868,13 +893,10 @@ def analyze(
             cyclic = solve(domain, problem, SolveMode.STRONG_CYCLIC, limits, space)
         except Unsolvable:
             cyclic = None
-    # the report's readers (traces, DOT) walk `transitions`; drop the solvers'
-    # cached grouping so it does not stay alive next to them
-    space.__dict__.pop("_pairs", None)
     return CheckReport(
         problem_name=problem.name,
         variant=problem.variant,
-        n_states=len(space.states),
+        n_states=len(space.masks),
         n_deadlocks=len(space.deadlock_states),
         strong=strong,
         strong_cyclic=cyclic,
@@ -897,8 +919,8 @@ def export_policy_dot(
     for s in order:
         if s in space.goal_states:
             continue
-        name = policy.mapping.get(space.states[s])
-        moves = [(oidx, t) for a, oidx, t in space.transitions[s] if a == name]
+        name = policy.mapping.get(space.state(s))
+        moves = [(oidx, t) for a, oidx, t in space.moves(s) if a == name]
         for oidx, t in moves:
             if t not in ids:
                 ids[t] = f"s{len(order)}"
@@ -908,7 +930,7 @@ def export_policy_dot(
 
     lines = ["digraph policy {", "  rankdir=LR;"]
     for s in order:
-        label = "\\n".join(sorted(space.states[s])) or "{}"
+        label = "\\n".join(sorted(space.state(s))) or "{}"
         shape = "doublecircle" if s in space.goal_states else "box"
         lines.append(f'  {ids[s]} [shape={shape} label="{label}"];')
     for src, dst, label in edges:

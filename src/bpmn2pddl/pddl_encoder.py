@@ -602,9 +602,17 @@ def _inline(item: EffectTree) -> str:
         return f"({item.pred})"
     if isinstance(item, EffNot):
         return f"(not ({item.pred}))"
-    if isinstance(item, EffAnd):
-        return f"(and {' '.join(_inline(i) for i in item.items)})"
-    return f"(oneof {' '.join(_inline(o) for o in item.outcomes)})"
+    parts: list[str] = []
+    todo: list[EffectTree | str] = [item]  # an explicit stack, so deep nesting never recurses
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (EffAnd, EffOneOf)):
+            head, kids = ("and", node.items) if isinstance(node, EffAnd) else ("oneof", node.outcomes)
+            spaced = [x for kid in kids for x in (" ", kid)][1:]
+            todo.extend(reversed([f"({head} ", *spaced, ")"]))
+        else:
+            parts.append(node if isinstance(node, str) else _inline(node))  # text, or a leaf
+    return "".join(parts)
 
 
 def _render_problem(problem: PddlProblem) -> str:

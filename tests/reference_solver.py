@@ -10,13 +10,21 @@ input; ``tests/test_fond_checker.py`` compares the two.
 re-simulating versions, also verbatim: each grounds the domain again and
 applies actions to states instead of walking an explored ``StateSpace``.
 The ``fond_checker`` versions must produce the same traces and DOT text.
+
+``explore`` is the original frozenset explorer, verbatim but for the
+record it returns (:class:`FrozenSpace`, the original ``StateSpace``
+fields): a BFS that tests every action in every state with
+``applicable``. The bitmask explorer must build the same state space.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from bpmn2pddl.fond_checker import (
+    DoubleAdd,
+    GroundAction,
     LimitExceeded,
     Limits,
     Policy,
@@ -254,3 +262,67 @@ def export_policy_dot(domain: PddlDomain, problem: PddlProblem, policy: Policy) 
         lines.append(f'  {src} -> {dst} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass
+class FrozenSpace:
+    states: list[frozenset]
+    index: dict[frozenset, int]
+    transitions: list[list[tuple[str, int, int]]]  # per state: (action, outcome, successor)
+    goal_states: set[int]
+    deadlock_states: set[int]
+    double_adds: list[DoubleAdd]
+    actions: dict[str, GroundAction]
+
+
+def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = None) -> FrozenSpace:
+    """BFS over every state reachable from init via every outcome."""
+    limits = limits or Limits()
+    actions = ground_domain(domain)
+    init = frozenset(problem.init)
+    goal = frozenset(problem.goal)
+
+    states = [init]
+    index = {init: 0}
+    transitions: list[list[tuple[str, int, int]]] = [[]]
+    goal_states: set[int] = set()
+    deadlock_states: set[int] = set()
+    double_adds: list[DoubleAdd] = []
+
+    queue = deque([0])
+    while queue:
+        sidx = queue.popleft()
+        state = states[sidx]
+        if goal <= state:
+            goal_states.add(sidx)
+        any_applicable = False
+        for action in actions:
+            if not applicable(state, action):
+                continue
+            any_applicable = True
+            for oidx, outcome in enumerate(action.outcomes):
+                for pred in outcome.adds & state:
+                    double_adds.append(DoubleAdd(sidx, action.name, oidx, pred))
+                succ = (state - outcome.dels) | outcome.adds
+                tidx = index.get(succ)
+                if tidx is None:
+                    if len(states) >= limits.max_states:
+                        raise LimitExceeded(f"more than {limits.max_states} states reachable")
+                    tidx = len(states)
+                    states.append(succ)
+                    index[succ] = tidx
+                    transitions.append([])
+                    queue.append(tidx)
+                transitions[sidx].append((action.name, oidx, tidx))
+        if not any_applicable and not (goal <= state):
+            deadlock_states.add(sidx)
+
+    return FrozenSpace(
+        states=states,
+        index=index,
+        transitions=transitions,
+        goal_states=goal_states,
+        deadlock_states=deadlock_states,
+        double_adds=double_adds,
+        actions={a.name: a for a in actions},
+    )

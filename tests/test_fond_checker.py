@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import random
+from collections import Counter
+from dataclasses import astuple
 from itertools import product
 
 import pytest
@@ -45,7 +48,7 @@ from bpmn2pddl.pddl_encoder import (
     render_pddl,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_FILES, fixture, translate
+from conftest import CORPUS_FILES, TESTS_DIR, fixture, translate
 import reference_solver
 from reference_solver import reference_mapping
 
@@ -174,6 +177,24 @@ class TestParsePddl:
             [EffOneOf([EffAnd([EffAdd("p"), EffAdd("q")]), EffAnd([EffAdd("q")])]), EffNot("p")]
         )
 
+    def test_deep_effect_built_in_python_grounds_and_explores(self):
+        deep = EffAnd([EffAdd("q"), EffNot("p")])
+        for _ in range(3000):
+            deep = EffAnd([deep])
+        domain = PddlDomain("d", [":strips"], [], ["p", "q", "r"], [PddlAction("a", ["p"], deep)])
+        (action,) = ground_domain(domain)
+        assert [(set(o.adds), set(o.dels)) for o in action.outcomes] == [({"q"}, {"p"})]
+        space = explore(domain, PddlProblem("p", "d", ["p"], ["q"]))
+        assert space.states == [frozenset({"p"}), frozenset({"q"})]
+        branchy = EffAnd([EffOneOf([deep, EffAnd([EffAdd("r")])])])
+        domain.actions = [PddlAction("a", ["p"], branchy)]
+        (action,) = ground_domain(domain)
+        assert [(set(o.adds), set(o.dels)) for o in action.outcomes] == [({"q"}, {"p"}), ({"r"}, set())]
+        nested = EffAnd([EffOneOf([EffAnd([EffAdd("q")]), EffAnd([deep, EffOneOf([EffAdd("r")])])])])
+        domain.actions = [PddlAction("a", ["p"], nested)]
+        with pytest.raises(UnsupportedFeature, match="nested oneof"):
+            ground_domain(domain)
+
     def test_reader_error_positions(self):
         cases = [
             ("(define (domain d)\n  (:predicates (p)", "missing ) (line 2, column 3)"),
@@ -195,6 +216,11 @@ class TestParsePddl:
     def test_undeclared_predicate_rejected(self):
         text = FIG_DOMAIN.replace("  (StartEvent_1els7eb)\n", "")
         with pytest.raises(PddlSyntaxError):
+            parse_pddl(text)
+
+    def test_duplicate_action_name_rejected(self):
+        text = FIG_DOMAIN.replace("(:action event_EventBasedGateway_02s95tm", "(:action request_credit_score")
+        with pytest.raises(PddlSyntaxError, match="action 'request_credit_score' is defined twice"):
             parse_pddl(text)
 
     def test_comments_skipped(self):
@@ -304,6 +330,16 @@ class TestExplore:
         domain, (problem,) = _pipeline(DIAMOND)
         with pytest.raises(LimitExceeded):
             explore(domain, problem, Limits(max_states=3))
+
+    def test_double_adds_in_declaration_order(self):
+        action = PddlAction("again", ["p"], EffAnd([EffAdd("p"), EffAdd("q")]))
+        problem = PddlProblem(name="p", domain_name="d", init=["p", "q"], goal=["g"])
+        for preds in (["p", "q", "g"], ["q", "p", "g"], ["g", "q", "p"]):
+            space = explore(PddlDomain("d", [":strips"], [], preds, [action]), problem)
+            order = [p for p in preds if p != "g"]
+            assert [(d.state_index, d.action, d.outcome, d.pred) for d in space.double_adds] == [
+                (0, "again", 0, p) for p in order
+            ]
 
 
 def _brute_force_strong_exists(domain, problem) -> bool:
@@ -603,6 +639,111 @@ class TestPolicyOracle:
                             label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
                             assert got == expected, f"{label} {mode.value}"
         assert compared == 58  # all but the two 6k-state credit_scoring all_starts variants
+
+
+def _assert_same_space(domain, problem, label):
+    """The bitmask explorer's views equal the seed's frozenset explorer's."""
+    got = explore(domain, problem)
+    want = reference_solver.explore(domain, problem)
+    assert got.states == want.states, label
+    assert got.index == want.index, label
+    assert got.transitions == want.transitions, label
+    assert got.goal_states == want.goal_states, label
+    assert got.deadlock_states == want.deadlock_states, label
+    assert Counter(map(astuple, got.double_adds)) == Counter(map(astuple, want.double_adds)), label
+    return got
+
+
+class TestExploreOracle:
+    """Bitmask exploration through the marker index builds the seed's state space."""
+
+    def test_random_instances(self):
+        rng = random.Random(0x5EED)
+        for i in range(220):
+            domain, problem = TestSolverDifferential._random_instance(rng)
+            _assert_same_space(domain, problem, f"instance {i}")
+
+    def test_fixtures(self):
+        for name in FIXTURES:
+            for strategy in MessageStrategy:
+                domain, problems = _pipeline(fixture(name).read_text(), strategy)
+                for problem in problems:
+                    _assert_same_space(domain, problem, f"{name} {strategy.value} {problem.variant}")
+
+    def test_corpus_variants_under_1000_states(self):
+        compared = 0
+        for path in CORPUS_FILES:
+            for strategy in MessageStrategy:
+                for done_mode in DoneMode:
+                    result = translate(path, strategy, done_mode=done_mode)
+                    for problem in result.problems:
+                        if len(reference_solver.explore(result.domain, problem).states) >= 1000:
+                            continue
+                        compared += 1
+                        label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
+                        _assert_same_space(result.domain, problem, label)
+        assert compared == 58
+
+    def test_bench_explore_counters(self):
+        """The traced benchmark's explore counters read the same numbers from both spaces."""
+        spec = importlib.util.spec_from_file_location("bench_tracing", TESTS_DIR.parent / "bench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        domain, problems = _pipeline(fixture("msg_task_task.bpmn").read_text(), MessageStrategy.EXCLUSIVE_EMULATION)
+        for problem in problems:
+            got, want = Counter(), Counter()
+            tracing._count_explore(got, (domain, problem), {}, explore(domain, problem))
+            tracing._count_explore(want, (domain, problem), {}, reference_solver.explore(domain, problem))
+            assert got == want
+            assert got["fond_checker.states"] > 0 and got["applicable_pairs"] > 0
+
+
+class TestMarkerIndex:
+    """Edge cases of the precondition-marker successor index."""
+
+    def test_empty_precondition_action_fires_in_every_state(self):
+        from bpmn2pddl.pddl_encoder import EncodeOptions
+
+        graph = build_graph(parse_bpmn(LINEAR), MessageStrategy.IGNORE)
+        options = EncodeOptions(allow_spontaneous_start=True)
+        domain = emit_domain(graph, options)
+        assert next(a for a in domain.actions if a.name == "start_S1").precondition == []
+        for problem in emit_problems(graph, options):
+            space = _assert_same_space(domain, problem, problem.variant)
+            assert all("start_S1" in {name for name, _o, _t in trs} for trs in space.transitions)
+
+    def test_undeclared_init_and_goal_atoms(self):
+        domain = PddlDomain("d", [":strips"], [], ["s", "g"], [PddlAction("go", ["s"], EffAnd([EffAdd("g"), EffNot("s")]))])
+        problem = PddlProblem(name="p", domain_name="d", init=["s", "x"], goal=["g", "y"])
+        space = _assert_same_space(domain, problem, "undeclared")
+        assert space.states == [frozenset({"s", "x"}), frozenset({"g", "x"})]
+        assert space.goal_states == set()
+        for mode in SolveMode:
+            with pytest.raises(Unsolvable):
+                solve(domain, problem, mode, space=space)
+
+    def test_state_limit_trips_where_the_reference_does(self):
+        domain, (problem,) = _pipeline(fixture("inclusive_pair.bpmn").read_text())
+        n = len(explore(domain, problem).states)
+        for k in range(1, n + 2):
+            outcomes = []
+            for explorer in (explore, reference_solver.explore):
+                try:
+                    outcomes.append(explorer(domain, problem, Limits(max_states=k)).transitions)
+                except LimitExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], k
+            assert isinstance(outcomes[0], str) == (k < n), k
+
+    def test_strong_analyze_leaves_views_undecoded(self):
+        n = 300
+        domain, (problem,) = _pipeline(_chain(n))
+        report = analyze(domain, problem, (SolveMode.STRONG,))
+        assert report.n_states == n + 2
+        assert len(report.strong.mapping) == n + 1
+        for view in ("states", "index", "transitions", "double_adds"):
+            assert view not in report.space.__dict__, view
+        assert len(report.space._decoded) == n + 1  # the policy's states, decoded once each
 
 
 def _assert_same_exports(domain, problem, space, policy, label):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpmn2pddl.bpmn_parser import parse_bpmn
+from bpmn2pddl.fond_checker import ground_domain, parse_pddl
 from bpmn2pddl.pddl_encoder import (
     EffAdd,
     EffAnd,
@@ -15,6 +16,8 @@ from bpmn2pddl.pddl_encoder import (
     EncodeOptions,
     EncodingError,
     DoneMode,
+    PddlAction,
+    PddlDomain,
     emit_domain,
     emit_problems,
     render_pddl,
@@ -501,6 +504,22 @@ class TestRendering:
         assert "(:domain linear)" in text
         assert "(:init (S1))" in text
         assert "(:goal (and (done)))" in text
+
+    def test_deeply_nested_effect_renders(self):
+        depth = 3000
+        deep = EffAnd([EffAdd("q"), EffNot("p")])
+        for _ in range(depth):
+            deep = EffAnd([deep])
+        inner = "(and " * depth + "(and (q) (not (p)))" + ")" * depth
+        actions = [
+            PddlAction("a", ["p"], EffAnd([deep])),
+            PddlAction("b", ["p"], EffAnd([EffOneOf([deep, EffAnd([])]), EffNot("p")])),
+        ]
+        domain = PddlDomain("d", [":strips"], [], ["p", "q"], actions)
+        text = render_pddl(domain)
+        assert f"    :effect (and {inner})\n" in text
+        assert f"      (oneof\n        {inner}\n        (and ))\n      (not (p)))\n" in text
+        assert ground_domain(parse_pddl(text)) == ground_domain(domain)
 
     def test_lf_line_endings(self):
         graph = _graph(LINEAR)
