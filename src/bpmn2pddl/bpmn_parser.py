@@ -173,16 +173,19 @@ def _clean_name(raw: str | None) -> str | None:
     return name or None
 
 
-def parse_bpmn(xml_text: str, *, source_name: str | None = None) -> BpmnModel:
+def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> BpmnModel:
     """Parse BPMN 2.0 XML text into a :class:`BpmnModel`.
+
+    Bytes are decoded by the encoding the XML declaration names (UTF-8
+    when it names none); a str is taken as already decoded.
 
     Raises a :class:`ParseError` subclass on malformed XML, unsupported
     elements, dangling flow references, duplicate ids, or structurally
-    invalid flows. Never raises anything else on string input.
+    invalid flows. Never raises anything else on str or bytes input.
     """
     try:
         root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # declared encoding unknown or multi-byte
         raise MalformedXml(f"not parseable as XML: {exc}") from None
 
     uri, local = _local(root.tag)

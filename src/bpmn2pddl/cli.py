@@ -85,11 +85,11 @@ def translate_file(path: str | Path, config: RunConfig | None = None) -> Transla
     """
     config = config or RunConfig()
     path = Path(path)
-    xml_text = path.read_text(encoding="utf-8")
+    xml = path.read_bytes()  # the XML parser decodes it by its declared encoding
     stem = path.stem
 
     start = time.perf_counter()
-    model = parse_bpmn(xml_text, source_name=stem)
+    model = parse_bpmn(xml, source_name=stem)
     graph = build_graph(model, config.msg_strategy)
     diagnostics = validate_graph(graph)
     options = config.encode_options()

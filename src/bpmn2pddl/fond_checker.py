@@ -9,6 +9,7 @@ without an external planner.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -76,40 +77,6 @@ class GroundAction:
 # PDDL subset parser
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens: list[tuple[str, int, int]] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, line, col))
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and not text[i].isspace() and text[i] not in "();":
-            i += 1
-            col += 1
-        tokens.append((text[start:i], line, start_col))
-    return tokens
-
-
 class _SExpr:
     __slots__ = ("items", "line", "col")
 
@@ -119,10 +86,31 @@ class _SExpr:
         self.col = col
 
 
-def _read(tokens: list[tuple[str, int, int]]) -> _SExpr:
-    """Read one top-level form, keeping the open forms on an explicit stack."""
+_TOKEN = re.compile(r"[()]|[^\s();]+|\n|;[^\n]*")
+
+
+def _read(text: str) -> _SExpr:
+    """Read the one top-level form of `text` in a single scan.
+
+    Tokens are parentheses, atoms, newlines and ``;`` comments; a token's
+    column is its offset from the last newline. Open forms wait on an
+    explicit stack, so deep nesting never recurses. Only whitespace and
+    comments may follow the form.
+    """
     stack: list[_SExpr] = []
-    for pos, (tok, line, col) in enumerate(tokens):
+    top = None
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line += 1
+            line_start = m.end()
+            continue
+        if tok[0] == ";":
+            continue
+        col = m.start() - line_start + 1
+        if top is not None:
+            raise PddlSyntaxError(f"trailing input {tok!r}", line, col)
         if tok == "(":
             stack.append(_SExpr([], line, col))
             continue
@@ -134,16 +122,15 @@ def _read(tokens: list[tuple[str, int, int]]) -> _SExpr:
             expr = (tok, line, col)
         if stack:
             stack[-1].items.append(expr)
-            continue
-        if pos + 1 != len(tokens):
-            tok, line, col = tokens[pos + 1]
-            raise PddlSyntaxError(f"trailing input {tok!r}", line, col)
-        if not isinstance(expr, _SExpr):
-            raise PddlSyntaxError("expected a parenthesized form", line, col)
-        return expr
+        else:
+            top = expr
     if stack:
         raise PddlSyntaxError("missing )", stack[-1].line, stack[-1].col)
-    raise PddlSyntaxError("unexpected end of input")
+    if top is None:
+        raise PddlSyntaxError("empty input")
+    if not isinstance(top, _SExpr):
+        raise PddlSyntaxError("expected a parenthesized form", top[1], top[2])
+    return top
 
 
 def _sym(item: object, what: str) -> str:
@@ -171,14 +158,14 @@ def _pos(item: object) -> tuple[int, int]:
 def parse_pddl(text: str) -> PddlDomain | PddlProblem:
     """Parse a domain or problem in the emitted subset.
 
+    The text is scanned once into a tree of forms (:func:`_read`), which is
+    then checked section by section. A domain must name each action once,
+    declare every predicate it uses and give every ``oneof`` an outcome.
     Raises :class:`PddlSyntaxError` with position information, or
     :class:`UnsupportedFeature` for constructs outside the subset
     (parameters, conditional effects, numeric fluents, objects, ...).
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PddlSyntaxError("empty input")
-    top = _read(tokens)
+    top = _read(text)
     items = top.items
     if not items or _sym(items[0], "define") != "define":
         raise PddlSyntaxError("expected (define ...)", top.line, top.col)
@@ -352,24 +339,21 @@ def _validate_domain(domain: PddlDomain) -> None:
         if action.name in named:  # a policy names its actions
             raise PddlSyntaxError(f"action {action.name!r} is defined twice")
         named.add(action.name)
-        for p in action.precondition:
+        used = list(action.precondition)
+        todo = [action.effect]  # an explicit stack, so deep nesting never recurses
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (EffAdd, EffNot)):
+                used.append(node.pred)
+            elif isinstance(node, EffAnd):
+                todo.extend(node.items)
+            elif node.outcomes:
+                todo.extend(node.outcomes)
+            else:  # grounded, it would have no outcome, which a solver reads as a sure win
+                raise PddlSyntaxError(f"action {action.name!r} has a oneof with no outcomes")
+        for p in used:
             if p not in declared:
                 raise PddlSyntaxError(f"action {action.name!r} uses undeclared predicate {p!r}")
-        for p in _effect_preds(action.effect):
-            if p not in declared:
-                raise PddlSyntaxError(f"action {action.name!r} uses undeclared predicate {p!r}")
-
-
-def _effect_preds(tree) -> set[str]:
-    out: set[str] = set()
-    todo = [tree]  # an explicit stack, so deep nesting never recurses
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (EffAdd, EffNot)):
-            out.add(node.pred)
-        else:
-            todo.extend(node.items if isinstance(node, EffAnd) else node.outcomes)
-    return out
 
 
 # ---------------------------------------------------------------------------

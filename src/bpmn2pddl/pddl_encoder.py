@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import combinations
 
 from .bpmn_parser import FlowNode, NodeKind
-from .process_graph import MessageStrategy, ProcessGraph
+from .process_graph import MessageStrategy, ProcessGraph, _reachable_from
 
 
 class EncodingError(Exception):
@@ -235,21 +235,22 @@ class _Encoder:
         split, and no other dominating split comes later. A join that no
         split dominates keeps the first split in document order that
         reaches it."""
-        splits = [
-            nid
-            for nid, n in self.graph.nodes.items()
-            if n.kind is NodeKind.INCLUSIVE_GATEWAY and len(self.graph.incoming[nid]) < 2
-        ]
+        graph = self.graph
+        reach = {
+            nid: _reachable_from(graph, [graph.flows[f].target for f in graph.outgoing[nid]])
+            for nid, n in graph.nodes.items()
+            if n.kind is NodeKind.INCLUSIVE_GATEWAY and len(graph.incoming[nid]) < 2
+        }
         mapping: dict[str, str] = {}
-        for nid, node in self.graph.nodes.items():
-            if node.kind is not NodeKind.INCLUSIVE_GATEWAY or len(self.graph.incoming[nid]) < 2:
+        for nid, node in graph.nodes.items():
+            if node.kind is not NodeKind.INCLUSIVE_GATEWAY or len(graph.incoming[nid]) < 2:
                 continue
-            reaching = [split for split in splits if nid in self._reach(split)]
+            reaching = [split for split, seen in reach.items() if nid in seen]
             if not reaching:
                 raise EncodingError(
                     f"inclusive join {nid!r} has no matching diverging inclusive gateway"
                 )
-            starts = self.graph.start_nodes[node.pool]
+            starts = graph.start_nodes[node.pool]
             depth = self._depths(starts)
             dominating = [
                 split for split in reaching if nid in depth and nid not in self._depths(starts, split)
@@ -269,17 +270,6 @@ class _Encoder:
                     depth[target] = depth[nid] + 1
                     queue.append(target)
         return depth
-
-    def _reach(self, root: str) -> set[str]:
-        seen: set[str] = set()
-        frontier = [self.graph.flows[f].target for f in self.graph.outgoing[root]]
-        while frontier:
-            nid = frontier.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            frontier.extend(self.graph.flows[f].target for f in self.graph.outgoing[nid])
-        return seen
 
     # -- node encodings --------------------------------------------------------
 

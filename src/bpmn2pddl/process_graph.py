@@ -74,12 +74,6 @@ class ProcessGraph:
     def normal_outgoing(self, node_id: str) -> list[str]:
         return [f for f in self.outgoing[node_id] if not self.flows[f].synthetic]
 
-    def synthetic_incoming(self, node_id: str) -> list[str]:
-        return [f for f in self.incoming[node_id] if self.flows[f].synthetic]
-
-    def synthetic_outgoing(self, node_id: str) -> list[str]:
-        return [f for f in self.outgoing[node_id] if self.flows[f].synthetic]
-
 
 @dataclass
 class Diagnostic:

@@ -1,4 +1,4 @@
-"""Reference solvers, trace enumeration and policy DOT export for the oracles.
+"""Reference solvers, exploration, traces, policy DOT and PDDL reader for the oracles.
 
 These are the original quadratic solvers of ``fond_checker``, kept verbatim:
 round-by-round rescans of every state until nothing changes, and a
@@ -15,6 +15,13 @@ The ``fond_checker`` versions must produce the same traces and DOT text.
 record it returns (:class:`FrozenSpace`, the original ``StateSpace``
 fields): a BFS that tests every action in every state with
 ``applicable``. The bitmask explorer must build the same state space.
+
+``_tokenize`` and ``_read`` are the original two-pass PDDL reader, also
+verbatim: a character loop builds a list of ``(token, line, col)`` tuples,
+then an explicit-stack pass over that list builds the ``_SExpr`` tree.
+``parse_pddl`` reads in one scan and must build the same tree (items, line
+and column) or raise the same ``PddlSyntaxError`` text; ``parse_pddl``
+itself raised ``empty input`` when the token list was empty.
 """
 
 from __future__ import annotations
@@ -27,12 +34,14 @@ from bpmn2pddl.fond_checker import (
     GroundAction,
     LimitExceeded,
     Limits,
+    PddlSyntaxError,
     Policy,
     SolveMode,
     StateSpace,
     Trace,
     TraceSet,
     Unsolvable,
+    _SExpr,
     applicable,
     apply,
     ground_domain,
@@ -326,3 +335,72 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
         double_adds=double_adds,
         actions={a.name: a for a in actions},
     )
+
+
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    tokens: list[tuple[str, int, int]] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c.isspace():
+            col += 1
+            i += 1
+            continue
+        if c in "()":
+            tokens.append((c, line, col))
+            col += 1
+            i += 1
+            continue
+        start = i
+        start_col = col
+        while i < n and not text[i].isspace() and text[i] not in "();":
+            i += 1
+            col += 1
+        tokens.append((text[start:i], line, start_col))
+    return tokens
+
+
+def _read(tokens: list[tuple[str, int, int]]) -> _SExpr:
+    """Read one top-level form, keeping the open forms on an explicit stack."""
+    stack: list[_SExpr] = []
+    for pos, (tok, line, col) in enumerate(tokens):
+        if tok == "(":
+            stack.append(_SExpr([], line, col))
+            continue
+        if tok == ")":
+            if not stack:
+                raise PddlSyntaxError("unexpected )", line, col)
+            expr = stack.pop()
+        else:
+            expr = (tok, line, col)
+        if stack:
+            stack[-1].items.append(expr)
+            continue
+        if pos + 1 != len(tokens):
+            tok, line, col = tokens[pos + 1]
+            raise PddlSyntaxError(f"trailing input {tok!r}", line, col)
+        if not isinstance(expr, _SExpr):
+            raise PddlSyntaxError("expected a parenthesized form", line, col)
+        return expr
+    if stack:
+        raise PddlSyntaxError("missing )", stack[-1].line, stack[-1].col)
+    raise PddlSyntaxError("unexpected end of input")
+
+
+def reference_read(text: str) -> _SExpr:
+    """The tree the original ``parse_pddl`` read from `text`."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PddlSyntaxError("empty input")
+    return _read(tokens)

@@ -88,6 +88,13 @@ def test_malformed_xml():
         parse_bpmn("<bpmn:definiti")
 
 
+@pytest.mark.parametrize("encoding", ["bogus", "utf-32", "shift_jis", "rot13", "idna"])
+def test_unusable_declared_encoding_is_malformed(encoding):
+    xml = MINIMAL.replace('encoding="UTF-8"', f'encoding="{encoding}"').encode("ascii")
+    with pytest.raises(MalformedXml):
+        parse_bpmn(xml)
+
+
 def test_non_bpmn_root():
     with pytest.raises(MalformedXml):
         parse_bpmn("<root/>")

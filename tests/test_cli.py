@@ -6,11 +6,20 @@ import json
 import os
 
 from bpmn2pddl import fond_checker
-from bpmn2pddl.cli import RunConfig, cmd_check, main
+from bpmn2pddl.cli import RunConfig, cmd_check, main, translate_file
 from bpmn2pddl.fond_checker import Limits
 from conftest import CORPUS_DIR, fixture
 
 CREDIT = str(CORPUS_DIR / "credit_scoring.bpmn")
+
+
+def _latin1_diagram(path, declaration):
+    """loop_retry.bpmn with the task named "café", written as Latin-1 bytes."""
+    text = fixture("loop_retry.bpmn").read_text()
+    text = text.replace('<?xml version="1.0" encoding="UTF-8"?>', declaration)
+    path.write_bytes(text.replace('name="Attempt work"', 'name="café"').encode("latin-1"))
+    return path
+
 
 def test_translate_writes_files(tmp_path, capsys):
     code = main(["translate", CREDIT, "--out", str(tmp_path)])
@@ -34,6 +43,18 @@ def test_translate_invalid_file(tmp_path, capsys):
     code = main(["translate", str(bad), "--out", str(tmp_path)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_translate_declared_latin1(tmp_path, capsys):
+    path = _latin1_diagram(tmp_path / "latin.bpmn", '<?xml version="1.0" encoding="ISO-8859-1"?>')
+    assert main(["translate", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert translate_file(path).graph.nodes["Task_try"].name == "café"
+
+
+def test_translate_undeclared_non_utf8(tmp_path, capsys):
+    path = _latin1_diagram(tmp_path / "latin.bpmn", "")
+    assert main(["translate", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_translate_deterministic(tmp_path):
@@ -143,6 +164,20 @@ def test_corpus_with_corrupt_file(tmp_path, capsys):
     assert len(rows) == 2
     assert any("ERROR" in row for row in rows)
     assert any(row.startswith("good.bpmn") and "yes" in row for row in rows)
+
+
+def test_corpus_with_non_utf8_file(tmp_path, capsys):
+    src = tmp_path / "diagrams"
+    src.mkdir()
+    (src / "good.bpmn").write_bytes(fixture("loop_retry.bpmn").read_bytes())
+    _latin1_diagram(src / "latin.bpmn", '<?xml version="1.0" encoding="ISO-8859-1"?>')
+    _latin1_diagram(src / "undeclared.bpmn", "")
+    code = main(["corpus", str(src), "--out", str(tmp_path / "out"), "--solve", "cyclic"])
+    assert code == 1
+    rows = (tmp_path / "out" / "corpus_summary.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["good.bpmn", "latin.bpmn", "undeclared.bpmn"]
+    assert rows[0].endswith("\tyes") and rows[1].endswith("\tyes")
+    assert rows[2].split("\t")[1] == "ERROR"
 
 
 def test_warnings_as_errors(tmp_path, capsys):

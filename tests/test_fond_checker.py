@@ -8,9 +8,13 @@ import random
 from collections import Counter
 from dataclasses import astuple
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bpmn2pddl import cli, fond_checker
 from bpmn2pddl.bpmn_parser import parse_bpmn
 from bpmn2pddl.fond_checker import (
     LimitExceeded,
@@ -50,7 +54,7 @@ from bpmn2pddl.pddl_encoder import (
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
 from conftest import CORPUS_FILES, TESTS_DIR, fixture, translate
 import reference_solver
-from reference_solver import reference_mapping
+from reference_solver import reference_mapping, reference_read
 
 FIG_DOMAIN = """(define (domain credit_scoring)
 (:requirements :strips :typing)
@@ -119,6 +123,39 @@ def _pipeline(xml: str, strategy=MessageStrategy.IGNORE):
     domain = emit_domain(graph)
     problems = emit_problems(graph)
     return domain, problems
+
+
+def _bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TESTS_DIR.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def _tree(expr):
+    """A read form as nested tuples: items, line and column of every node."""
+    if isinstance(expr, tuple):
+        return expr
+    return ([_tree(item) for item in expr.items], expr.line, expr.col)
+
+
+def _read_outcome(read, text):
+    try:
+        return _tree(read(text))
+    except PddlSyntaxError as exc:
+        return str(exc)
+
+
+# the unicode characters are whitespace to str.isspace(), and only "\n" ends a line
+READER_PIECES = ["(", ")", ";", "a", "b", "Z", ":", "\n", "\r\n", "\t", " ", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+
+DOMAIN_WORDS = [
+    "(", ")", ")", ")", "()", "(p)", "(q)", "(p ?x)", "(:requirements", ":strips", ":non-deterministic",
+    "(:types", "task", "(:predicates", "(:action", "a", "b", ":parameters", ":precondition", ":effect",
+    ":precondition (p)", ":effect (and", ":effect (oneof", ":effect (q)", "(and", "(not", "(oneof", "(when",
+    "(:constants", "(:functions", "define", "; c\n", "\n",
+]
+ACTION_FRAME = "(:predicates (p) (q)) (:action a "
 
 
 class TestParsePddl:
@@ -207,6 +244,35 @@ class TestParsePddl:
             with pytest.raises(PddlSyntaxError) as exc:
                 parse_pddl(text)
             assert str(exc.value) == message
+
+    @given(st.lists(st.sampled_from(READER_PIECES), max_size=60).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_reader_matches_reference(self, text):
+        assert _read_outcome(fond_checker._read, text) == _read_outcome(reference_read, text)
+
+    @given(st.sampled_from(["", ACTION_FRAME]), st.lists(st.sampled_from(DOMAIN_WORDS), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_domain_fuzz_raises_only_documented_errors(self, frame, words):
+        depth, kept = frame.count("(") - frame.count(")"), [frame]
+        for word in words:  # drop unmatched ")" and close what stays open, so the text is one form
+            depth += word.count("(") - word.count(")")
+            if depth < 0:
+                depth = 0
+                continue
+            kept.append(word)
+        try:
+            ground_domain(parse_pddl("(define (domain d) " + " ".join(kept) + ")" * depth + ")"))
+        except (PddlSyntaxError, UnsupportedFeature):
+            pass
+
+    def test_empty_oneof_rejected(self):
+        text = "(define (domain d) (:predicates (p) (g)) (:action a :precondition (p) :effect (oneof)))"
+        with pytest.raises(PddlSyntaxError, match="action 'a' has a oneof with no outcomes"):
+            parse_pddl(text)
+        empty = PddlAction("a", ["p"], EffAnd([EffOneOf([]), EffNot("p")]))
+        domain = PddlDomain("d", [":strips"], [], ["p", "g"], [empty, PddlAction("b", ["p"], EffAnd([EffAdd("g")]))])
+        with pytest.raises(PddlSyntaxError, match="action 'a' has a oneof with no outcomes"):
+            ground_domain(domain)
 
     def test_syntax_error_has_position(self):
         with pytest.raises(PddlSyntaxError) as exc:
@@ -686,9 +752,7 @@ class TestExploreOracle:
 
     def test_bench_explore_counters(self):
         """The traced benchmark's explore counters read the same numbers from both spaces."""
-        spec = importlib.util.spec_from_file_location("bench_tracing", TESTS_DIR.parent / "bench" / "tracing.py")
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _bench_tracing()
         domain, problems = _pipeline(fixture("msg_task_task.bpmn").read_text(), MessageStrategy.EXCLUSIVE_EMULATION)
         for problem in problems:
             got, want = Counter(), Counter()
@@ -696,6 +760,22 @@ class TestExploreOracle:
             tracing._count_explore(want, (domain, problem), {}, reference_solver.explore(domain, problem))
             assert got == want
             assert got["fond_checker.states"] > 0 and got["applicable_pairs"] > 0
+
+
+def test_bench_tracing_wraps_and_restores_the_program():
+    """The traced benchmark wraps functions by name, so each one it names must exist."""
+    tracing = _bench_tracing()
+    tracer = tracing.Tracer()
+    prog = SimpleNamespace(cli=cli, fond_checker=fond_checker, readback=SimpleNamespace(render=render_pddl))
+    before = {id(module): dict(vars(module)) for module in (cli, fond_checker, prog.readback)}
+    try:
+        tracing.install(tracer, prog)
+        patched = list(tracer._patched)
+        assert patched and all(getattr(module, attr) is not original for module, attr, original in patched)
+    finally:
+        tracer.unwrap()
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original is before[id(module)][attr]
 
 
 class TestMarkerIndex:
