@@ -408,15 +408,6 @@ def _collect_effect(tree, inside_oneof: bool = False) -> tuple[set, set, list]:
     return adds, dels, groups
 
 
-def applicable(state: frozenset, action: GroundAction) -> bool:
-    return action.pre <= state
-
-
-def apply(state: frozenset, action: GroundAction, outcome_index: int) -> frozenset:
-    outcome = action.outcomes[outcome_index]
-    return (state - outcome.dels) | outcome.adds
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive exploration
 
@@ -699,22 +690,20 @@ def verify_policy(space: StateSpace, policy: Policy) -> None:
     A breadth-first pass from the initial state follows the policy's action
     in every reached non-goal state; it must be mapped and applicable there,
     unless the state has no applicable action at all (a non-goal leaf).
-    Then one :func:`_backward` pass over the policy edges checks the mode:
-    strong asks every outcome to win, so the initial state wins exactly when
-    the policy graph has no cycle and no non-goal leaf; strong-cyclic asks
-    some outcome to reach, so every reached state must still reach a goal.
-    O(states + transitions) and iterative, so long chains cannot overflow
-    the stack. Raises :class:`PolicyVerificationError`.
+    Then one :func:`_backward` pass over the space's own edges, with only
+    the chosen pairs enabled, checks the mode: strong asks every outcome to
+    win, so the initial state wins exactly when the policy graph has no
+    cycle and no non-goal leaf; strong-cyclic asks some outcome to reach,
+    so every reached state must still reach a goal. O(states + transitions),
+    iterative. Raises :class:`PolicyVerificationError`.
     """
-    local = {0: 0}  # state -> position in `reached`
+    strong = policy.kind is SolveMode.STRONG
+    pending = [0] * len(space.owner)  # only the chosen pairs can fire
+    seen = {0}
     reached = [0]
-    owner: list[int] = []
-    edges: list[list[int]] = []
-    goals: list[int] = []
     leaves = False
-    for i, s in enumerate(reached):
+    for s in reached:
         if s in space.goal_states:
-            goals.append(i)
             continue
         state = space.state(s)
         name = policy.mapping.get(state)
@@ -727,27 +716,17 @@ def verify_policy(space: StateSpace, policy: Policy) -> None:
         p = next((p for p in mine if space.name[p] == name), None)
         if p is None:
             raise PolicyVerificationError(f"policy action {name!r} not applicable")
+        pending[p] = len(space.succs[p]) if strong else 1
         for t in space.succs[p]:
-            if t not in local:
-                local[t] = len(reached)
+            if t not in seen:
+                seen.add(t)
                 reached.append(t)
-        owner.append(i)
-        edges.append([local[t] for t in space.succs[p]])
 
-    rev: list[list[int]] = [[] for _ in reached]
-    for e, succs in enumerate(edges):
-        for t in succs:
-            rev[t].append(e)
-    if policy.kind is SolveMode.STRONG:
-        level = _backward(owner, rev, [len(x) for x in edges], goals)
-        if level[0] < 0:
-            raise PolicyVerificationError(
-                "strong policy reaches a non-goal leaf" if leaves else "strong policy revisits a state"
-            )
-    else:
-        level = _backward(owner, rev, [1] * len(edges), goals)
-        if -1 in level:
-            raise PolicyVerificationError("strong-cyclic policy can get stuck away from the goal")
+    level = _backward(space.owner, space.rev, pending, [s for s in reached if s in space.goal_states])
+    if strong and level[0] < 0:
+        raise PolicyVerificationError(f"strong policy {'reaches a non-goal leaf' if leaves else 'revisits a state'}")
+    if not strong and any(level[s] < 0 for s in reached):
+        raise PolicyVerificationError("strong-cyclic policy can get stuck away from the goal")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import combinations
 
 from .bpmn_parser import FlowNode, NodeKind
-from .process_graph import MessageStrategy, ProcessGraph, _reachable_from
+from .process_graph import MessageStrategy, ProcessGraph
 
 
 class EncodingError(Exception):
@@ -230,32 +230,28 @@ class _Encoder:
         return [self.marker(f) for f in self.graph.outgoing[node_id]]
 
     def _match_inclusive_joins(self) -> dict[str, str]:
-        """Pair each inclusive join with the nearest inclusive split that
-        dominates it: every path from its pool's start events passes that
-        split, and no other dominating split comes later. A join that no
-        split dominates keeps the first split in document order that
-        reaches it."""
+        """Pair each inclusive join with the nearest inclusive split of its
+        pool that dominates it: of the splits that every path from the
+        pool's start events passes, the one of greatest BFS depth. A join
+        that no split dominates is an :class:`EncodingError`. One `_depths`
+        walk per split and per pool holding a join: O((inclusive splits +
+        pools) × pool size)."""
         graph = self.graph
-        reach = {
-            nid: _reachable_from(graph, [graph.flows[f].target for f in graph.outgoing[nid]])
-            for nid, n in graph.nodes.items()
-            if n.kind is NodeKind.INCLUSIVE_GATEWAY and len(graph.incoming[nid]) < 2
-        }
-        mapping: dict[str, str] = {}
+        joins: dict[str, list[str]] = {}  # pool -> its inclusive joins, document order
+        splits: dict[str, list[str]] = {}
         for nid, node in graph.nodes.items():
-            if node.kind is not NodeKind.INCLUSIVE_GATEWAY or len(graph.incoming[nid]) < 2:
-                continue
-            reaching = [split for split, seen in reach.items() if nid in seen]
-            if not reaching:
-                raise EncodingError(
-                    f"inclusive join {nid!r} has no matching diverging inclusive gateway"
-                )
-            starts = graph.start_nodes[node.pool]
-            depth = self._depths(starts)
-            dominating = [
-                split for split in reaching if nid in depth and nid not in self._depths(starts, split)
-            ]
-            mapping[nid] = max(dominating, key=depth.__getitem__) if dominating else reaching[0]
+            if node.kind is NodeKind.INCLUSIVE_GATEWAY:
+                (joins if len(graph.incoming[nid]) >= 2 else splits).setdefault(node.pool, []).append(nid)
+        mapping: dict[str, str] = {}
+        for pool, pool_joins in joins.items():
+            depth = self._depths(graph.start_nodes[pool])
+            # a join's dominators nest, so the nearest one that dominates it comes last
+            for split in sorted((s for s in splits.get(pool, ()) if s in depth), key=depth.__getitem__):
+                around = self._depths(graph.start_nodes[pool], split)
+                mapping.update((join, split) for join in pool_joins if join in depth and join not in around)
+        missing = [join for pool_joins in joins.values() for join in pool_joins if join not in mapping]
+        if missing:
+            raise EncodingError(f"inclusive join {missing[0]!r} has no matching diverging inclusive gateway")
         return mapping
 
     def _depths(self, roots: list[str], avoid: str | None = None) -> dict[str, int]:

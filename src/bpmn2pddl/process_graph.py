@@ -160,7 +160,11 @@ def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrateg
 
 
 def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
-    """Return structural warnings. An empty list means no findings."""
+    """Return structural warnings. An empty list means no findings.
+
+    One forward walk finds the unreachable nodes. A `PotentialDeadlock` is an
+    exclusive split two of whose branches reach one parallel join; one
+    backward walk per join finds them: O(parallel joins × (nodes + flows))."""
     diagnostics: list[Diagnostic] = []
 
     reachable = _reachable_from(graph, [n for starts in graph.start_nodes.values() for n in starts])
@@ -190,12 +194,12 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
         for nid, n in graph.nodes.items()
         if n.kind is NodeKind.PARALLEL_GATEWAY and len(graph.incoming[nid]) >= 2
     ]
+    # one backward walk per join, keeping only the branch targets it meets
+    targets = {graph.flows[f].target for split in exclusive_splits for f in graph.outgoing[split]}
+    feeds = {join: targets & _reachable_from(graph, [join], backward=True) for join in parallel_joins}
     for split in exclusive_splits:
-        branch_reach = [
-            _reachable_from(graph, [graph.flows[f].target]) for f in graph.outgoing[split]
-        ]
         for join in parallel_joins:
-            if sum(1 for r in branch_reach if join in r) >= 2:
+            if sum(1 for f in graph.outgoing[split] if graph.flows[f].target in feeds[join]) >= 2:
                 diagnostics.append(
                     Diagnostic(
                         "PotentialDeadlock",
@@ -217,16 +221,21 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
     return diagnostics
 
 
-def _reachable_from(graph: ProcessGraph, roots: list[str]) -> set[str]:
+def _reachable_from(graph: ProcessGraph, roots: list[str], backward: bool = False) -> set[str]:
+    """Nodes reachable from `roots` (roots included) along every flow,
+    synthetic ones too, or against the flows when `backward`. One DFS,
+    O(nodes + flows)."""
+    edges = graph.incoming if backward else graph.outgoing
     seen = set(roots)
     frontier = list(roots)
     while frontier:
         nid = frontier.pop()
-        for fid in graph.outgoing[nid]:
-            tgt = graph.flows[fid].target
-            if tgt not in seen:
-                seen.add(tgt)
-                frontier.append(tgt)
+        for fid in edges[nid]:
+            flow = graph.flows[fid]
+            nxt = flow.source if backward else flow.target
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
     return seen
 
 

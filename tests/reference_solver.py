@@ -11,6 +11,9 @@ re-simulating versions, also verbatim: each grounds the domain again and
 applies actions to states instead of walking an explored ``StateSpace``.
 The ``fond_checker`` versions must produce the same traces and DOT text.
 
+``applicable`` and ``apply`` are the frozenset state helpers these
+reference versions step with.
+
 ``explore`` is the original frozenset explorer, verbatim but for the
 record it returns (:class:`FrozenSpace`, the original ``StateSpace``
 fields): a BFS that tests every action in every state with
@@ -42,11 +45,18 @@ from bpmn2pddl.fond_checker import (
     TraceSet,
     Unsolvable,
     _SExpr,
-    applicable,
-    apply,
     ground_domain,
 )
 from bpmn2pddl.pddl_encoder import PddlDomain, PddlProblem
+
+
+def applicable(state: frozenset, action: GroundAction) -> bool:
+    return action.pre <= state
+
+
+def apply(state: frozenset, action: GroundAction, outcome_index: int) -> frozenset:
+    outcome = action.outcomes[outcome_index]
+    return (state - outcome.dels) | outcome.adds
 
 
 def reference_mapping(space: StateSpace, mode: SolveMode) -> dict[frozenset, str]:

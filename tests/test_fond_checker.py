@@ -26,8 +26,6 @@ from bpmn2pddl.fond_checker import (
     Unsolvable,
     UnsupportedFeature,
     analyze,
-    applicable,
-    apply,
     enumerate_traces,
     explore,
     export_policy_dot,
@@ -54,7 +52,7 @@ from bpmn2pddl.pddl_encoder import (
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
 from conftest import CORPUS_FILES, TESTS_DIR, fixture, translate
 import reference_solver
-from reference_solver import reference_mapping, reference_read
+from reference_solver import applicable, apply, reference_mapping, reference_read
 
 FIG_DOMAIN = """(define (domain credit_scoring)
 (:requirements :strips :typing)

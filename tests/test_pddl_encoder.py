@@ -313,7 +313,7 @@ def _inclusive_blocks(order: list[str], flows: list[tuple[str, str]]) -> str:
     def kind(n: str) -> str:
         if n.startswith(("Split", "Join")):
             return "inclusiveGateway"
-        return {"S": "startEvent", "E": "endEvent", "T": "task"}[n[0]]
+        return {"S": "startEvent", "E": "endEvent", "T": "task", "X": "exclusiveGateway"}[n[0]]
 
     nodes = "".join(f'<bpmn:{kind(n)} id="{n}"/>' for n in order)
     seq = "".join(
@@ -331,6 +331,40 @@ def _block(i: int, entry: str, exit_: str) -> tuple[list[str], list[tuple[str, s
     flows = [(entry, split), (split, f"T{i}a"), (split, f"T{i}b"),
              (f"T{i}a", join), (f"T{i}b", join), (join, exit_)]
     return nodes, flows
+
+
+def _placed_blocks(places: list[int]) -> tuple[list[str], list[tuple[str, str]]]:
+    """Nodes and flows of inclusive blocks 1..k between S1 and E1. Block i
+    goes at the end of sequence ``places[i - 1] % (2i - 1)``: 0 is the top
+    level, 2j - 1 and 2j are branches a and b of an earlier block j."""
+    seqs: dict[int, list] = {0: []}  # sequence -> its tasks (names) and blocks (numbers)
+    for i, place in enumerate(places, 1):
+        seqs[2 * i - 1], seqs[2 * i] = [f"T{i}a"], [f"T{i}b"]
+        seqs[place % (2 * i - 1)].append(i)
+    nodes, flows = ["S1", "E1"], []
+
+    def chain(seq: int, entry: str, exit_: str) -> None:
+        for item in seqs[seq]:
+            first, last = (item, item) if isinstance(item, str) else (f"Split_{item}", f"Join_{item}")
+            nodes.extend(dict.fromkeys([first, last]))
+            flows.append((entry, first))
+            if first != last:
+                chain(2 * item - 1, first, last)
+                chain(2 * item, first, last)
+            entry = last
+        flows.append((entry, exit_))
+
+    chain(0, "S1", "E1")
+    return nodes, flows
+
+
+# An inclusive split on one branch of the exclusive split X, whose other
+# branch TC enters the inclusive join directly: no split dominates Join_1.
+BYPASS = _inclusive_blocks(
+    ["S1", "X1", "Split_1", "T1a", "T1b", "TC", "Join_1", "E1"],
+    [("S1", "X1"), ("X1", "Split_1"), ("X1", "TC"), ("Split_1", "T1a"), ("Split_1", "T1b"),
+     ("T1a", "Join_1"), ("T1b", "Join_1"), ("TC", "Join_1"), ("Join_1", "E1")],
+)
 
 
 class TestInclusiveJoinMatching:
@@ -379,6 +413,45 @@ class TestInclusiveJoinMatching:
     def test_nested_blocks_both_orders(self):
         for outer_first in (True, False):
             self._check(self._nested(outer_first), {"Join_1": "Split_1", "Join_2": "Split_2"})
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_placed_blocks_any_document_order(self, data):
+        places = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4), label="places")
+        nodes, flows = _placed_blocks(places)
+        order = data.draw(st.permutations(nodes), label="order")
+        self._check(_inclusive_blocks(order, flows), {f"Join_{i}": f"Split_{i}" for i in range(1, len(places) + 1)})
+
+    def test_200_blocks_in_sequence_walk_once_per_split(self, monkeypatch):
+        from bpmn2pddl import pddl_encoder
+
+        calls = []
+        depths = pddl_encoder._Encoder._depths
+
+        def counted(self, *args):
+            calls.append(args)
+            return depths(self, *args)
+
+        monkeypatch.setattr(pddl_encoder._Encoder, "_depths", counted)
+        k = 200
+        nodes, flows = _placed_blocks([0] * k)
+        domain = emit_domain(_graph(_inclusive_blocks(nodes, flows)))
+        assert len(calls) <= k + 1
+        release = {a.name: a.precondition for a in domain.actions}
+        for i in range(1, k + 1):
+            assert release[f"event_Join_{i}"] == [f"count_Split_{i}_0", f"Join_{i}"]
+
+    def test_join_no_split_dominates_rejected(self):
+        with pytest.raises(EncodingError, match="^inclusive join 'Join_1' has no matching diverging inclusive gateway$"):
+            emit_domain(_graph(BYPASS))
+
+    def test_translate_rejects_join_no_split_dominates(self, tmp_path, capsys):
+        from bpmn2pddl.cli import main
+
+        path = tmp_path / "bypass.bpmn"
+        path.write_text(BYPASS)
+        assert main(["translate", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: inclusive join 'Join_1' ")
 
 
 class TestDomainAssembly:

@@ -144,6 +144,48 @@ def test_validate_flags_xor_to_and_join():
     assert "PotentialDeadlock" in codes
 
 
+def _review_chain(n: int) -> str:
+    """start, n tasks each followed by an exclusive review that may end the
+    process, then an exclusive split X whose two branches enter the
+    parallel join P: 3n + 6 nodes."""
+    nodes = ['<bpmn:startEvent id="S"/>', '<bpmn:exclusiveGateway id="X"/>', '<bpmn:task id="A"/>',
+             '<bpmn:task id="B"/>', '<bpmn:parallelGateway id="P"/>', '<bpmn:endEvent id="E"/>']
+    flows = [("X", "A"), ("X", "B"), ("A", "P"), ("B", "P"), ("P", "E")]
+    prev = "S"
+    for i in range(n):
+        nodes += [f'<bpmn:task id="T{i}"/>', f'<bpmn:exclusiveGateway id="R{i}"/>', f'<bpmn:endEvent id="E{i}"/>']
+        flows += [(prev, f"T{i}"), (f"T{i}", f"R{i}"), (f"R{i}", f"E{i}")]
+        prev = f"R{i}"
+    flows.append((prev, "X"))
+    seq = "".join(f'<bpmn:sequenceFlow id="F{i}" sourceRef="{a}" targetRef="{b}"/>' for i, (a, b) in enumerate(flows))
+    return (
+        '<?xml version="1.0"?>\n<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"'
+        f' id="D"><bpmn:process id="P1">{"".join(nodes)}{seq}</bpmn:process></bpmn:definitions>'
+    )
+
+
+def test_validate_walks_once_per_parallel_join(monkeypatch):
+    from bpmn2pddl import process_graph
+
+    calls = []
+    reachable_from = process_graph._reachable_from
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reachable_from(*args, **kwargs)
+
+    monkeypatch.setattr(process_graph, "_reachable_from", counted)
+    counts = []
+    for n in (10, 1000):
+        calls.clear()
+        graph = _graph(_review_chain(n))
+        assert len(graph.nodes) == 3 * n + 6
+        deadlocks = [d.node_ids for d in validate_graph(graph) if d.code == "PotentialDeadlock"]
+        assert deadlocks == [("X", "P")]
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_validate_flags_unreachable():
     xml = LINEAR.replace(
         "</bpmn:process>",

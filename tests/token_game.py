@@ -77,7 +77,9 @@ class TokenGame:
     def _match_joins(self) -> dict[str, str]:
         """Each inclusive join takes the nearest inclusive split dominating
         it from its pool's start events (the last one every path passes);
-        with none, the first split in document order that reaches it."""
+        with none, the first split in document order that reaches it. That
+        fallback is no longer compared: the encoder rejects a join that no
+        split dominates with an ``EncodingError``."""
         graph = self.graph
 
         def walk(roots, avoid=None, normal_only=True):
