@@ -196,7 +196,7 @@ def cmd_check(config: RunConfig) -> int:
         try:
             failed |= not _check_variant(result, problem, config)
         except LimitExceeded as exc:
-            print(f"limit exceeded on {problem.name}: {exc}", file=sys.stderr)
+            print(f"limit exceeded on {problem.name}: {_limit_text(exc)}", file=sys.stderr)
             failed = True
     print(f"check elapsed_ms={(time.perf_counter() - check_start) * 1000.0:.1f}")
     if failed:
@@ -204,6 +204,11 @@ def cmd_check(config: RunConfig) -> int:
     if config.warnings_as_errors and result.diagnostics:
         return 2
     return 0
+
+
+def _limit_text(exc: LimitExceeded) -> str:
+    got = f" (reached {exc.states}, expanded {exc.expanded}, frontier {exc.frontier}, depth {exc.depth})"
+    return str(exc) if exc.states is None else f"{exc}{got}"
 
 
 def _solvable_text(policy, requested: bool) -> str:
@@ -257,7 +262,7 @@ def _summarize(result: TranslationResult, config: RunConfig) -> tuple[int, bool,
         try:
             report = fond_checker.analyze(result.domain, problem, config.solve_modes(), config.limits)
         except LimitExceeded as exc:
-            print(f"limit exceeded on {problem.name}: {exc}", file=sys.stderr)
+            print(f"limit exceeded on {problem.name}: {_limit_text(exc)}", file=sys.stderr)
             strong_ok = cyclic_ok = False
             continue
         n_states = max(n_states, report.n_states)

@@ -10,10 +10,10 @@ without an external planner.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import product
 
 from .pddl_encoder import (
@@ -45,7 +45,7 @@ class Unsolvable(Exception):
 
 
 class LimitExceeded(Exception):
-    pass
+    states = expanded = frontier = depth = None  # how far exploration got, set when a state limit trips
 
 
 class SolveMode(Enum):
@@ -501,15 +501,21 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     """
     limits = limits or Limits()
     actions = ground_domain(domain)
-    bit = {p: i for i, p in enumerate(dict.fromkeys([*domain.predicates, *problem.init, *problem.goal]))}
+    power = {p: 1 << i for i, p in enumerate(dict.fromkeys([*domain.predicates, *problem.init, *problem.goal]))}
 
     def mask(atoms) -> int:
-        return sum(1 << b for b in {bit[p] for p in atoms})
+        m = 0
+        for p in atoms:
+            m |= power[p]
+        return m
 
     pres = [mask(a.pre) for a in actions]
     effects = [[(o, mask(x.adds), ~mask(x.dels)) for o, x in enumerate(a.outcomes)] for a in actions]
     names = [a.name for a in actions]
-    need = Counter(b for pre in pres for b in _bits(pre))
+    need: dict[int, int] = {}  # precondition bit -> how many actions need it
+    for pre in pres:
+        for b in _bits(pre):
+            need[b] = need.get(b, 0) + 1
     filed: dict[int, list[int]] = {}  # marker bit (-1: no precondition) -> actions, in domain order
     for a, pre in enumerate(pres):
         filed.setdefault(min(_bits(pre), key=need.__getitem__, default=-1), []).append(a)
@@ -539,7 +545,12 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
                 t = index.get(succ)
                 if t is None:
                     if len(masks) >= limits.max_states:
-                        raise LimitExceeded(f"more than {limits.max_states} states reachable")
+                        depth, u = 0, s
+                        while u:  # back along the pairs that discovered each state
+                            depth, u = depth + 1, owner[rev[u][0]]
+                        exc = LimitExceeded(f"more than {limits.max_states} states reachable")
+                        exc.states, exc.expanded, exc.frontier, exc.depth = len(masks), s, len(masks) - s, depth
+                        raise exc
                     t = index[succ] = len(masks)
                     masks.append(succ)
                     rev.append([])
@@ -554,7 +565,7 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
             deadlock_states.add(s)
     first.append(len(owner))
 
-    return StateSpace(masks, list(bit), owner, name, succs, first, rev,
+    return StateSpace(masks, list(power), owner, name, succs, first, rev,
                       goal_states, deadlock_states, doubled, {a.name: a for a in actions})
 
 
@@ -615,14 +626,11 @@ def solve(
 ) -> Policy:
     """Decide solvability and extract a deterministic policy.
 
-    Both modes run the backward induction of :func:`_backward` over every
-    (state, action) pair, O(states + transitions) per fixpoint round and
-    without recursion. Strong mode is one "every outcome wins" pass (an
-    attractor computation). Strong-cyclic mode is the nested greatest
-    fixpoint of Cimatti, Pistore, Roveri & Traverso (AIJ 147, 2003): each
-    round keeps the actions whose outcomes all stay in the winning set and
-    makes one "some outcome reaches" pass over them, until the winning set
-    is stable; the stable round's levels are the goal distances. A state
+    Strong mode is one "every outcome wins" :func:`_backward` pass,
+    O(states + transitions). Strong-cyclic mode, the greatest fixpoint of
+    Cimatti, Pistore, Roveri & Traverso (AIJ 147, 2003), is one "some
+    outcome reaches" pass plus a re-levelling per wave of losers
+    (:func:`_cyclic_levels`): the same plus each wave's region. A state
     takes the first action by name whose outcomes all win with a lower
     level (strong), or that stays winning with some outcome of lower level
     (strong-cyclic). Raises :class:`Unsolvable` when the initial state is
@@ -633,33 +641,80 @@ def solve(
 
     if mode is SolveMode.STRONG:
         level = _backward(space.owner, space.rev, [len(x) for x in space.succs], space.goal_states)
-        if level[0] < 0:
-            raise Unsolvable(mode)
 
         def fits(succs: list[int], mine: int) -> bool:
             return all(0 <= level[t] < mine for t in succs)
 
     else:
-        level = [0] * len(space.masks)  # the first round starts from every state
-        while True:
-            pending = [
-                int(level[s] >= 0 and all(level[t] >= 0 for t in succs))
-                for s, succs in zip(space.owner, space.succs)
-            ]
-            reach = _backward(space.owner, space.rev, pending, space.goal_states)
-            if reach[0] < 0:
-                raise Unsolvable(mode)
-            stable = reach.count(-1) == level.count(-1)
-            level = reach
-            if stable:
-                break
+        level = _cyclic_levels(space)
 
         def fits(succs: list[int], mine: int) -> bool:
             return all(level[t] >= 0 for t in succs) and any(level[t] < mine for t in succs)
 
+    if level[0] < 0:
+        raise Unsolvable(mode)
     policy = Policy(mapping=_extract(space, level, fits), kind=mode)
     verify_policy(space, policy)
     return policy
+
+
+def _cyclic_levels(space: StateSpace) -> list[int]:
+    """Goal distances over the greatest strong-cyclic winning set, -1 off it.
+
+    One "some outcome reaches" :func:`_backward` pass; the states it misses
+    are the first wave of losers. A wave disables the pairs with an outcome
+    in it. A state keeps its level while it has support, a live edge into
+    level - 1; the states left without, closed along support edges, form
+    the region, re-levelled by increasing level from the live edges that
+    leave it. Region states not reached are the next wave: one fixpoint
+    round per wave (decremental shortest paths; Even & Shiloach, JACM 1981).
+    O(states + transitions), plus E log E for the E edges of each wave's
+    region. Stops once the initial state loses.
+    """
+    owner, rev, succs, first = space.owner, space.rev, space.succs, space.first
+    level = _backward(owner, rev, [1] * len(owner), space.goal_states)
+    wave = [s for s, d in enumerate(level) if d < 0]
+    if not wave:
+        return level
+    live = [True] * len(owner)
+
+    def ends(r: int) -> list[int]:  # the levels the live pairs of r lead to, once per outcome
+        return [level[u] for p in range(first[r], first[r + 1]) if live[p] for u in succs[p]]
+
+    def leaning(r: int) -> list[int]:  # the states outside the region r supports, once per edge
+        return [owner[p] for p in rev[r] if live[p] and level[owner[p]] - 1 == level[r] and owner[p] not in moved]
+    support = [ends(s).count(d - 1) if d > 0 else 0 for s, d in enumerate(level)]
+    while wave and level[0] >= 0:
+        region, moved = [], set()
+        for t in wave:
+            for p in rev[t]:
+                if live[p] and level[s := owner[p]] > 0:
+                    support[s] -= [level[u] for u in succs[p]].count(level[s] - 1)
+                    if not support[s] and s not in moved:
+                        moved.add(s)
+                        region.append(s)
+                live[p] = False
+        for r in region:  # grows while it is read; support edges go one level down, so no cycle
+            for s in leaning(r):
+                support[s] -= 1
+                if not support[s]:
+                    moved.add(s)
+                    region.append(s)
+            level[r] = -1  # its supporters are counted down
+        heap = sorted((d + 1, r) for r in region for d in ends(r) if d >= 0)  # sorted, so a heap
+        while heap:
+            d, r = heappop(heap)
+            if level[r] < 0:
+                level[r] = d
+                for p in rev[r]:
+                    if live[p] and level[owner[p]] < 0 and owner[p] in moved:
+                        heappush(heap, (d + 1, owner[p]))
+        wave = [r for r in region if level[r] < 0]
+        for r in moved.difference(wave):
+            support[r] = ends(r).count(level[r] - 1)
+            for s in leaning(r):
+                support[s] += 1
+    return level
 
 
 def _extract(space: StateSpace, level: list[int], fits) -> dict[frozenset, str]:

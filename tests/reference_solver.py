@@ -14,6 +14,13 @@ The ``fond_checker`` versions must produce the same traces and DOT text.
 ``applicable`` and ``apply`` are the frozenset state helpers these
 reference versions step with.
 
+``round_levels`` is the backward core's original strong-cyclic loop,
+verbatim but for returning None where it raised ``Unsolvable``: one full
+"some outcome reaches" ``_backward`` pass per round of the greatest
+fixpoint, until the winning set is stable. ``fond_checker._cyclic_levels``
+computes the same levels in one pass plus re-levelled loser waves and must
+return them on every input.
+
 ``explore`` is the original frozenset explorer, verbatim but for the
 record it returns (:class:`FrozenSpace`, the original ``StateSpace``
 fields): a BFS that tests every action in every state with
@@ -45,6 +52,7 @@ from bpmn2pddl.fond_checker import (
     TraceSet,
     Unsolvable,
     _SExpr,
+    _backward,
     ground_domain,
 )
 from bpmn2pddl.pddl_encoder import PddlDomain, PddlProblem
@@ -65,6 +73,23 @@ def reference_mapping(space: StateSpace, mode: SolveMode) -> dict[frozenset, str
     if mode is SolveMode.STRONG:
         return _solve_strong(space, by_action)
     return _solve_strong_cyclic(space, by_action)
+
+
+def round_levels(space: StateSpace) -> list[int] | None:
+    """The strong-cyclic levels of the original round loop, None when unsolvable."""
+    level = [0] * len(space.masks)  # the first round starts from every state
+    while True:
+        pending = [
+            int(level[s] >= 0 and all(level[t] >= 0 for t in succs))
+            for s, succs in zip(space.owner, space.succs)
+        ]
+        reach = _backward(space.owner, space.rev, pending, space.goal_states)
+        if reach[0] < 0:
+            return None
+        stable = reach.count(-1) == level.count(-1)
+        level = reach
+        if stable:
+            return level
 
 
 def _group_by_action(transitions: list[tuple[str, int, int]]) -> dict[str, list[int]]:

@@ -106,6 +106,15 @@ def test_check_max_states_env(tmp_path, capsys, monkeypatch):
     assert "limit exceeded" in capsys.readouterr().err
 
 
+def test_state_limit_says_how_far_exploration_got(tmp_path, capsys):
+    line = "limit exceeded on loop_retry_all_starts: more than 2 states reachable"
+    line += " (reached 2, expanded 1, frontier 1, depth 1)\n"
+    assert main(["check", str(fixture("loop_retry.bpmn")), "--out", str(tmp_path), "--max-states", "2"]) == 2
+    assert capsys.readouterr().err == line
+    main(["corpus", str(fixture("loop_retry.bpmn").parent), "--out", str(tmp_path), "--max-states", "2"])
+    assert line in capsys.readouterr().err
+
+
 def test_check_bad_max_states_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BPMN2PDDL_MAX_STATES", "abc")
     code = main(["check", CREDIT, "--out", str(tmp_path)])

@@ -52,7 +52,8 @@ from bpmn2pddl.pddl_encoder import (
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
 from conftest import CORPUS_FILES, TESTS_DIR, fixture, translate
 import reference_solver
-from reference_solver import applicable, apply, reference_mapping, reference_read
+from reference_solver import applicable, apply, reference_mapping, reference_read, round_levels
+from test_process_graph import _review_chain
 
 FIG_DOMAIN = """(define (domain credit_scoring)
 (:requirements :strips :typing)
@@ -703,6 +704,84 @@ class TestPolicyOracle:
                             label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
                             assert got == expected, f"{label} {mode.value}"
         assert compared == 58  # all but the two 6k-state credit_scoring all_starts variants
+
+
+def _assert_same_levels(space, label):
+    """The one-pass helper's levels are the round loop's; -1 at the initial state when that is unsolvable."""
+    want = round_levels(space)
+    got = fond_checker._cyclic_levels(space)
+    if want is None:
+        assert got[0] < 0, label
+    else:
+        assert got == want, label
+
+
+class TestCyclicLevelsOracle:
+    """Strong-cyclic levels from one backward pass plus re-levelled loser waves
+    equal the stable round of the original greatest-fixpoint loop."""
+
+    @staticmethod
+    def _random_instance(rng):
+        preds = [f"p{i}" for i in range(rng.randint(3, 10))]
+        actions = []
+        for j in range(rng.randint(2, 16)):
+            outcomes = []
+            for _ in range(rng.randint(1, 3)):
+                dels = rng.sample(preds, rng.randint(0, 3))
+                add = rng.choice(preds)
+                outcomes.append(EffAnd([EffAdd(add), *(EffNot(p) for p in dels if p != add)]))
+            effect = outcomes[0] if len(outcomes) == 1 else EffAnd([EffOneOf(outcomes)])
+            actions.append(PddlAction(f"a{j}", rng.sample(preds, rng.randint(1, 3)), effect))
+        domain = PddlDomain("rnd", [":strips"], [], preds, actions)
+        init, goal = rng.sample(preds, rng.randint(1, 3)), rng.sample(preds, rng.randint(1, 2))
+        return domain, PddlProblem(name="rnd", domain_name="rnd", init=init, goal=goal)
+
+    def test_random_instances(self, monkeypatch):
+        rounds = []
+        backward = reference_solver._backward
+        monkeypatch.setattr(reference_solver, "_backward", lambda *args: rounds.append(1) or backward(*args))
+        rng = random.Random(0x5EED)
+        deep = 0
+        for i in range(1000):
+            rounds.clear()
+            _assert_same_levels(explore(*self._random_instance(rng)), f"instance {i}")
+            deep += len(rounds) >= 3
+        assert deep >= 50, f"only {deep} instances need 3 or more rounds"
+
+    def test_fixtures(self):
+        for name in FIXTURES:
+            for strategy in MessageStrategy:
+                domain, problems = _pipeline(fixture(name).read_text(), strategy)
+                for problem in problems:
+                    _assert_same_levels(explore(domain, problem), f"{name} {strategy.value} {problem.variant}")
+
+    def test_every_corpus_variant(self):
+        sizes = []
+        for path in CORPUS_FILES:
+            for strategy in MessageStrategy:
+                for done_mode in DoneMode:
+                    result = translate(path, strategy, done_mode=done_mode)
+                    for problem in result.problems:
+                        space = explore(result.domain, problem)
+                        _assert_same_levels(space, f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}")
+                        sizes.append(len(space.masks))
+        assert len(sizes) == 60
+        assert sum(n > 6000 for n in sizes) == 2  # the credit_scoring all_starts variants
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_review_chain_is_one_backward_pass(n, monkeypatch):
+    """A chain of n reviews needs n + 1 rounds of the fixpoint loop; the
+    strong-cyclic solver gives up after its one backward pass."""
+    calls = []
+    backward = fond_checker._backward
+    monkeypatch.setattr(fond_checker, "_backward", lambda *args: calls.append(1) or backward(*args))
+    domain, (problem,) = _pipeline(_review_chain(n))
+    space = explore(domain, problem)
+    assert len(space.masks) == 3 * n + 6
+    with pytest.raises(Unsolvable):
+        solve(domain, problem, SolveMode.STRONG_CYCLIC, space=space)
+    assert len(calls) == 1
 
 
 def _assert_same_space(domain, problem, label):
