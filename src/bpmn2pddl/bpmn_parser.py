@@ -9,11 +9,13 @@ structured error.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
+_DECLARED_ENCODING = re.compile(rb"""<\?xml\s[^>]*?encoding\s*=\s*["']([A-Za-z][\w.-]*)["']""")
 
 
 class ParseError(Exception):
@@ -173,6 +175,19 @@ def _clean_name(raw: str | None) -> str | None:
     return name or None
 
 
+def _xml_root(xml_text: str | bytes) -> ET.Element:
+    """`ET.fromstring`; bytes declared in a multi-byte encoding that expat
+    cannot read (Shift_JIS, EUC-JP) are decoded by Python's codec of that
+    name first."""
+    try:
+        return ET.fromstring(xml_text)
+    except ValueError as exc:
+        declared = isinstance(xml_text, bytes) and _DECLARED_ENCODING.match(xml_text)
+        if str(exc) != "multi-byte encodings are not supported" or not declared:
+            raise
+        return ET.fromstring(xml_text.decode(declared.group(1).decode("ascii")))
+
+
 def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> BpmnModel:
     """Parse BPMN 2.0 XML text into a :class:`BpmnModel`.
 
@@ -184,8 +199,8 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
     invalid flows. Never raises anything else on str or bytes input.
     """
     try:
-        root = ET.fromstring(xml_text)
-    except (ET.ParseError, LookupError, ValueError) as exc:  # declared encoding unknown or multi-byte
+        root = _xml_root(xml_text)
+    except (ET.ParseError, LookupError, ValueError) as exc:  # declared encoding unknown or undecodable
         raise MalformedXml(f"not parseable as XML: {exc}") from None
 
     uri, local = _local(root.tag)

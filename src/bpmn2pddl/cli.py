@@ -2,6 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 input or encoding error,
 2 check failure / limit exceeded (or warnings with --warnings-as-errors).
+`corpus` runs `check` on each file of a directory (same output, same
+policy DOT and traces files, same warnings), then prints and writes a
+summary TSV; it exits 1 if any file cannot be read or translated, else 2 if
+`check` would exit 2 on any file, else 0.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import fond_checker
@@ -152,14 +156,13 @@ def cmd_translate(config: RunConfig) -> int:
     result = _translate_or_report(config)
     if result is None:
         return 1
-    if config.warnings_as_errors and result.diagnostics:
-        return 2
-    return 0
+    return 2 if config.warnings_as_errors and result.diagnostics else 0
 
 
-def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunConfig) -> bool:
+def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunConfig) -> tuple[int, bool, bool]:
     """Analyze one variant, print its line and write its policy DOT and
-    traces from the explored state space. True when it has a policy."""
+    traces from the explored state space. Returns its state count and
+    whether it has a strong and a strong-cyclic policy."""
     wanted = config.solve_modes()
     report = fond_checker.analyze(result.domain, problem, wanted, config.limits)
     strong_txt = _solvable_text(report.strong, SolveMode.STRONG in wanted)
@@ -170,40 +173,48 @@ def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunC
         f"{report.problem_name}: states={report.n_states} deadlocks={report.n_deadlocks} "
         f"strong={strong_txt} strong_cyclic={cyclic_txt} policy_size={size}"
     )
-    if policy is None:
-        return False
     out = Path(config.output_dir)
-    if config.write_dot:
+    if policy and config.write_dot:
         dot = fond_checker.export_policy_dot(result.domain, problem, policy, report.space)
         (out / f"{result.stem}.{problem.variant}.policy.dot").write_text(dot, encoding="utf-8", newline="\n")
-    if config.write_traces:
+    if policy and config.write_traces:
         traces = fond_checker.enumerate_traces(result.domain, problem, policy, config.limits, report.space)
         payload = fond_checker.traces_to_json(traces)
         (out / f"{result.stem}.{problem.variant}.traces.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
         )
-    return True
+    return report.n_states, report.strong is not None, report.strong_cyclic is not None
 
 
-def cmd_check(config: RunConfig) -> int:
+def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, bool, bool]:
+    """`check` on one file: its exit code, its translation (None when the
+    file cannot be read or translated), the largest variant's state count,
+    and whether every variant has a strong and a strong-cyclic policy (no,
+    when a limit was hit)."""
     result = _translate_or_report(config)
     if result is None:
-        return 1
+        return 1, None, 0, False, False
 
     check_start = time.perf_counter()
     failed = False
+    n_states, strong_ok, cyclic_ok = 0, True, True
     for problem in result.problems:  # one at a time: only one state space is alive
         try:
-            failed |= not _check_variant(result, problem, config)
+            states, strong, cyclic = _check_variant(result, problem, config)
         except LimitExceeded as exc:
             print(f"limit exceeded on {problem.name}: {_limit_text(exc)}", file=sys.stderr)
-            failed = True
+            states, strong, cyclic = 0, False, False
+        n_states = max(n_states, states)
+        strong_ok &= strong
+        cyclic_ok &= cyclic
+        failed |= not (strong or cyclic)
     print(f"check elapsed_ms={(time.perf_counter() - check_start) * 1000.0:.1f}")
-    if failed:
-        return 2
-    if config.warnings_as_errors and result.diagnostics:
-        return 2
-    return 0
+    code = 2 if failed or (config.warnings_as_errors and result.diagnostics) else 0
+    return code, result, n_states, strong_ok, cyclic_ok
+
+
+def cmd_check(config: RunConfig) -> int:
+    return _check_file(config)[0]
 
 
 def _limit_text(exc: LimitExceeded) -> str:
@@ -211,13 +222,14 @@ def _limit_text(exc: LimitExceeded) -> str:
     return str(exc) if exc.states is None else f"{exc}{got}"
 
 
-def _solvable_text(policy, requested: bool) -> str:
-    if not requested:
-        return "-"
-    return "yes" if policy else "no"
+def _solvable_text(found, requested: bool) -> str:
+    return ("yes" if found else "no") if requested else "-"
 
 
 def cmd_corpus(config: RunConfig) -> int:
+    """`check` on every .bpmn file of a directory, then a summary TSV. Exits
+    1 when a file cannot be read or translated, else 2 when `check` would
+    exit 2 on a file, else 0."""
     directory = Path(config.input_path)
     if not directory.is_dir():
         print(f"error: {config.input_path} is not a directory", file=sys.stderr)
@@ -225,55 +237,28 @@ def cmd_corpus(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    wanted = config.solve_modes()
     rows: list[str] = []
-    any_failed = False
+    codes = {0}
     for path in sorted(directory.glob("*.bpmn")):
-        try:
-            result = translate_file(path, config)
-            _write_outputs(result, config)
-        except (OSError, ParseError, GraphError, EncodingError) as exc:
-            print(f"{path.name}: ERROR: {exc}", file=sys.stderr)
+        code, result, n_states, strong_ok, cyclic_ok = _check_file(replace(config, input_path=str(path)))
+        codes.add(code)
+        if result is None:
             rows.append(f"{path.name}\tERROR\t\t\t\t\t\t\t")
-            any_failed = True
             continue
-        n_states, strong_ok, cyclic_ok = _summarize(result, config)
-        wanted = config.solve_modes()
-        strong_txt = _yn(strong_ok) if SolveMode.STRONG in wanted else "-"
-        cyclic_txt = _yn(cyclic_ok) if SolveMode.STRONG_CYCLIC in wanted else "-"
         lines = result.domain_text.count("\n")
         rows.append(
             f"{path.name}\t{result.n_nodes}\t{len(result.domain.predicates)}"
             f"\t{len(result.domain.actions)}\t{lines}\t{result.elapsed_ms:.1f}"
-            f"\t{n_states}\t{strong_txt}\t{cyclic_txt}"
+            f"\t{n_states}\t{_solvable_text(strong_ok, SolveMode.STRONG in wanted)}"
+            f"\t{_solvable_text(cyclic_ok, SolveMode.STRONG_CYCLIC in wanted)}"
         )
 
     header = "file\tnodes\tpredicates\tactions\tlines\tms\tstates\tstrong\tstrong_cyclic"
     tsv = header + "\n" + "".join(row + "\n" for row in rows)
     (out / "corpus_summary.tsv").write_text(tsv, encoding="utf-8", newline="\n")
     print(tsv, end="")
-    return 1 if any_failed else 0
-
-
-def _summarize(result: TranslationResult, config: RunConfig) -> tuple[int, bool, bool]:
-    """The largest variant's state count, and whether every variant has a
-    strong and a strong-cyclic policy (no, when a limit was hit)."""
-    n_states, strong_ok, cyclic_ok = 0, True, True
-    for problem in result.problems:
-        try:
-            report = fond_checker.analyze(result.domain, problem, config.solve_modes(), config.limits)
-        except LimitExceeded as exc:
-            print(f"limit exceeded on {problem.name}: {_limit_text(exc)}", file=sys.stderr)
-            strong_ok = cyclic_ok = False
-            continue
-        n_states = max(n_states, report.n_states)
-        strong_ok &= report.strong is not None
-        cyclic_ok &= report.strong_cyclic is not None
-        del report  # free this variant's state space before exploring the next
-    return n_states, strong_ok, cyclic_ok
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
+    return 1 if 1 in codes else max(codes)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -201,8 +201,6 @@ class _Encoder:
             tgt_p = self.node_pred[flow.target]
             self.msg[fid] = self.preds.claim(f"msg_{src_p}_to_{tgt_p}")
 
-        self.join_split = self._match_inclusive_joins()
-
     # -- marker resolution ---------------------------------------------------
 
     def marker(self, flow_id: str) -> str:
@@ -439,6 +437,7 @@ class _Encoder:
         return preds
 
     def domain(self) -> PddlDomain:
+        self.join_split = self._match_inclusive_joins()  # only inclusive joins read it
         actions: list[PddlAction] = []
         for node in self.graph.nodes.values():
             actions.extend(self.encode_node(node))

@@ -19,7 +19,7 @@ from bpmn2pddl.bpmn_parser import (
     UnsupportedElement,
     parse_bpmn,
 )
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, fixture
 
 MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D1">
@@ -88,11 +88,26 @@ def test_malformed_xml():
         parse_bpmn("<bpmn:definiti")
 
 
-@pytest.mark.parametrize("encoding", ["bogus", "utf-32", "shift_jis", "rot13", "idna"])
+@pytest.mark.parametrize("encoding", ["bogus", "utf-32", "rot13", "idna"])
 def test_unusable_declared_encoding_is_malformed(encoding):
     xml = MINIMAL.replace('encoding="UTF-8"', f'encoding="{encoding}"').encode("ascii")
     with pytest.raises(MalformedXml):
         parse_bpmn(xml)
+
+
+@pytest.mark.parametrize("encoding", ["shift_jis", "euc_jp"])
+def test_multi_byte_declared_encoding_is_decoded(encoding):
+    """expat reads no multi-byte encoding but UTF-8/16; Python's codec does."""
+    text = fixture("loop_retry.bpmn").read_text(encoding="utf-8")
+    text = text.replace('encoding="UTF-8"', f'encoding="{encoding}"').replace("Attempt work", "作業")
+    model = parse_bpmn(text.encode(encoding), source_name="loop_retry")
+    assert model.nodes["Task_try"].name == "作業"
+
+
+def test_multi_byte_declared_encoding_undecodable_is_malformed():
+    xml = MINIMAL.replace('encoding="UTF-8"', 'encoding="shift_jis"').encode("ascii")
+    with pytest.raises(MalformedXml):
+        parse_bpmn(xml.replace(b'name="work"', b'name="\x81"'))
 
 
 def test_non_bpmn_root():

@@ -111,7 +111,7 @@ def test_state_limit_says_how_far_exploration_got(tmp_path, capsys):
     line += " (reached 2, expanded 1, frontier 1, depth 1)\n"
     assert main(["check", str(fixture("loop_retry.bpmn")), "--out", str(tmp_path), "--max-states", "2"]) == 2
     assert capsys.readouterr().err == line
-    main(["corpus", str(fixture("loop_retry.bpmn").parent), "--out", str(tmp_path), "--max-states", "2"])
+    assert main(["corpus", str(fixture("loop_retry.bpmn").parent), "--out", str(tmp_path), "--max-states", "2"]) == 2
     assert line in capsys.readouterr().err
 
 
@@ -151,6 +151,38 @@ def test_corpus_all_files(tmp_path, capsys):
     assert tsv[0].startswith("file\tnodes")
     assert len(tsv) == 1 + 8
     assert all("\tyes" in row for row in tsv[1:])  # strong_cyclic column
+
+
+def test_corpus_exits_2_when_check_would(tmp_path, capsys):
+    code = main(["corpus", str(fixture("loop_retry.bpmn").parent), "--out", str(tmp_path)])
+    assert code == 2  # msg_task_event and xor_and_deadlock have no policy
+    out = capsys.readouterr().out
+    assert "xor_and_deadlock_all_starts: states=5 deadlocks=2 strong=no strong_cyclic=no" in out
+    assert out.index("check elapsed_ms=") < out.index("file\tnodes")  # check output, then the TSV
+
+
+def test_corpus_warnings_as_errors(tmp_path, capsys):
+    diagrams = [("deadlock", fixture("xor_and_deadlock.bpmn")), ("warned", CORPUS_DIR / "self_serve_restaurant.bpmn")]
+    for name, src in diagrams:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / src.name).write_bytes(src.read_bytes())
+        assert main(["corpus", str(tmp_path / name), "--out", str(tmp_path / "out"), "--warnings-as-errors"]) == 2
+        assert "warning: PotentialDeadlock" in capsys.readouterr().err
+    # the restaurant has a policy: only its warning fails the run
+    assert main(["corpus", str(tmp_path / "warned"), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_corpus_writes_what_check_writes(tmp_path):
+    flags = ["--dot", "--traces"]
+    assert main(["corpus", str(fixture("loop_retry.bpmn").parent), "--out", str(tmp_path / "corpus"), *flags]) == 2
+    for path in sorted(fixture("loop_retry.bpmn").parent.glob("*.bpmn")):
+        main(["check", str(path), "--out", str(tmp_path / "check"), *flags])
+    written = sorted(p.name for p in (tmp_path / "check").iterdir())
+    assert any(name.endswith(".policy.dot") for name in written)
+    assert any(name.endswith(".traces.json") for name in written)
+    assert sorted(p.name for p in (tmp_path / "corpus").iterdir()) == sorted([*written, "corpus_summary.tsv"])
+    for name in written:
+        assert (tmp_path / "corpus" / name).read_bytes() == (tmp_path / "check" / name).read_bytes()
 
 
 def test_corpus_empty_dir(tmp_path):

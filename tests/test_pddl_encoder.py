@@ -435,7 +435,9 @@ class TestInclusiveJoinMatching:
         monkeypatch.setattr(pddl_encoder._Encoder, "_depths", counted)
         k = 200
         nodes, flows = _placed_blocks([0] * k)
-        domain = emit_domain(_graph(_inclusive_blocks(nodes, flows)))
+        graph = _graph(_inclusive_blocks(nodes, flows))
+        domain = emit_domain(graph)
+        emit_problems(graph)  # problems encode no join: no matching
         assert len(calls) <= k + 1
         release = {a.name: a.precondition for a in domain.actions}
         for i in range(1, k + 1):
