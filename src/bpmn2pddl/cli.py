@@ -186,14 +186,14 @@ def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunC
     return report.n_states, report.strong is not None, report.strong_cyclic is not None
 
 
-def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, bool, bool]:
+def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, bool, bool, float]:
     """`check` on one file: its exit code, its translation (None when the
     file cannot be read or translated), the largest variant's state count,
-    and whether every variant has a strong and a strong-cyclic policy (no,
-    when a limit was hit)."""
+    whether every variant has a strong and a strong-cyclic policy (no, when
+    a limit was hit), and the milliseconds checking took."""
     result = _translate_or_report(config)
     if result is None:
-        return 1, None, 0, False, False
+        return 1, None, 0, False, False, 0.0
 
     check_start = time.perf_counter()
     failed = False
@@ -208,9 +208,10 @@ def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, 
         strong_ok &= strong
         cyclic_ok &= cyclic
         failed |= not (strong or cyclic)
-    print(f"check elapsed_ms={(time.perf_counter() - check_start) * 1000.0:.1f}")
+    check_ms = (time.perf_counter() - check_start) * 1000.0
+    print(f"check elapsed_ms={check_ms:.1f}")
     code = 2 if failed or (config.warnings_as_errors and result.diagnostics) else 0
-    return code, result, n_states, strong_ok, cyclic_ok
+    return code, result, n_states, strong_ok, cyclic_ok, check_ms
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -241,20 +242,20 @@ def cmd_corpus(config: RunConfig) -> int:
     rows: list[str] = []
     codes = {0}
     for path in sorted(directory.glob("*.bpmn")):
-        code, result, n_states, strong_ok, cyclic_ok = _check_file(replace(config, input_path=str(path)))
+        code, result, n_states, strong_ok, cyclic_ok, check_ms = _check_file(replace(config, input_path=str(path)))
         codes.add(code)
         if result is None:
-            rows.append(f"{path.name}\tERROR\t\t\t\t\t\t\t")
+            rows.append(f"{path.name}\tERROR\t\t\t\t\t\t\t\t")
             continue
         lines = result.domain_text.count("\n")
         rows.append(
             f"{path.name}\t{result.n_nodes}\t{len(result.domain.predicates)}"
             f"\t{len(result.domain.actions)}\t{lines}\t{result.elapsed_ms:.1f}"
-            f"\t{n_states}\t{_solvable_text(strong_ok, SolveMode.STRONG in wanted)}"
+            f"\t{check_ms:.1f}\t{n_states}\t{_solvable_text(strong_ok, SolveMode.STRONG in wanted)}"
             f"\t{_solvable_text(cyclic_ok, SolveMode.STRONG_CYCLIC in wanted)}"
         )
 
-    header = "file\tnodes\tpredicates\tactions\tlines\tms\tstates\tstrong\tstrong_cyclic"
+    header = "file\tnodes\tpredicates\tactions\tlines\tms\tcheck_ms\tstates\tstrong\tstrong_cyclic"
     tsv = header + "\n" + "".join(row + "\n" for row in rows)
     (out / "corpus_summary.tsv").write_text(tsv, encoding="utf-8", newline="\n")
     print(tsv, end="")
@@ -302,6 +303,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{ENV_MAX_STATES} must be an integer") from None
     if args.max_states is not None:
         limits.max_states = args.max_states
+    if limits.max_states < 1:
+        name = ENV_MAX_STATES if args.max_states is None else "--max-states"
+        raise ValueError(f"{name} must be a positive integer")
     return RunConfig(
         input_path=args.input,
         output_dir=args.out,

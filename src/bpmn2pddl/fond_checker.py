@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import product
+from itertools import islice, product
 
 from .pddl_encoder import (
     EffAdd,
@@ -77,82 +77,86 @@ class GroundAction:
 # PDDL subset parser
 
 
-class _SExpr:
-    __slots__ = ("items", "line", "col")
+class _Form(list):
+    """A parenthesized form: the list of its items, and the index of its ``(`` token."""
 
-    def __init__(self, items: list, line: int, col: int):
-        self.items = items
-        self.line = line
-        self.col = col
+    __slots__ = ("at",)
 
 
-_TOKEN = re.compile(r"[()]|[^\s();]+|\n|;[^\n]*")
+class _Misplaced(Exception):
+    """A syntax error: its message and the index of the token it names.
+    :func:`parse_pddl` raises it as a :class:`PddlSyntaxError` with that
+    token's line and column."""
 
 
-def _read(text: str) -> _SExpr:
+_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
+
+
+def _read(text: str) -> _Form:
     """Read the one top-level form of `text` in a single scan.
 
-    Tokens are parentheses, atoms, newlines and ``;`` comments; a token's
-    column is its offset from the last newline. Open forms wait on an
-    explicit stack, so deep nesting never recurses. Only whitespace and
-    comments may follow the form.
+    Tokens are parentheses, atoms and ``;`` comments. A form is a
+    :class:`_Form`, an atom a ``(name, token index)`` pair: lines and
+    columns are found only for an error, by scanning again
+    (:func:`_position`). Open forms wait on an explicit stack, so deep
+    nesting never recurses. Only whitespace and comments may follow the form.
     """
-    stack: list[_SExpr] = []
-    top = None
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok == "\n":
-            line += 1
-            line_start = m.end()
-            continue
-        if tok[0] == ";":
-            continue
-        col = m.start() - line_start + 1
-        if top is not None:
-            raise PddlSyntaxError(f"trailing input {tok!r}", line, col)
+    tokens = _TOKEN.findall(text)
+    top: list = []  # the top-level items
+    items, parents = top, []
+    end = len(tokens)
+    for at, tok in enumerate(tokens):
         if tok == "(":
-            stack.append(_SExpr([], line, col))
-            continue
-        if tok == ")":
-            if not stack:
-                raise PddlSyntaxError("unexpected )", line, col)
-            expr = stack.pop()
-        else:
-            expr = (tok, line, col)
-        if stack:
-            stack[-1].items.append(expr)
-        else:
-            top = expr
-    if stack:
-        raise PddlSyntaxError("missing )", stack[-1].line, stack[-1].col)
-    if top is None:
+            form = _Form()
+            form.at = at
+            items.append(form)
+            parents.append(items)
+            items = form
+        elif tok == ")":
+            try:
+                items = parents.pop()
+            except IndexError:  # no form is open
+                end = at
+                break
+        elif tok[0] != ";":
+            items.append((tok, at))
+    if len(top) > 1:
+        raise _Misplaced(f"trailing input {tokens[_pos(top[1])]!r}", _pos(top[1]))
+    if end < len(tokens):
+        raise _Misplaced("trailing input ')'" if top else "unexpected )", end)
+    if parents:
+        raise _Misplaced("missing )", items.at)
+    if not top:
         raise PddlSyntaxError("empty input")
-    if not isinstance(top, _SExpr):
-        raise PddlSyntaxError("expected a parenthesized form", top[1], top[2])
-    return top
+    if not isinstance(top[0], _Form):
+        raise _Misplaced("expected a parenthesized form", top[0][1])
+    return top[0]
+
+
+def _position(text: str, at: int) -> tuple[int, int]:
+    """Line and column of token `at` of `text`, found by reading the tokens again."""
+    offset = next(islice(_TOKEN.finditer(text), at, None)).start()
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _sym(item: object, what: str) -> str:
     if isinstance(item, tuple):
         return item[0]
-    raise PddlSyntaxError(f"expected {what}", item.line, item.col)
+    raise _Misplaced(f"expected {what}", item.at)
 
 
 def _atom(item: object) -> str:
     """An atom of the subset: a zero-arity predicate like (done)."""
-    if not isinstance(item, _SExpr) or len(item.items) == 0:
-        line, col = _pos(item)
-        raise PddlSyntaxError("expected a (predicate) atom", line, col)
-    if len(item.items) > 1:
+    if not isinstance(item, _Form) or not item:
+        raise _Misplaced("expected a (predicate) atom", _pos(item))
+    if len(item) > 1:
         raise UnsupportedFeature("predicates with arguments are outside the supported subset")
-    return _sym(item.items[0], "a predicate name")
+    return _sym(item[0], "a predicate name")
 
 
-def _pos(item: object) -> tuple[int, int]:
-    if isinstance(item, _SExpr):
-        return item.line, item.col
-    return item[1], item[2]
+def _pos(item: object) -> int:
+    """The token index of an atom or a form."""
+    return item[1] if isinstance(item, tuple) else item.at
 
 
 def parse_pddl(text: str) -> PddlDomain | PddlProblem:
@@ -160,40 +164,47 @@ def parse_pddl(text: str) -> PddlDomain | PddlProblem:
 
     The text is scanned once into a tree of forms (:func:`_read`), which is
     then checked section by section. A domain must name each action once,
-    declare every predicate it uses and give every ``oneof`` an outcome.
-    Raises :class:`PddlSyntaxError` with position information, or
+    declare every predicate it uses and give every ``oneof`` an outcome; a
+    problem must have a ``:goal``. Raises :class:`PddlSyntaxError` (with the
+    line and column of the offending token when reading finds it), or
     :class:`UnsupportedFeature` for constructs outside the subset
     (parameters, conditional effects, numeric fluents, objects, ...).
     """
-    top = _read(text)
-    items = top.items
-    if not items or _sym(items[0], "define") != "define":
-        raise PddlSyntaxError("expected (define ...)", top.line, top.col)
-    if len(items) < 2 or not isinstance(items[1], _SExpr) or not items[1].items:
-        raise PddlSyntaxError("expected (domain NAME) or (problem NAME)", top.line, top.col)
-    head = items[1]
-    kind = _sym(head.items[0], "domain or problem")
+    try:
+        return _parse_define(_read(text))
+    except _Misplaced as exc:
+        message, at = exc.args
+        raise PddlSyntaxError(message, *_position(text, at)) from None
+
+
+def _parse_define(top: _Form) -> PddlDomain | PddlProblem:
+    if not top or _sym(top[0], "define") != "define":
+        raise _Misplaced("expected (define ...)", top.at)
+    if len(top) < 2 or not isinstance(top[1], _Form) or not top[1]:
+        raise _Misplaced("expected (domain NAME) or (problem NAME)", top.at)
+    head = top[1]
+    kind = _sym(head[0], "domain or problem")
     if kind == "domain":
-        return _parse_domain(items)
+        return _parse_domain(top)
     if kind == "problem":
-        return _parse_problem(items)
-    raise PddlSyntaxError(f"expected domain or problem, got {kind!r}", head.line, head.col)
+        return _parse_problem(top)
+    raise _Misplaced(f"expected domain or problem, got {kind!r}", head.at)
 
 
-def _parse_domain(items: list) -> PddlDomain:
-    name = _sym(items[1].items[1], "a domain name") if len(items[1].items) > 1 else ""
+def _parse_domain(top: _Form) -> PddlDomain:
+    head = top[1]
+    name = _sym(head[1], "a domain name") if len(head) > 1 else ""
     if not name:
-        raise PddlSyntaxError("domain has no name", items[1].line, items[1].col)
+        raise _Misplaced("domain has no name", head.at)
     requirements: list[str] = []
     types: list[str] = []
     predicates: list[str] = []
     actions: list[PddlAction] = []
-    for section in items[2:]:
-        if not isinstance(section, _SExpr) or not section.items:
-            line, col = _pos(section)
-            raise PddlSyntaxError("expected a (:section ...)", line, col)
-        tag = _sym(section.items[0], "a section tag")
-        body = section.items[1:]
+    for section in top[2:]:
+        if not isinstance(section, _Form) or not section:
+            raise _Misplaced("expected a (:section ...)", _pos(section))
+        tag = _sym(section[0], "a section tag")
+        body = section[1:]
         if tag == ":requirements":
             requirements = [_sym(b, "a requirement flag") for b in body]
         elif tag == ":types":
@@ -205,7 +216,7 @@ def _parse_domain(items: list) -> PddlDomain:
         elif tag in (":constants", ":functions"):
             raise UnsupportedFeature(f"{tag} is outside the supported subset")
         else:
-            raise PddlSyntaxError(f"unknown domain section {tag!r}", section.line, section.col)
+            raise _Misplaced(f"unknown domain section {tag!r}", section.at)
     domain = PddlDomain(
         name=name, requirements=requirements, types=types, predicates=predicates, actions=actions
     )
@@ -213,10 +224,10 @@ def _parse_domain(items: list) -> PddlDomain:
     return domain
 
 
-def _parse_action(section: _SExpr) -> PddlAction:
-    body = section.items[1:]
+def _parse_action(section: _Form) -> PddlAction:
+    body = section[1:]
     if not body:
-        raise PddlSyntaxError("action has no name", section.line, section.col)
+        raise _Misplaced("action has no name", section.at)
     name = _sym(body[0], "an action name")
     precondition: list[str] = []
     effect: EffAnd | None = None
@@ -224,32 +235,31 @@ def _parse_action(section: _SExpr) -> PddlAction:
     while i < len(body):
         key = _sym(body[i], "an action keyword")
         if i + 1 >= len(body):
-            raise PddlSyntaxError(f"{key} has no value", section.line, section.col)
+            raise _Misplaced(f"{key} has no value", section.at)
         value = body[i + 1]
         if key == ":parameters":
-            if not isinstance(value, _SExpr) or value.items:
+            if not isinstance(value, _Form) or value:
                 raise UnsupportedFeature("action parameters are outside the supported subset")
         elif key == ":precondition":
             precondition = _parse_precondition(value)
         elif key == ":effect":
             effect = _parse_effect_root(value)
         else:
-            raise PddlSyntaxError(f"unknown action keyword {key!r}", section.line, section.col)
+            raise _Misplaced(f"unknown action keyword {key!r}", section.at)
         i += 2
     if effect is None:
-        raise PddlSyntaxError(f"action {name!r} has no effect", section.line, section.col)
+        raise _Misplaced(f"action {name!r} has no effect", section.at)
     return PddlAction(name=name, precondition=precondition, effect=effect)
 
 
 def _parse_precondition(value: object) -> list[str]:
-    if not isinstance(value, _SExpr) or not value.items:
-        line, col = _pos(value)
-        raise PddlSyntaxError("expected a precondition", line, col)
-    head = value.items[0]
+    if not isinstance(value, _Form) or not value:
+        raise _Misplaced("expected a precondition", _pos(value))
+    head = value[0]
     if isinstance(head, tuple) and head[0] == "and":
         atoms = []
-        for sub in value.items[1:]:
-            if isinstance(sub, _SExpr) and sub.items and isinstance(sub.items[0], tuple) and sub.items[0][0] == "not":
+        for sub in value[1:]:
+            if isinstance(sub, _Form) and sub and isinstance(sub[0], tuple) and sub[0][0] == "not":
                 raise UnsupportedFeature("negative preconditions are outside the supported subset")
             atoms.append(_atom(sub))
         return atoms
@@ -269,10 +279,9 @@ def _parse_effect_root(value: object) -> EffAnd:
 
 
 def _parse_effect(value: object, inside_oneof: bool) -> EffAdd | EffNot | EffAnd | EffOneOf:
-    if not isinstance(value, _SExpr) or not value.items:
-        line, col = _pos(value)
-        raise PddlSyntaxError("expected an effect", line, col)
-    head = value.items[0]
+    if not isinstance(value, _Form) or not value:
+        raise _Misplaced("expected an effect", _pos(value))
+    head = value[0]
     if isinstance(head, tuple):
         word = head[0]
         if word in _UNSUPPORTED_EFFECTS:
@@ -280,22 +289,22 @@ def _parse_effect(value: object, inside_oneof: bool) -> EffAdd | EffNot | EffAnd
         if word == "and":
             # splice nested (and ...) forms into this one, so deep nesting never recurses
             items = []
-            todo = value.items[:0:-1]
+            todo = value[:0:-1]
             while todo:
                 sub = todo.pop()
-                if isinstance(sub, _SExpr) and sub.items and isinstance(sub.items[0], tuple) and sub.items[0][0] == "and":
-                    todo.extend(sub.items[:0:-1])
+                if isinstance(sub, _Form) and sub and isinstance(sub[0], tuple) and sub[0][0] == "and":
+                    todo.extend(sub[:0:-1])
                 else:
                     items.append(_parse_effect(sub, inside_oneof))
             return EffAnd(items)
         if word == "not":
-            if len(value.items) != 2:
-                raise PddlSyntaxError("(not ...) takes one atom", value.line, value.col)
-            return EffNot(_atom(value.items[1]))
+            if len(value) != 2:
+                raise _Misplaced("(not ...) takes one atom", value.at)
+            return EffNot(_atom(value[1]))
         if word == "oneof":
             if inside_oneof:
                 raise UnsupportedFeature("nested oneof effects are outside the supported subset")
-            outcomes = [_parse_effect(sub, inside_oneof=True) for sub in value.items[1:]]
+            outcomes = [_parse_effect(sub, inside_oneof=True) for sub in value[1:]]
             for o in outcomes:
                 if isinstance(o, EffOneOf):
                     raise UnsupportedFeature("nested oneof effects are outside the supported subset")
@@ -303,32 +312,33 @@ def _parse_effect(value: object, inside_oneof: bool) -> EffAdd | EffNot | EffAnd
     return EffAdd(_atom(value))
 
 
-def _parse_problem(items: list) -> PddlProblem:
-    head = items[1]
-    name = _sym(head.items[1], "a problem name") if len(head.items) > 1 else ""
+def _parse_problem(top: _Form) -> PddlProblem:
+    head = top[1]
+    name = _sym(head[1], "a problem name") if len(head) > 1 else ""
     if not name:
-        raise PddlSyntaxError("problem has no name", head.line, head.col)
+        raise _Misplaced("problem has no name", head.at)
     domain_name = ""
     init: list[str] = []
-    goal: list[str] = []
-    for section in items[2:]:
-        if not isinstance(section, _SExpr) or not section.items:
-            line, col = _pos(section)
-            raise PddlSyntaxError("expected a (:section ...)", line, col)
-        tag = _sym(section.items[0], "a section tag")
-        body = section.items[1:]
+    goal: list[str] | None = None
+    for section in top[2:]:
+        if not isinstance(section, _Form) or not section:
+            raise _Misplaced("expected a (:section ...)", _pos(section))
+        tag = _sym(section[0], "a section tag")
+        body = section[1:]
         if tag == ":domain":
             domain_name = _sym(body[0], "a domain name") if body else ""
         elif tag == ":init":
             init = [_atom(b) for b in body]
         elif tag == ":goal":
             if len(body) != 1:
-                raise PddlSyntaxError(":goal takes one formula", section.line, section.col)
+                raise _Misplaced(":goal takes one formula", section.at)
             goal = _parse_precondition(body[0])
         elif tag == ":objects":
             raise UnsupportedFeature(":objects is outside the supported subset")
         else:
-            raise PddlSyntaxError(f"unknown problem section {tag!r}", section.line, section.col)
+            raise _Misplaced(f"unknown problem section {tag!r}", section.at)
+    if goal is None:  # an empty goal would make any problem trivially solved
+        raise _Misplaced("problem has no :goal", top.at)
     return PddlProblem(name=name, domain_name=domain_name, init=init, goal=goal)
 
 

@@ -26,12 +26,14 @@ record it returns (:class:`FrozenSpace`, the original ``StateSpace``
 fields): a BFS that tests every action in every state with
 ``applicable``. The bitmask explorer must build the same state space.
 
-``_tokenize`` and ``_read`` are the original two-pass PDDL reader, also
-verbatim: a character loop builds a list of ``(token, line, col)`` tuples,
-then an explicit-stack pass over that list builds the ``_SExpr`` tree.
-``parse_pddl`` reads in one scan and must build the same tree (items, line
-and column) or raise the same ``PddlSyntaxError`` text; ``parse_pddl``
-itself raised ``empty input`` when the token list was empty.
+``_tokenize`` and ``_read`` are the original two-pass PDDL reader, verbatim
+but for its form class, here :class:`SExpr`: a character loop builds a list
+of ``(token, line, col)`` tuples, then an explicit-stack pass over that list
+builds a tree of forms that carry their line and column. ``parse_pddl``
+reads in one scan and keeps only token indices, whose lines and columns
+``fond_checker._position`` finds again; the two must give the same tree
+(items, line and column) or raise the same ``PddlSyntaxError`` text.
+``parse_pddl`` itself raised ``empty input`` when the token list was empty.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from bpmn2pddl.fond_checker import (
     Trace,
     TraceSet,
     Unsolvable,
-    _SExpr,
     _backward,
     ground_domain,
 )
@@ -372,6 +373,15 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     )
 
 
+class SExpr:
+    __slots__ = ("items", "line", "col")
+
+    def __init__(self, items: list, line: int, col: int):
+        self.items = items
+        self.line = line
+        self.col = col
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     tokens: list[tuple[str, int, int]] = []
     line, col = 1, 1
@@ -406,12 +416,12 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
-def _read(tokens: list[tuple[str, int, int]]) -> _SExpr:
+def _read(tokens: list[tuple[str, int, int]]) -> SExpr:
     """Read one top-level form, keeping the open forms on an explicit stack."""
-    stack: list[_SExpr] = []
+    stack: list[SExpr] = []
     for pos, (tok, line, col) in enumerate(tokens):
         if tok == "(":
-            stack.append(_SExpr([], line, col))
+            stack.append(SExpr([], line, col))
             continue
         if tok == ")":
             if not stack:
@@ -425,7 +435,7 @@ def _read(tokens: list[tuple[str, int, int]]) -> _SExpr:
         if pos + 1 != len(tokens):
             tok, line, col = tokens[pos + 1]
             raise PddlSyntaxError(f"trailing input {tok!r}", line, col)
-        if not isinstance(expr, _SExpr):
+        if not isinstance(expr, SExpr):
             raise PddlSyntaxError("expected a parenthesized form", line, col)
         return expr
     if stack:
@@ -433,7 +443,7 @@ def _read(tokens: list[tuple[str, int, int]]) -> _SExpr:
     raise PddlSyntaxError("unexpected end of input")
 
 
-def reference_read(text: str) -> _SExpr:
+def reference_read(text: str) -> SExpr:
     """The tree the original ``parse_pddl`` read from `text`."""
     tokens = _tokenize(text)
     if not tokens:

@@ -122,6 +122,17 @@ def test_check_bad_max_states_env(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: BPMN2PDDL_MAX_STATES must be an integer\n"
 
 
+def test_check_max_states_below_one(tmp_path, capsys, monkeypatch):
+    for flag in ("0", "-3"):
+        assert main(["check", str(fixture("loop_retry.bpmn")), "--out", str(tmp_path), "--max-states", flag]) == 1
+        assert capsys.readouterr() == ("", "error: --max-states must be a positive integer\n")
+    monkeypatch.setenv("BPMN2PDDL_MAX_STATES", "0")
+    assert main(["check", str(fixture("loop_retry.bpmn")), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", "error: BPMN2PDDL_MAX_STATES must be a positive integer\n")
+    # the flag overrides the environment
+    assert main(["check", str(fixture("loop_retry.bpmn")), "--out", str(tmp_path), "--max-states", "100"]) == 0
+
+
 def test_check_trace_limit_exits_2(tmp_path, capsys):
     config = RunConfig(  # the retry loop's policy has a goal trace and a cycle trace
         input_path=str(fixture("loop_retry.bpmn")),
@@ -148,8 +159,10 @@ def test_corpus_all_files(tmp_path, capsys):
     code = main(["corpus", str(CORPUS_DIR), "--out", str(tmp_path), "--solve", "cyclic"])
     assert code == 0
     tsv = (tmp_path / "corpus_summary.tsv").read_text().splitlines()
-    assert tsv[0].startswith("file\tnodes")
+    header = "file\tnodes\tpredicates\tactions\tlines\tms\tcheck_ms\tstates\tstrong\tstrong_cyclic"
+    assert tsv[0] == header
     assert len(tsv) == 1 + 8
+    assert all(float(row.split("\t")[6]) >= 0 for row in tsv[1:])  # check_ms
     assert all("\tyes" in row for row in tsv[1:])  # strong_cyclic column
 
 
@@ -204,6 +217,7 @@ def test_corpus_with_corrupt_file(tmp_path, capsys):
     rows = (tmp_path / "out" / "corpus_summary.tsv").read_text().splitlines()[1:]
     assert len(rows) == 2
     assert any("ERROR" in row for row in rows)
+    assert all(row.count("\t") == 9 for row in rows)  # an ERROR row has every column
     assert any(row.startswith("good.bpmn") and "yes" in row for row in rows)
 
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import importlib.util
+import io
 import random
+import sys
+import tempfile
 from collections import Counter
 from dataclasses import astuple
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -124,23 +129,46 @@ def _pipeline(xml: str, strategy=MessageStrategy.IGNORE):
     return domain, problems
 
 
-def _bench_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TESTS_DIR.parent / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _bench_module(name):
+    """A module of bench/, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", TESTS_DIR.parent / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
-def _tree(expr):
-    """A read form as nested tuples: items, line and column of every node."""
+GEN = _bench_module("gen")
+
+
+def _tree(expr, text):
+    """A form `fond_checker._read` read from `text` as nested tuples: items,
+    line and column of every node, the positions found by `_position`."""
+    if isinstance(expr, tuple):
+        return (expr[0], *fond_checker._position(text, expr[1]))
+    return ([_tree(item, text) for item in expr], *fond_checker._position(text, expr.at))
+
+
+def _reference_tree(expr):
+    """A form `reference_read` read, as the same nested tuples."""
     if isinstance(expr, tuple):
         return expr
-    return ([_tree(item) for item in expr.items], expr.line, expr.col)
+    return ([_reference_tree(item) for item in expr.items], expr.line, expr.col)
 
 
-def _read_outcome(read, text):
+def _read_outcome(text):
     try:
-        return _tree(read(text))
+        return _tree(fond_checker._read(text), text)
+    except fond_checker._Misplaced as exc:
+        message, at = exc.args
+        return str(PddlSyntaxError(message, *fond_checker._position(text, at)))
+    except PddlSyntaxError as exc:
+        return str(exc)
+
+
+def _reference_outcome(text):
+    try:
+        return _reference_tree(reference_read(text))
     except PddlSyntaxError as exc:
         return str(exc)
 
@@ -244,10 +272,64 @@ class TestParsePddl:
                 parse_pddl(text)
             assert str(exc.value) == message
 
+    def test_section_error_positions(self):
+        domain = "(define (domain d)\n  (:predicates (p) (q))\n"
+        action = domain + "  (:action a\n"
+        problem = "(define (problem p)\n  (:domain d)\n"
+        cases = [  # one case per positioned raise of the section readers
+            ("(defin\n  (domain d))", "expected (define ...) (line 1, column 1)"),
+            ("(\n  (define) (domain d))", "expected define (line 2, column 3)"),
+            ("(define\n  x)", "expected (domain NAME) or (problem NAME) (line 1, column 1)"),
+            ("(define\n  (task d))", "expected domain or problem, got 'task' (line 2, column 3)"),
+            ("(define\n  ((domain) d))", "expected domain or problem (line 2, column 4)"),
+            ("(define\n  (domain))", "domain has no name (line 2, column 3)"),
+            ("(define\n  (domain (d)))", "expected a domain name (line 2, column 11)"),
+            (domain + "  :requirements)", "expected a (:section ...) (line 3, column 3)"),
+            (domain + "  ())", "expected a (:section ...) (line 3, column 3)"),
+            (domain + "  ((:types) task))", "expected a section tag (line 3, column 4)"),
+            (domain + "  (:requirements (:strips)))", "expected a requirement flag (line 3, column 18)"),
+            (domain + "  (:types task (event)))", "expected a type name (line 3, column 16)"),
+            (domain + "  (:predicate (p)))", "unknown domain section ':predicate' (line 3, column 3)"),
+            ("(define (domain d)\n  (:predicates p))", "expected a (predicate) atom (line 2, column 16)"),
+            ("(define (domain d)\n  (:predicates ()))", "expected a (predicate) atom (line 2, column 16)"),
+            ("(define (domain d)\n  (:predicates ((p))))", "expected a predicate name (line 2, column 17)"),
+            (domain + "  (:action))", "action has no name (line 3, column 3)"),
+            (domain + "  (:action (a)))", "expected an action name (line 3, column 12)"),
+            (action + "    (:precondition) (p)))", "expected an action keyword (line 4, column 5)"),
+            (action + "    :precondition))", ":precondition has no value (line 3, column 3)"),
+            (action + "    :precondition (p) :cost 1))", "unknown action keyword ':cost' (line 3, column 3)"),
+            (action + "    :precondition (p)))", "action 'a' has no effect (line 3, column 3)"),
+            (action + "    :precondition p :effect (q)))", "expected a precondition (line 4, column 19)"),
+            (action + "    :precondition () :effect (q)))", "expected a precondition (line 4, column 19)"),
+            (action + "    :precondition (and p) :effect (q)))", "expected a (predicate) atom (line 4, column 24)"),
+            (action + "    :precondition (p) :effect q))", "expected an effect (line 4, column 31)"),
+            (action + "    :effect (and (q) ())))", "expected an effect (line 4, column 22)"),
+            (action + "    :effect (oneof (q) x)))", "expected an effect (line 4, column 24)"),
+            (action + "    :effect (not (p) (q))))", "(not ...) takes one atom (line 4, column 13)"),
+            (action + "    :effect (not p)))", "expected a (predicate) atom (line 4, column 18)"),
+            ("(define\n  (problem))", "problem has no name (line 2, column 3)"),
+            ("(define\n  (problem (p)))", "expected a problem name (line 2, column 12)"),
+            (problem + "  init)", "expected a (:section ...) (line 3, column 3)"),
+            (problem + "  ())", "expected a (:section ...) (line 3, column 3)"),
+            (problem + "  (:domain (d)))", "expected a domain name (line 3, column 12)"),
+            (problem + "  (:init (a) b))", "expected a (predicate) atom (line 3, column 14)"),
+            (problem + "  (:goal))", ":goal takes one formula (line 3, column 3)"),
+            (problem + "  (:goal (a) (b)))", ":goal takes one formula (line 3, column 3)"),
+            (problem + "  (:goal g))", "expected a precondition (line 3, column 10)"),
+            (problem + "  (:goal (and g)))", "expected a (predicate) atom (line 3, column 15)"),
+            (problem + "  (:state (a)))", "unknown problem section ':state' (line 3, column 3)"),
+        ]
+        got = []
+        for text, _ in cases:
+            with pytest.raises(PddlSyntaxError) as exc:
+                parse_pddl(text)
+            got.append(str(exc.value))
+        assert got == [message for _, message in cases]
+
     @given(st.lists(st.sampled_from(READER_PIECES), max_size=60).map("".join))
     @settings(max_examples=400, deadline=None)
     def test_reader_matches_reference(self, text):
-        assert _read_outcome(fond_checker._read, text) == _read_outcome(reference_read, text)
+        assert _read_outcome(text) == _reference_outcome(text)
 
     @given(st.sampled_from(["", ACTION_FRAME]), st.lists(st.sampled_from(DOMAIN_WORDS), max_size=30))
     @settings(max_examples=300, deadline=None)
@@ -301,6 +383,12 @@ class TestParsePddl:
         assert problem.init == ["a", "b"]
         assert problem.goal == ["done"]
 
+    def test_problem_without_goal_rejected(self):
+        with pytest.raises(PddlSyntaxError) as exc:
+            parse_pddl("; no goal\n  (define (problem p) (:domain d) (:init (s)))")
+        assert str(exc.value) == "problem has no :goal (line 2, column 3)"
+        assert parse_pddl("(define (problem p) (:domain d) (:init (s)) (:goal (and)))").goal == []
+
     def test_objects_rejected(self):
         with pytest.raises(UnsupportedFeature):
             parse_pddl("(define (problem p) (:domain d) (:objects x - task) (:init) (:goal (and (g))))")
@@ -310,6 +398,31 @@ class TestParsePddl:
         for obj in [domain, *problems]:
             text = render_pddl(obj)
             assert render_pddl(parse_pddl(text)) == text
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10_000),
+        st.integers(8, 200),
+        st.integers(1, 3),
+        st.sampled_from(["ignore", "exclusive"]),
+        st.sampled_from(["any", "all"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_generated_diagrams(self, seed, shape_seed, size, pools, msg, done):
+        diagram = GEN.block_structured(random.Random(seed), "gen", size, pools, shape_seed=shape_seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gen.bpmn"
+            path.write_text(diagram.xml, encoding="utf-8")
+            argv = ["translate", str(path), "--out", tmp, "--msg-strategy", msg, "--done-mode", done]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0
+            written = sorted(Path(tmp).glob("*.pddl"))
+            assert len(written) == diagram.problems + 1
+            for file in written:
+                text = file.read_text(encoding="utf-8")
+                parsed = parse_pddl(text)
+                assert render_pddl(parsed) == text
+                assert parse_pddl(text) == parsed
 
 
 class TestApply:
@@ -829,7 +942,7 @@ class TestExploreOracle:
 
     def test_bench_explore_counters(self):
         """The traced benchmark's explore counters read the same numbers from both spaces."""
-        tracing = _bench_tracing()
+        tracing = _bench_module("tracing")
         domain, problems = _pipeline(fixture("msg_task_task.bpmn").read_text(), MessageStrategy.EXCLUSIVE_EMULATION)
         for problem in problems:
             got, want = Counter(), Counter()
@@ -841,7 +954,7 @@ class TestExploreOracle:
 
 def test_bench_tracing_wraps_and_restores_the_program():
     """The traced benchmark wraps functions by name, so each one it names must exist."""
-    tracing = _bench_tracing()
+    tracing = _bench_module("tracing")
     tracer = tracing.Tracer()
     prog = SimpleNamespace(cli=cli, fond_checker=fond_checker, readback=SimpleNamespace(render=render_pddl))
     before = {id(module): dict(vars(module)) for module in (cli, fond_checker, prog.readback)}
