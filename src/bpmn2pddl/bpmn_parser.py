@@ -60,23 +60,24 @@ class NodeKind(Enum):
     PARALLEL_GATEWAY = "parallelGateway"
     EVENT_BASED_GATEWAY = "eventBasedGateway"
 
+    # members are singletons, so identity hashing is exact; Enum's own hash runs Python code
+    __hash__ = object.__hash__
+
     @property
     def is_event(self) -> bool:
-        return self in (
-            NodeKind.START_EVENT,
-            NodeKind.END_EVENT,
-            NodeKind.INTERMEDIATE_CATCH,
-            NodeKind.INTERMEDIATE_THROW,
-        )
+        return self in _EVENTS
 
     @property
     def is_gateway(self) -> bool:
-        return self in (
-            NodeKind.EXCLUSIVE_GATEWAY,
-            NodeKind.INCLUSIVE_GATEWAY,
-            NodeKind.PARALLEL_GATEWAY,
-            NodeKind.EVENT_BASED_GATEWAY,
-        )
+        return self in _GATEWAYS
+
+
+_EVENTS = frozenset(
+    (NodeKind.START_EVENT, NodeKind.END_EVENT, NodeKind.INTERMEDIATE_CATCH, NodeKind.INTERMEDIATE_THROW)
+)
+_GATEWAYS = frozenset(
+    (NodeKind.EXCLUSIVE_GATEWAY, NodeKind.INCLUSIVE_GATEWAY, NodeKind.PARALLEL_GATEWAY, NodeKind.EVENT_BASED_GATEWAY)
+)
 
 
 @dataclass

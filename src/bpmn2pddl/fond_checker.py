@@ -163,11 +163,12 @@ def parse_pddl(text: str) -> PddlDomain | PddlProblem:
     """Parse a domain or problem in the emitted subset.
 
     The text is scanned once into a tree of forms (:func:`_read`), which is
-    then checked section by section. A domain must name each action once,
-    declare every predicate it uses and give every ``oneof`` an outcome; a
-    problem must have a ``:goal``. Raises :class:`PddlSyntaxError` (with the
-    line and column of the offending token when reading finds it), or
-    :class:`UnsupportedFeature` for constructs outside the subset
+    then checked section by section. No section but ``:action`` may repeat.
+    A domain must name each action once, declare every predicate it uses and
+    give every ``oneof`` an outcome; a problem must have a ``:goal`` and name
+    one domain in ``:domain``. Raises :class:`PddlSyntaxError` with the line
+    and column of the offending token (for a domain check, of the action's
+    form), or :class:`UnsupportedFeature` for constructs outside the subset
     (parameters, conditional effects, numeric fluents, objects, ...).
     """
     try:
@@ -200,28 +201,40 @@ def _parse_domain(top: _Form) -> PddlDomain:
     types: list[str] = []
     predicates: list[str] = []
     actions: list[PddlAction] = []
+    action_at: list[int] = []  # the token index of each action's form
+    seen: set[str] = set()
     for section in top[2:]:
         if not isinstance(section, _Form) or not section:
             raise _Misplaced("expected a (:section ...)", _pos(section))
         tag = _sym(section[0], "a section tag")
         body = section[1:]
+        if tag == ":action":
+            actions.append(_parse_action(section))
+            action_at.append(section.at)
+            continue
         if tag == ":requirements":
             requirements = [_sym(b, "a requirement flag") for b in body]
         elif tag == ":types":
             types = [_sym(b, "a type name") for b in body]
         elif tag == ":predicates":
             predicates = [_atom(b) for b in body]
-        elif tag == ":action":
-            actions.append(_parse_action(section))
         elif tag in (":constants", ":functions"):
             raise UnsupportedFeature(f"{tag} is outside the supported subset")
         else:
             raise _Misplaced(f"unknown domain section {tag!r}", section.at)
+        _once(tag, section, seen)
     domain = PddlDomain(
         name=name, requirements=requirements, types=types, predicates=predicates, actions=actions
     )
-    _validate_domain(domain)
+    _validate_domain(domain, action_at)
     return domain
+
+
+def _once(tag: str, section: _Form, seen: set[str]) -> None:
+    """Reject a section whose tag is in `seen`, the tags read before, then add it."""
+    if tag in seen:
+        raise _Misplaced(f"repeated section {tag!r}", section.at)
+    seen.add(tag)
 
 
 def _parse_action(section: _Form) -> PddlAction:
@@ -320,13 +333,16 @@ def _parse_problem(top: _Form) -> PddlProblem:
     domain_name = ""
     init: list[str] = []
     goal: list[str] | None = None
+    seen: set[str] = set()
     for section in top[2:]:
         if not isinstance(section, _Form) or not section:
             raise _Misplaced("expected a (:section ...)", _pos(section))
         tag = _sym(section[0], "a section tag")
         body = section[1:]
         if tag == ":domain":
-            domain_name = _sym(body[0], "a domain name") if body else ""
+            if len(body) != 1:
+                raise _Misplaced(":domain takes one name", section.at)
+            domain_name = _sym(body[0], "a domain name")
         elif tag == ":init":
             init = [_atom(b) for b in body]
         elif tag == ":goal":
@@ -337,17 +353,25 @@ def _parse_problem(top: _Form) -> PddlProblem:
             raise UnsupportedFeature(":objects is outside the supported subset")
         else:
             raise _Misplaced(f"unknown problem section {tag!r}", section.at)
+        _once(tag, section, seen)
     if goal is None:  # an empty goal would make any problem trivially solved
         raise _Misplaced("problem has no :goal", top.at)
     return PddlProblem(name=name, domain_name=domain_name, init=init, goal=goal)
 
 
-def _validate_domain(domain: PddlDomain) -> None:
+def _validate_domain(domain: PddlDomain, action_at: list[int] | None = None) -> None:
+    """Check that each action is named once, declares what it uses and gives
+    every ``oneof`` an outcome. With `action_at`, the token index of each
+    action's form, a defect is raised at its ``(:action`` form."""
+
+    def defect(message: str, i: int) -> Exception:
+        return PddlSyntaxError(message) if action_at is None else _Misplaced(message, action_at[i])
+
     declared = set(domain.predicates)
     named: set[str] = set()
-    for action in domain.actions:
+    for i, action in enumerate(domain.actions):
         if action.name in named:  # a policy names its actions
-            raise PddlSyntaxError(f"action {action.name!r} is defined twice")
+            raise defect(f"action {action.name!r} is defined twice", i)
         named.add(action.name)
         used = list(action.precondition)
         todo = [action.effect]  # an explicit stack, so deep nesting never recurses
@@ -360,10 +384,10 @@ def _validate_domain(domain: PddlDomain) -> None:
             elif node.outcomes:
                 todo.extend(node.outcomes)
             else:  # grounded, it would have no outcome, which a solver reads as a sure win
-                raise PddlSyntaxError(f"action {action.name!r} has a oneof with no outcomes")
+                raise defect(f"action {action.name!r} has a oneof with no outcomes", i)
         for p in used:
             if p not in declared:
-                raise PddlSyntaxError(f"action {action.name!r} uses undeclared predicate {p!r}")
+                raise defect(f"action {action.name!r} uses undeclared predicate {p!r}", i)
 
 
 # ---------------------------------------------------------------------------

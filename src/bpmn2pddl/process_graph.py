@@ -163,8 +163,10 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
     """Return structural warnings. An empty list means no findings.
 
     One forward walk finds the unreachable nodes. A `PotentialDeadlock` is an
-    exclusive split two of whose branches reach one parallel join; one
-    backward walk per join finds them: O(parallel joins × (nodes + flows))."""
+    exclusive split two of whose branches reach one parallel join. Each join
+    gets a bit, each node the bits of the joins it reaches (one pass over the
+    strongly connected components, :func:`_join_reach`), and each split folds
+    its branches' bits: O((nodes + flows) × ⌈parallel joins / 30⌉ + warnings)."""
     diagnostics: list[Diagnostic] = []
 
     reachable = _reachable_from(graph, [n for starts in graph.start_nodes.values() for n in starts])
@@ -174,39 +176,43 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
                 Diagnostic("Unreachable", (nid,), f"node {nid!r} is unreachable from every start event")
             )
 
+    # an exclusive split whose branches can meet at a parallel join: the classic deadlock shape
+    splits: list[str] = []
+    joins: list[str] = []
     for nid, node in graph.nodes.items():
-        if not node.kind.is_gateway:
+        kind = node.kind
+        if not kind.is_gateway:
             continue
-        if len(graph.outgoing[nid]) <= 1 and len(graph.incoming[nid]) <= 1:
+        fan_out, fan_in = len(graph.outgoing[nid]), len(graph.incoming[nid])
+        if fan_out <= 1 and fan_in <= 1:
             diagnostics.append(
                 Diagnostic("DegenerateGateway", (nid,), f"gateway {nid!r} neither splits nor merges")
             )
+        elif kind is NodeKind.PARALLEL_GATEWAY:
+            if fan_in >= 2:
+                joins.append(nid)
+        elif kind is NodeKind.EXCLUSIVE_GATEWAY or kind is NodeKind.EVENT_BASED_GATEWAY:
+            if fan_out >= 2:
+                splits.append(nid)
 
-    # exclusive split whose branches can meet at a parallel join: classic deadlock shape
-    exclusive_splits = [
-        nid
-        for nid, n in graph.nodes.items()
-        if n.kind in (NodeKind.EXCLUSIVE_GATEWAY, NodeKind.EVENT_BASED_GATEWAY)
-        and len(graph.outgoing[nid]) >= 2
-    ]
-    parallel_joins = [
-        nid
-        for nid, n in graph.nodes.items()
-        if n.kind is NodeKind.PARALLEL_GATEWAY and len(graph.incoming[nid]) >= 2
-    ]
-    # one backward walk per join, keeping only the branch targets it meets
-    targets = {graph.flows[f].target for split in exclusive_splits for f in graph.outgoing[split]}
-    feeds = {join: targets & _reachable_from(graph, [join], backward=True) for join in parallel_joins}
-    for split in exclusive_splits:
-        for join in parallel_joins:
-            if sum(1 for f in graph.outgoing[split] if graph.flows[f].target in feeds[join]) >= 2:
-                diagnostics.append(
-                    Diagnostic(
-                        "PotentialDeadlock",
-                        (split, join),
-                        f"parallel join {join!r} waits on branches of exclusive split {split!r}",
-                    )
+    reach = _join_reach(graph, joins)
+    for split in splits:
+        once = twice = 0  # the joins one branch reaches, and those a second branch reaches too
+        for fid in graph.outgoing[split]:
+            m = reach[graph.flows[fid].target]
+            twice |= once & m
+            once |= m
+        while twice:
+            bit = twice & -twice
+            twice ^= bit
+            join = joins[bit.bit_length() - 1]
+            diagnostics.append(
+                Diagnostic(
+                    "PotentialDeadlock",
+                    (split, join),
+                    f"parallel join {join!r} waits on branches of exclusive split {split!r}",
                 )
+            )
 
     for fid, flow in graph.flows.items():
         if flow.synthetic and graph.nodes[flow.target].kind is NodeKind.START_EVENT:
@@ -219,6 +225,66 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
             )
 
     return diagnostics
+
+
+def _join_reach(graph: ProcessGraph, joins: list[str]) -> dict[str, int]:
+    """Map each node to the bitset of the `joins` it reaches along every flow,
+    synthetic ones too (bit i for ``joins[i]``; a join reaches itself).
+
+    One iterative Tarjan pass, so no input recurses. Each node ORs in the set
+    of every successor as it inspects the flow to it, and its DFS parent ORs
+    in its set as the walk returns. A successor in an emitted component has
+    its final set; any other lies in the node's own component, whose members
+    all return, directly or not, into its root. So when a component is
+    emitted (sinks first), its root's set is complete and becomes each
+    member's: O((nodes + flows) × ⌈joins / 30⌉)."""
+    flows, outgoing = graph.flows, graph.outgoing
+    reach = dict.fromkeys(outgoing, 0)
+    if not joins:
+        return reach
+    for i, nid in enumerate(joins):
+        reach[nid] = 1 << i
+    emitted = len(reach) + 1  # the DFS number of an emitted node: above every low link
+    num = dict.fromkeys(outgoing, 0)  # DFS number, 0 until visited
+    low: dict[str, int] = {}
+    stack: list[str] = []  # visited nodes whose component is not emitted yet
+    counter = 0
+    for root in outgoing:
+        if num[root]:
+            continue
+        counter += 1
+        num[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(outgoing[root]))]  # the DFS path, each node with its flows still to inspect
+        while work:
+            v, edges = work[-1]
+            for fid in edges:
+                w = flows[fid].target
+                n = num[w]
+                if not n:
+                    counter += 1
+                    num[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(outgoing[w])))
+                    break
+                if n < low[v]:
+                    low[v] = n
+                reach[v] |= reach[w]
+            else:
+                work.pop()
+                if low[v] == num[v]:  # v roots a component: v and the stack above it
+                    while True:
+                        u = stack.pop()
+                        reach[u] = reach[v]
+                        num[u] = emitted
+                        if u == v:
+                            break
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    reach[parent] |= reach[v]
+    return reach
 
 
 def _reachable_from(graph: ProcessGraph, roots: list[str], backward: bool = False) -> set[str]:

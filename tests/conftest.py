@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,15 @@ def translate(
         allow_spontaneous_start=allow_spontaneous_start,
     )
     return translate_file(path, config)
+
+
+def bench_module(name):
+    """A module of bench/, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", TESTS_DIR.parent / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def pddl_tokens(text: str) -> list[str]:

@@ -1,4 +1,5 @@
-"""Reference solvers, exploration, traces, policy DOT and PDDL reader for the oracles.
+"""Reference solvers, exploration, traces, policy DOT, PDDL reader and graph
+validation for the oracles.
 
 These are the original quadratic solvers of ``fond_checker``, kept verbatim:
 round-by-round rescans of every state until nothing changes, and a
@@ -34,6 +35,13 @@ reads in one scan and keeps only token indices, whose lines and columns
 ``fond_checker._position`` finds again; the two must give the same tree
 (items, line and column) or raise the same ``PddlSyntaxError`` text.
 ``parse_pddl`` itself raised ``empty input`` when the token list was empty.
+
+``validate_graph`` is the original structural check, verbatim: one forward
+walk for unreachable nodes, then one backward walk per parallel join and a
+loop over exclusive splits × parallel joins × branches for
+``PotentialDeadlock``. ``process_graph.validate_graph`` finds the deadlock
+pairs in one pass over strongly connected components and must return the
+same diagnostics in the same order.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from bpmn2pddl.bpmn_parser import NodeKind
 from bpmn2pddl.fond_checker import (
     DoubleAdd,
     GroundAction,
@@ -57,6 +66,7 @@ from bpmn2pddl.fond_checker import (
     ground_domain,
 )
 from bpmn2pddl.pddl_encoder import PddlDomain, PddlProblem
+from bpmn2pddl.process_graph import Diagnostic, ProcessGraph, _reachable_from
 
 
 def applicable(state: frozenset, action: GroundAction) -> bool:
@@ -449,3 +459,65 @@ def reference_read(text: str) -> SExpr:
     if not tokens:
         raise PddlSyntaxError("empty input")
     return _read(tokens)
+
+
+def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
+    """Return structural warnings. An empty list means no findings.
+
+    One forward walk finds the unreachable nodes. A `PotentialDeadlock` is an
+    exclusive split two of whose branches reach one parallel join; one
+    backward walk per join finds them: O(parallel joins × (nodes + flows))."""
+    diagnostics: list[Diagnostic] = []
+
+    reachable = _reachable_from(graph, [n for starts in graph.start_nodes.values() for n in starts])
+    for nid in graph.nodes:
+        if nid not in reachable:
+            diagnostics.append(
+                Diagnostic("Unreachable", (nid,), f"node {nid!r} is unreachable from every start event")
+            )
+
+    for nid, node in graph.nodes.items():
+        if not node.kind.is_gateway:
+            continue
+        if len(graph.outgoing[nid]) <= 1 and len(graph.incoming[nid]) <= 1:
+            diagnostics.append(
+                Diagnostic("DegenerateGateway", (nid,), f"gateway {nid!r} neither splits nor merges")
+            )
+
+    # exclusive split whose branches can meet at a parallel join: classic deadlock shape
+    exclusive_splits = [
+        nid
+        for nid, n in graph.nodes.items()
+        if n.kind in (NodeKind.EXCLUSIVE_GATEWAY, NodeKind.EVENT_BASED_GATEWAY)
+        and len(graph.outgoing[nid]) >= 2
+    ]
+    parallel_joins = [
+        nid
+        for nid, n in graph.nodes.items()
+        if n.kind is NodeKind.PARALLEL_GATEWAY and len(graph.incoming[nid]) >= 2
+    ]
+    # one backward walk per join, keeping only the branch targets it meets
+    targets = {graph.flows[f].target for split in exclusive_splits for f in graph.outgoing[split]}
+    feeds = {join: targets & _reachable_from(graph, [join], backward=True) for join in parallel_joins}
+    for split in exclusive_splits:
+        for join in parallel_joins:
+            if sum(1 for f in graph.outgoing[split] if graph.flows[f].target in feeds[join]) >= 2:
+                diagnostics.append(
+                    Diagnostic(
+                        "PotentialDeadlock",
+                        (split, join),
+                        f"parallel join {join!r} waits on branches of exclusive split {split!r}",
+                    )
+                )
+
+    for fid, flow in graph.flows.items():
+        if flow.synthetic and graph.nodes[flow.target].kind is NodeKind.START_EVENT:
+            diagnostics.append(
+                Diagnostic(
+                    "MessageIntoStart",
+                    (flow.source, flow.target),
+                    f"message flow {fid!r} targets start event {flow.target!r}",
+                )
+            )
+
+    return diagnostics

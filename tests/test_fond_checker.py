@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import importlib.util
 import io
 import random
-import sys
 import tempfile
 from collections import Counter
 from dataclasses import astuple
@@ -55,7 +53,7 @@ from bpmn2pddl.pddl_encoder import (
     render_pddl,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_FILES, TESTS_DIR, fixture, translate
+from conftest import CORPUS_FILES, bench_module, fixture, translate
 import reference_solver
 from reference_solver import applicable, apply, reference_mapping, reference_read, round_levels
 from test_process_graph import _review_chain
@@ -129,16 +127,7 @@ def _pipeline(xml: str, strategy=MessageStrategy.IGNORE):
     return domain, problems
 
 
-def _bench_module(name):
-    """A module of bench/, loaded by path."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", TESTS_DIR.parent / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-GEN = _bench_module("gen")
+GEN = bench_module("gen")
 
 
 def _tree(expr, text):
@@ -318,6 +307,14 @@ class TestParsePddl:
             (problem + "  (:goal g))", "expected a precondition (line 3, column 10)"),
             (problem + "  (:goal (and g)))", "expected a (predicate) atom (line 3, column 15)"),
             (problem + "  (:state (a)))", "unknown problem section ':state' (line 3, column 3)"),
+            (domain + "  (:predicates (q)))", "repeated section ':predicates' (line 3, column 3)"),
+            (domain + "  (:types a) (:types b))", "repeated section ':types' (line 3, column 14)"),
+            (domain + "  (:requirements) (:requirements))", "repeated section ':requirements' (line 3, column 19)"),
+            (problem + "  (:domain d))", "repeated section ':domain' (line 3, column 3)"),
+            (problem + "  (:init (x)) (:init (y)))", "repeated section ':init' (line 3, column 15)"),
+            (problem + "  (:goal (a)) (:goal (b)))", "repeated section ':goal' (line 3, column 15)"),
+            ("(define (problem p)\n  (:domain))", ":domain takes one name (line 2, column 3)"),
+            ("(define (problem p)\n  (:domain a b c))", ":domain takes one name (line 2, column 3)"),
         ]
         got = []
         for text, _ in cases:
@@ -369,6 +366,28 @@ class TestParsePddl:
         text = FIG_DOMAIN.replace("(:action event_EventBasedGateway_02s95tm", "(:action request_credit_score")
         with pytest.raises(PddlSyntaxError, match="action 'request_credit_score' is defined twice"):
             parse_pddl(text)
+
+    def test_domain_defect_positions(self):
+        """The domain checks name the (:action form when the domain was read
+        from text, and only the action when it was built in Python."""
+        domain = "(define (domain d)\n  (:predicates (p) (q))\n  (:action a :effect (p))\n"
+        cases = [
+            (domain + "    (:action a :effect (q)))", "action 'a' is defined twice (line 4, column 5)"),
+            (domain + "  (:action b :precondition (r) :effect (q)))",
+             "action 'b' uses undeclared predicate 'r' (line 4, column 3)"),
+            (domain + "  (:action b :effect (and (q) (oneof))))",
+             "action 'b' has a oneof with no outcomes (line 4, column 3)"),
+        ]
+        got = []
+        for text, _ in cases:
+            with pytest.raises(PddlSyntaxError) as exc:
+                parse_pddl(text)
+            got.append(str(exc.value))
+        assert got == [message for _, message in cases]
+        twice = PddlDomain("d", [], [], ["p"], [PddlAction("a", [], EffAnd([EffAdd("p")]))] * 2)
+        with pytest.raises(PddlSyntaxError) as exc:
+            ground_domain(twice)
+        assert str(exc.value) == "action 'a' is defined twice" and exc.value.line == 0
 
     def test_comments_skipped(self):
         text = "; header comment\n" + FIG_DOMAIN
@@ -942,7 +961,7 @@ class TestExploreOracle:
 
     def test_bench_explore_counters(self):
         """The traced benchmark's explore counters read the same numbers from both spaces."""
-        tracing = _bench_module("tracing")
+        tracing = bench_module("tracing")
         domain, problems = _pipeline(fixture("msg_task_task.bpmn").read_text(), MessageStrategy.EXCLUSIVE_EMULATION)
         for problem in problems:
             got, want = Counter(), Counter()
@@ -954,7 +973,7 @@ class TestExploreOracle:
 
 def test_bench_tracing_wraps_and_restores_the_program():
     """The traced benchmark wraps functions by name, so each one it names must exist."""
-    tracing = _bench_module("tracing")
+    tracing = bench_module("tracing")
     tracer = tracing.Tracer()
     prog = SimpleNamespace(cli=cli, fond_checker=fond_checker, readback=SimpleNamespace(render=render_pddl))
     before = {id(module): dict(vars(module)) for module in (cli, fond_checker, prog.readback)}

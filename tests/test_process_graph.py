@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from bpmn2pddl.bpmn_parser import parse_bpmn
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_solver
+from bpmn2pddl import process_graph
+from bpmn2pddl.bpmn_parser import FlowNode, NodeKind, SequenceFlow, parse_bpmn
 from bpmn2pddl.process_graph import (
     IsolatedNode,
     MessageStrategy,
@@ -12,11 +18,14 @@ from bpmn2pddl.process_graph import (
     MultipleOutgoingNonGateway,
     NoEndEvent,
     NoStartEvent,
+    ProcessGraph,
     build_graph,
     export_graph_dot,
     validate_graph,
 )
-from conftest import fixture
+from conftest import CORPUS_FILES, FIXTURE_DIR, bench_module, fixture
+
+GEN = bench_module("gen")
 
 LINEAR = """<?xml version="1.0"?>
 <bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D">
@@ -184,6 +193,97 @@ def test_validate_walks_once_per_parallel_join(monkeypatch):
         assert deadlocks == [("X", "P")]
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _join_ladder(n: int) -> str:
+    """start, then n blocks in sequence, each an exclusive split Xi whose two
+    tasks both enter the parallel join Pi, then an end: 4n + 2 nodes. Xi
+    reaches every join from Pi on."""
+    nodes = ['<bpmn:startEvent id="S"/>', '<bpmn:endEvent id="E"/>']
+    flows = []
+    prev = "S"
+    for i in range(n):
+        nodes += [f'<bpmn:exclusiveGateway id="X{i}"/>', f'<bpmn:task id="A{i}"/>', f'<bpmn:task id="B{i}"/>',
+                  f'<bpmn:parallelGateway id="P{i}"/>']
+        flows += [(prev, f"X{i}"), (f"X{i}", f"A{i}"), (f"X{i}", f"B{i}"), (f"A{i}", f"P{i}"), (f"B{i}", f"P{i}")]
+        prev = f"P{i}"
+    flows.append((prev, "E"))
+    seq = "".join(f'<bpmn:sequenceFlow id="F{i}" sourceRef="{a}" targetRef="{b}"/>' for i, (a, b) in enumerate(flows))
+    return (
+        '<?xml version="1.0"?>\n<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"'
+        f' id="D"><bpmn:process id="P1">{"".join(nodes)}{seq}</bpmn:process></bpmn:definitions>'
+    )
+
+
+def test_validate_walks_once(monkeypatch):
+    """`validate_graph` walks the graph once, for `Unreachable`, however
+    many parallel joins it has."""
+    calls = []
+    reachable_from = process_graph._reachable_from
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reachable_from(*args, **kwargs)
+
+    monkeypatch.setattr(process_graph, "_reachable_from", counted)
+    for n in (10, 1000):
+        calls.clear()
+        deadlocks = [d.node_ids for d in validate_graph(_graph(_review_chain(n))) if d.code == "PotentialDeadlock"]
+        assert deadlocks == [("X", "P")]
+        assert len(calls) == 1
+    calls.clear()
+    graph = _graph(_join_ladder(200))
+    deadlocks = [d.node_ids for d in validate_graph(graph) if d.code == "PotentialDeadlock"]
+    assert deadlocks == [(f"X{i}", f"P{j}") for i in range(200) for j in range(i, 200)]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strategy", list(MessageStrategy))
+@pytest.mark.parametrize("path", [*CORPUS_FILES, *sorted(FIXTURE_DIR.glob("*.bpmn"))], ids=lambda p: p.stem)
+def test_validate_matches_reference_on_files(path, strategy):
+    graph = _graph(path.read_text(), strategy)
+    assert validate_graph(graph) == reference_solver.validate_graph(graph)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 10_000),
+    st.integers(8, 300),
+    st.integers(1, 3),
+    st.sampled_from(list(MessageStrategy)),
+)
+@settings(max_examples=40, deadline=None)
+def test_validate_matches_reference_on_generated_diagrams(seed, shape_seed, size, pools, strategy):
+    diagram = GEN.block_structured(random.Random(seed), "gen", size, pools, shape_seed=shape_seed)
+    graph = _graph(diagram.xml, strategy)
+    assert validate_graph(graph) == reference_solver.validate_graph(graph)
+
+
+@st.composite
+def _digraphs(draw):
+    """A graph of any shape: any node kinds, flows between any two nodes
+    (back edges, self-loops, two flows into one target), some synthetic."""
+    kinds = draw(st.lists(st.sampled_from(list(NodeKind)), min_size=1, max_size=12))
+    ends = st.integers(0, len(kinds) - 1)
+    edges = draw(st.lists(st.tuples(ends, ends, st.booleans()), max_size=30))
+    starts = draw(st.lists(ends, max_size=3, unique=True))
+    nodes = {f"n{i}": FlowNode(f"n{i}", None, kind, "p") for i, kind in enumerate(kinds)}
+    incoming: dict[str, list[str]] = {nid: [] for nid in nodes}
+    outgoing: dict[str, list[str]] = {nid: [] for nid in nodes}
+    flows = {}
+    for k, (a, b, synthetic) in enumerate(edges):
+        flow = SequenceFlow(f"f{k}", f"n{a}", f"n{b}", synthetic=synthetic)
+        flows[flow.id] = flow
+        outgoing[flow.source].append(flow.id)
+        incoming[flow.target].append(flow.id)
+    return ProcessGraph(nodes, incoming, outgoing, flows, [], {"p": [f"n{i}" for i in starts]}, {}, ["p"], {},
+                        MessageStrategy.IGNORE, "random")
+
+
+@given(_digraphs())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_reference_on_random_digraphs(graph):
+    assert validate_graph(graph) == reference_solver.validate_graph(graph)
 
 
 def test_validate_flags_unreachable():
