@@ -10,11 +10,13 @@ without an external planner.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
+from operator import sub
 
 from .pddl_encoder import (
     EffAdd,
@@ -163,12 +165,14 @@ def parse_pddl(text: str) -> PddlDomain | PddlProblem:
     """Parse a domain or problem in the emitted subset.
 
     The text is scanned once into a tree of forms (:func:`_read`), which is
-    then checked section by section. No section but ``:action`` may repeat.
-    A domain must name each action once, declare every predicate it uses and
-    give every ``oneof`` an outcome; a problem must have a ``:goal`` and name
-    one domain in ``:domain``. Raises :class:`PddlSyntaxError` with the line
-    and column of the offending token (for a domain check, of the action's
-    form), or :class:`UnsupportedFeature` for constructs outside the subset
+    then checked section by section. The head names one domain or problem.
+    No section but ``:action`` may repeat, nor may a requirement flag or a
+    predicate within its section. A domain must name each action once,
+    declare every predicate it uses and give every ``oneof`` an outcome; a
+    problem must have a ``:goal`` and name one domain in ``:domain``.
+    Raises :class:`PddlSyntaxError` with the line and column of the
+    offending token (for a domain check, of the action's form), or
+    :class:`UnsupportedFeature` for constructs outside the subset
     (parameters, conditional effects, numeric fluents, objects, ...).
     """
     try:
@@ -197,6 +201,8 @@ def _parse_domain(top: _Form) -> PddlDomain:
     name = _sym(head[1], "a domain name") if len(head) > 1 else ""
     if not name:
         raise _Misplaced("domain has no name", head.at)
+    if len(head) > 2:
+        raise _Misplaced("(domain NAME) takes one name", head.at)
     requirements: list[str] = []
     types: list[str] = []
     predicates: list[str] = []
@@ -213,11 +219,11 @@ def _parse_domain(top: _Form) -> PddlDomain:
             action_at.append(section.at)
             continue
         if tag == ":requirements":
-            requirements = [_sym(b, "a requirement flag") for b in body]
+            requirements = _distinct(body, [_sym(b, "a requirement flag") for b in body], "requirement")
         elif tag == ":types":
             types = [_sym(b, "a type name") for b in body]
         elif tag == ":predicates":
-            predicates = [_atom(b) for b in body]
+            predicates = _distinct(body, [_atom(b) for b in body], "predicate")
         elif tag in (":constants", ":functions"):
             raise UnsupportedFeature(f"{tag} is outside the supported subset")
         else:
@@ -235,6 +241,17 @@ def _once(tag: str, section: _Form, seen: set[str]) -> None:
     if tag in seen:
         raise _Misplaced(f"repeated section {tag!r}", section.at)
     seen.add(tag)
+
+
+def _distinct(items: list, names: list[str], what: str) -> list[str]:
+    """`names`, read one from each of `items`; a name given twice is raised
+    at its second item."""
+    seen: set[str] = set()
+    for item, n in zip(items, names):
+        if n in seen:
+            raise _Misplaced(f"repeated {what} {n!r}", _pos(item))
+        seen.add(n)
+    return names
 
 
 def _parse_action(section: _Form) -> PddlAction:
@@ -330,6 +347,8 @@ def _parse_problem(top: _Form) -> PddlProblem:
     name = _sym(head[1], "a problem name") if len(head) > 1 else ""
     if not name:
         raise _Misplaced("problem has no name", head.at)
+    if len(head) > 2:
+        raise _Misplaced("(problem NAME) takes one name", head.at)
     domain_name = ""
     init: list[str] = []
     goal: list[str] | None = None
@@ -462,7 +481,11 @@ class StateSpace:
     Pair ``p`` is action ``name[p]`` applied in state ``owner[p]``, with each
     outcome's successor in ``succs[p]``; state ``s`` has the pairs
     ``range(first[s], first[s + 1])``, in domain order, and ``rev[t]`` lists
-    the pairs leading to ``t``, once per outcome. ``states``, ``index``,
+    the pairs leading to ``t``, once per outcome. Successors are immutable
+    tuples, and every one-outcome pair into ``t`` shares the one ``(t,)``:
+    per state the space holds a mask, a ``rev`` list and that tuple, per
+    pair list entries and, for a multi-outcome pair, its own tuple, so its
+    size is O(states + transitions). ``states``, ``index``,
     ``transitions`` and ``double_adds`` are the public views, built on first
     use; :meth:`state` decodes one state from its set bits, once, so the
     solvers, traces and DOT export decode only the states they touch.
@@ -472,12 +495,11 @@ class StateSpace:
     preds: list[str]
     owner: list[int]
     name: list[str]
-    succs: list[list[int]]
+    succs: list[tuple[int, ...]]
     first: list[int]
     rev: list[list[int]]
     goal_states: set[int]
     deadlock_states: set[int]
-    doubled: list[tuple[int, int, int]]  # (pair, outcome, mask of its adds already true)
     actions: dict[str, GroundAction]
     _decoded: dict[int, frozenset] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -507,9 +529,13 @@ class StateSpace:
 
     @cached_property
     def double_adds(self) -> list[DoubleAdd]:
-        """Every outcome that adds an atom already true, atoms in bit order."""
-        owner, name, preds = self.owner, self.name, self.preds
-        return [DoubleAdd(owner[p], name[p], o, preds[i]) for p, o, both in self.doubled for i in _bits(both)]
+        """Every outcome that adds an atom already true, in pair, outcome and
+        bit order. :func:`explore` records none; this view tests each pair."""
+        power = {p: 1 << i for i, p in enumerate(self.preds)}
+        adds = {a.name: [sum(map(power.__getitem__, o.adds)) for o in a.outcomes] for a in self.actions.values()}
+        masks, name, preds = self.masks, self.name, self.preds
+        return [DoubleAdd(s, name[p], o, preds[i]) for p, s in enumerate(self.owner)
+                for o, add in enumerate(adds[name[p]]) for i in _bits(add & masks[s])]
 
 
 def _bits(mask: int):
@@ -527,11 +553,22 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     declared predicate, then per init or goal atom the domain lacks; per
     action a precondition mask and per outcome an add mask and a keep mask
     (the complement of its deletes), so a successor is ``state & keep | add``.
-    Each action is filed under its marker, the precondition bit the fewest
-    actions need (ties to the first declared). A state tests only the
-    actions filed under its set bits, plus those with no precondition, in
-    domain order, so states, transitions and the solvers' (state, action)
-    pairs come out in the order a scan over every action gives.
+    A one-outcome action compiles to its one ``(add, keep)`` and skips the
+    outcome loop. Each action is filed under its marker, the precondition
+    bit the fewest actions need (ties to the first declared), keyed by that
+    bit's power of two, so a state peels its marked bits off with
+    ``m & -m``. A state tests only the actions filed under its set bits,
+    plus those with no precondition, in domain order, so states,
+    transitions and the solvers' (state, action) pairs come out in the
+    order a scan over every action gives.
+
+    Successors are immutable tuples. A state's ``(t,)`` is made when the
+    state is found and shared by every one-outcome pair that leads to it;
+    only a multi-outcome pair gets a tuple of its own. So each state
+    allocates its mask, its ``rev`` list and that tuple, and each pair
+    only entries of flat lists; ``owner`` is expanded from ``first`` after
+    the search, and outcomes that add a true atom are found only when the
+    ``double_adds`` view is read. O(states + transitions).
     """
     limits = limits or Limits()
     actions = ground_domain(domain)
@@ -544,63 +581,88 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
         return m
 
     pres = [mask(a.pre) for a in actions]
-    effects = [[(o, mask(x.adds), ~mask(x.dels)) for o, x in enumerate(a.outcomes)] for a in actions]
+    effects = [tuple((mask(x.adds), ~mask(x.dels)) for x in a.outcomes) for a in actions]
+    single = [outs[0] if len(outs) == 1 else None for outs in effects]  # a one-outcome action's (add, keep)
     names = [a.name for a in actions]
     need: dict[int, int] = {}  # precondition bit -> how many actions need it
     for pre in pres:
         for b in _bits(pre):
             need[b] = need.get(b, 0) + 1
-    filed: dict[int, list[int]] = {}  # marker bit (-1: no precondition) -> actions, in domain order
+    filed: dict[int, list[int]] = {}  # marker power of two (0: no precondition) -> actions, in domain order
     for a, pre in enumerate(pres):
-        filed.setdefault(min(_bits(pre), key=need.__getitem__, default=-1), []).append(a)
-    always = filed.pop(-1, [])
-    markers = sum(1 << b for b in filed)
+        b = min(_bits(pre), key=need.__getitem__, default=-1)
+        filed.setdefault(1 << b if b >= 0 else 0, []).append(a)
+    always = filed.pop(0, [])
+    markers = sum(filed)
     init, goal = mask(problem.init), mask(problem.goal)
 
-    masks, index, rev = [init], {init: 0}, [[]]
-    owner, name, succs, first, doubled = [], [], [], [], []
+    masks, index, rev, alone = [init], {init: 0}, [[]], [(0,)]  # alone[t] is the tuple (t,)
+    name, succs, first = [], [], []
     goal_states, deadlock_states = set(), set()
     for s, state in enumerate(masks):  # grows while it is read: the BFS queue
-        first.append(len(owner))
+        first.append(len(name))
         candidates = always[:]
-        for b in _bits(state & markers):
-            candidates += filed[b]
+        m = state & markers
+        while m:
+            low = m & -m
+            candidates += filed[low]
+            m ^= low
         candidates.sort()
         for a in candidates:
             pre = pres[a]
             if state & pre != pre:
                 continue
-            p = len(owner)
-            out = []
-            for o, add, keep in effects[a]:
-                if add & state:
-                    doubled.append((p, o, add & state))
+            p = len(name)
+            name.append(names[a])
+            one = single[a]
+            if one is not None:
+                add, keep = one
                 succ = state & keep | add
                 t = index.get(succ)
                 if t is None:
                     if len(masks) >= limits.max_states:
-                        depth, u = 0, s
-                        while u:  # back along the pairs that discovered each state
-                            depth, u = depth + 1, owner[rev[u][0]]
-                        exc = LimitExceeded(f"more than {limits.max_states} states reachable")
-                        exc.states, exc.expanded, exc.frontier, exc.depth = len(masks), s, len(masks) - s, depth
-                        raise exc
+                        raise _state_limit(limits, len(masks), s, first, rev)
                     t = index[succ] = len(masks)
                     masks.append(succ)
                     rev.append([])
+                    alone.append((t,))
+                rev[t].append(p)
+                succs.append(alone[t])
+                continue
+            out = []
+            for add, keep in effects[a]:
+                succ = state & keep | add
+                t = index.get(succ)
+                if t is None:
+                    if len(masks) >= limits.max_states:
+                        raise _state_limit(limits, len(masks), s, first, rev)
+                    t = index[succ] = len(masks)
+                    masks.append(succ)
+                    rev.append([])
+                    alone.append((t,))
                 rev[t].append(p)
                 out.append(t)
-            owner.append(s)
-            name.append(names[a])
-            succs.append(out)
+            succs.append(tuple(out))
         if state & goal == goal:
             goal_states.add(s)
-        elif first[s] == len(owner):
+        elif first[s] == len(name):
             deadlock_states.add(s)
-    first.append(len(owner))
+    first.append(len(name))
+    owner = list(chain.from_iterable(map(repeat, range(len(masks)), map(sub, first[1:], first))))
 
     return StateSpace(masks, list(power), owner, name, succs, first, rev,
-                      goal_states, deadlock_states, doubled, {a.name: a for a in actions})
+                      goal_states, deadlock_states, {a.name: a for a in actions})
+
+
+def _state_limit(limits: Limits, states: int, s: int, first: list[int], rev: list[list[int]]) -> LimitExceeded:
+    """The error for a search that found `states` states, more than
+    `limits` allows, while expanding state `s`: how far it got."""
+    depth, u = 0, s
+    while u:  # back along the pairs that discovered each state; pair p's owner is the last u with first[u] <= p
+        depth, u = depth + 1, bisect_right(first, rev[u][0]) - 1
+    exc = LimitExceeded(f"more than {limits.max_states} states reachable")
+    exc.states, exc.expanded, exc.frontier, exc.depth = states, s, states - s, depth
+    return exc
 
 
 def token_double_adds(space: StateSpace) -> list[DoubleAdd]:
@@ -674,15 +736,15 @@ def solve(
         space = explore(domain, problem, limits)
 
     if mode is SolveMode.STRONG:
-        level = _backward(space.owner, space.rev, [len(x) for x in space.succs], space.goal_states)
+        level = _backward(space.owner, space.rev, list(map(len, space.succs)), space.goal_states)
 
-        def fits(succs: list[int], mine: int) -> bool:
+        def fits(succs: tuple[int, ...], mine: int) -> bool:
             return all(0 <= level[t] < mine for t in succs)
 
     else:
         level = _cyclic_levels(space)
 
-        def fits(succs: list[int], mine: int) -> bool:
+        def fits(succs: tuple[int, ...], mine: int) -> bool:
             return all(level[t] >= 0 for t in succs) and any(level[t] < mine for t in succs)
 
     if level[0] < 0:

@@ -287,18 +287,15 @@ def _join_reach(graph: ProcessGraph, joins: list[str]) -> dict[str, int]:
     return reach
 
 
-def _reachable_from(graph: ProcessGraph, roots: list[str], backward: bool = False) -> set[str]:
+def _reachable_from(graph: ProcessGraph, roots: list[str]) -> set[str]:
     """Nodes reachable from `roots` (roots included) along every flow,
-    synthetic ones too, or against the flows when `backward`. One DFS,
-    O(nodes + flows)."""
-    edges = graph.incoming if backward else graph.outgoing
+    synthetic ones too. One DFS, O(nodes + flows)."""
     seen = set(roots)
     frontier = list(roots)
     while frontier:
         nid = frontier.pop()
-        for fid in edges[nid]:
-            flow = graph.flows[fid]
-            nxt = flow.source if backward else flow.target
+        for fid in graph.outgoing[nid]:
+            nxt = graph.flows[fid].target
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)

@@ -461,6 +461,21 @@ def reference_read(text: str) -> SExpr:
     return _read(tokens)
 
 
+def _reaching(graph: ProcessGraph, roots: list[str]) -> set[str]:
+    """Nodes from which `roots` are reachable (roots included) along every
+    flow, synthetic ones too. One DFS against the flows, O(nodes + flows)."""
+    seen = set(roots)
+    frontier = list(roots)
+    while frontier:
+        nid = frontier.pop()
+        for fid in graph.incoming[nid]:
+            nxt = graph.flows[fid].source
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
     """Return structural warnings. An empty list means no findings.
 
@@ -498,7 +513,7 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
     ]
     # one backward walk per join, keeping only the branch targets it meets
     targets = {graph.flows[f].target for split in exclusive_splits for f in graph.outgoing[split]}
-    feeds = {join: targets & _reachable_from(graph, [join], backward=True) for join in parallel_joins}
+    feeds = {join: targets & _reaching(graph, [join]) for join in parallel_joins}
     for split in exclusive_splits:
         for join in parallel_joins:
             if sum(1 for f in graph.outgoing[split] if graph.flows[f].target in feeds[join]) >= 2:

@@ -315,6 +315,11 @@ class TestParsePddl:
             (problem + "  (:goal (a)) (:goal (b)))", "repeated section ':goal' (line 3, column 15)"),
             ("(define (problem p)\n  (:domain))", ":domain takes one name (line 2, column 3)"),
             ("(define (problem p)\n  (:domain a b c))", ":domain takes one name (line 2, column 3)"),
+            ("(define\n  (domain d e f))", "(domain NAME) takes one name (line 2, column 3)"),
+            ("(define\n  (problem p q))", "(problem NAME) takes one name (line 2, column 3)"),
+            ("(define (domain d)\n  (:predicates (p) (q) (p)))", "repeated predicate 'p' (line 2, column 24)"),
+            ("(define (domain d)\n  (:requirements :strips :strips))",
+             "repeated requirement ':strips' (line 2, column 26)"),
         ]
         got = []
         for text, _ in cases:
@@ -1033,6 +1038,60 @@ class TestMarkerIndex:
         for view in ("states", "index", "transitions", "double_adds"):
             assert view not in report.space.__dict__, view
         assert len(report.space._decoded) == n + 1  # the policy's states, decoded once each
+
+
+class TestSharedSuccessors:
+    """Successors are tuples: one per state, shared by the one-outcome pairs into
+    it, and one per multi-outcome pair."""
+
+    def test_parallel_space_allocates_one_successor_per_state(self):
+        d = GEN.parallel(random.Random(1), "par", 8, 2)
+        domain, (problem,) = _pipeline(d.xml)
+        space = explore(domain, problem)
+        assert [len(space.masks)] == [v.states for v in d.variants.values()] == [6564]
+        assert all(type(x) is tuple for x in space.succs)
+        multi = sum(len(x) > 1 for x in space.succs)
+        assert len({id(x) for x in space.succs}) <= len(space.masks) + multi
+
+    def test_one_outcome_and_oneof_pairs_into_one_state(self):
+        """`go` and `again` lead to the state {a} that `try` may also reach; the
+        space equals the reference explorer's, and `owner` expands `first`."""
+        domain = PddlDomain("d", [":strips"], [], ["s", "a", "g"], [
+            PddlAction("go", ["s"], EffAnd([EffAdd("a"), EffNot("s")])),
+            PddlAction("try", ["s"], EffAnd([EffNot("s"), EffOneOf([EffAdd("a"), EffAdd("g")])])),
+            PddlAction("again", ["s"], EffAnd([EffAdd("a"), EffNot("s")])),
+            PddlAction("fin", ["a"], EffAnd([EffAdd("g"), EffNot("a")])),
+        ])
+        problem = PddlProblem(name="p", domain_name="d", init=["s"], goal=["g"])
+        space = _assert_same_space(domain, problem, "shared")
+        a, g = space.index[frozenset({"a"})], space.index[frozenset({"g"})]
+        go, try_, again, fin = space.succs
+        assert go == again == (a,) and go is again
+        assert try_ == (a, g) and try_ is not go
+        assert fin == (g,)
+        first = space.first
+        assert space.owner == [s for s in range(len(space.masks)) for _ in range(first[s], first[s + 1])]
+        assert solve(domain, problem, SolveMode.STRONG, space=space).mapping == {
+            frozenset({"s"}): "again", frozenset({"a"}): "fin"}
+
+    def test_limit_report_finds_owners_mid_search(self):
+        """Tripping at k states reports the state whose expansion found state k,
+        and its breadth-first depth, read off the full space."""
+        for name in ("inclusive_pair.bpmn", "xor_and_deadlock.bpmn", "msg_task_event.bpmn"):
+            domain, problems = _pipeline(fixture(name).read_text())
+            for problem in problems:
+                space = explore(domain, problem)
+                n = len(space.masks)
+                found = [0] + [space.owner[space.rev[t][0]] for t in range(1, n)]  # who expanded into t
+                depth = [0] * n
+                for t in range(1, n):
+                    depth[t] = depth[found[t]] + 1
+                for k in range(1, n):
+                    with pytest.raises(LimitExceeded) as exc:
+                        explore(domain, problem, Limits(max_states=k))
+                    got = exc.value
+                    assert (got.states, got.expanded, got.frontier, got.depth) == (
+                        k, found[k], k - found[k], depth[found[k]]), (name, k)
 
 
 def _assert_same_exports(domain, problem, space, policy, label):
