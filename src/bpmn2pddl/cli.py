@@ -1,11 +1,11 @@
 """Command-line pipeline: translate, check, and batch-run BPMN diagrams.
 
-Exit codes are a stable contract: 0 success, 1 input or encoding error,
-2 check failure / limit exceeded (or warnings with --warnings-as-errors).
-`corpus` runs `check` on each file of a directory (same output, same
-policy DOT and traces files, same warnings), then prints and writes a
-summary TSV; it exits 1 if any file cannot be read or translated, else 2 if
-`check` would exit 2 on any file, else 0.
+Exit codes are a stable contract: 0 success, 1 input, encoding or output
+error, 2 check failure / limit exceeded (or warnings with
+--warnings-as-errors). `corpus` runs `check` on each file of a directory
+(same output, same policy DOT and traces files, same warnings), then
+prints and writes a summary TSV; it exits 1 if any file cannot be read,
+translated or written, else 2 if `check` would exit 2 on any file, else 0.
 """
 
 from __future__ import annotations
@@ -139,7 +139,11 @@ def _translate_or_report(config: RunConfig) -> TranslationResult | None:
     except (ParseError, GraphError, EncodingError) as exc:
         print(f"error: {config.input_path}: {exc}", file=sys.stderr)
         return None
-    _write_outputs(result, config)
+    try:
+        _write_outputs(result, config)
+    except OSError as exc:
+        _cannot_write(exc)
+        return None
     for diag in result.diagnostics:
         print(f"warning: {diag.code}: {diag.message}", file=sys.stderr)
     lines = result.domain_text.count("\n")
@@ -188,7 +192,7 @@ def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunC
 
 def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, bool, bool, float]:
     """`check` on one file: its exit code, its translation (None when the
-    file cannot be read or translated), the largest variant's state count,
+    file cannot be read, translated or written), the largest variant's state count,
     whether every variant has a strong and a strong-cyclic policy (no, when
     a limit was hit), and the milliseconds checking took."""
     result = _translate_or_report(config)
@@ -204,6 +208,9 @@ def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, 
         except LimitExceeded as exc:
             print(f"limit exceeded on {problem.name}: {_limit_text(exc)}", file=sys.stderr)
             states, strong, cyclic = 0, False, False
+        except OSError as exc:  # its policy DOT or traces
+            _cannot_write(exc)
+            return 1, None, 0, False, False, 0.0
         n_states = max(n_states, states)
         strong_ok &= strong
         cyclic_ok &= cyclic
@@ -218,6 +225,11 @@ def cmd_check(config: RunConfig) -> int:
     return _check_file(config)[0]
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 1
+
+
 def _limit_text(exc: LimitExceeded) -> str:
     got = f" (reached {exc.states}, expanded {exc.expanded}, frontier {exc.frontier}, depth {exc.depth})"
     return str(exc) if exc.states is None else f"{exc}{got}"
@@ -229,15 +241,12 @@ def _solvable_text(found, requested: bool) -> str:
 
 def cmd_corpus(config: RunConfig) -> int:
     """`check` on every .bpmn file of a directory, then a summary TSV. Exits
-    1 when a file cannot be read or translated, else 2 when `check` would
-    exit 2 on a file, else 0."""
+    1 when a file cannot be read, translated or written, else 2 when `check`
+    would exit 2 on a file, else 0."""
     directory = Path(config.input_path)
     if not directory.is_dir():
         print(f"error: {config.input_path} is not a directory", file=sys.stderr)
         return 1
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     wanted = config.solve_modes()
     rows: list[str] = []
     codes = {0}
@@ -257,8 +266,13 @@ def cmd_corpus(config: RunConfig) -> int:
 
     header = "file\tnodes\tpredicates\tactions\tlines\tms\tcheck_ms\tstates\tstrong\tstrong_cyclic"
     tsv = header + "\n" + "".join(row + "\n" for row in rows)
-    (out / "corpus_summary.tsv").write_text(tsv, encoding="utf-8", newline="\n")
     print(tsv, end="")
+    out = Path(config.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "corpus_summary.tsv").write_text(tsv, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        return _cannot_write(exc)
     return 1 if 1 in codes else max(codes)
 
 

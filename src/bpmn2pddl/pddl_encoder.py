@@ -201,6 +201,10 @@ class _Encoder:
             tgt_p = self.node_pred[flow.target]
             self.msg[fid] = self.preds.claim(f"msg_{src_p}_to_{tgt_p}")
 
+        self.messages_from: dict[str, list[str]] = {}  # task -> targets of its task-task messages, document order
+        for msg in graph.task_task_messages:
+            self.messages_from.setdefault(msg.source, []).append(msg.target)
+
     # -- marker resolution ---------------------------------------------------
 
     def marker(self, flow_id: str) -> str:
@@ -276,7 +280,6 @@ class _Encoder:
         return self._encode_gateway(node)
 
     def _encode_task(self, node: FlowNode) -> PddlAction:
-        graph = self.graph
         pre = self.entry_markers(node.id)
         if not pre:
             raise EncodingError(f"task {node.id!r} has no incoming flow")
@@ -284,11 +287,9 @@ class _Encoder:
         name = self.action_names.claim(sanitize_id(node.name or node.id, lower=True))
 
         outcomes: list[list[str]] = [base_adds]
-        if graph.msg_strategy is MessageStrategy.EXCLUSIVE_EMULATION:
-            for msg in graph.task_task_messages:
-                if msg.source != node.id:
-                    continue
-                outcomes.append(base_adds + [self._emulation_trigger(msg.target)])
+        if self.graph.msg_strategy is MessageStrategy.EXCLUSIVE_EMULATION:
+            for target in self.messages_from.get(node.id, ()):
+                outcomes.append(base_adds + [self._emulation_trigger(target)])
 
         dels = [EffNot(p) for p in pre]
         if len(outcomes) == 1:

@@ -31,9 +31,11 @@ fields): a BFS that tests every action in every state with
 but for its form class, here :class:`SExpr`: a character loop builds a list
 of ``(token, line, col)`` tuples, then an explicit-stack pass over that list
 builds a tree of forms that carry their line and column. ``parse_pddl``
-reads in one scan and keeps only token indices, whose lines and columns
-``fond_checker._position`` finds again; the two must give the same tree
-(items, line and column) or raise the same ``PddlSyntaxError`` text.
+reads in one scan into plain lists and strings and keeps no positions: a
+node's token index is found from the tree by ``fond_checker._token_index``,
+its line and column from the text by ``fond_checker._position``. The two
+must give the same tree (items, line and column) or raise the same
+``PddlSyntaxError`` text.
 ``parse_pddl`` itself raised ``empty input`` when the token list was empty.
 
 ``validate_graph`` is the original structural check, verbatim: one forward

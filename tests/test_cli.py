@@ -57,6 +57,13 @@ def test_translate_undeclared_non_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+def test_translate_unwritable_out(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["translate", CREDIT, "--out", str(blocker)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {blocker}: File exists\n"
+
+
 def test_translate_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -97,6 +104,17 @@ def test_check_writes_policy_dot_and_traces(tmp_path):
     payload = json.loads(traces.read_text())
     assert isinstance(payload, list)
     assert all(t["terminal"] == "goal" for t in payload)
+
+
+def test_check_unwritable_out(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["check", CREDIT, "--out", str(blocker / "sub")]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {blocker / 'sub'}: Not a directory\n"
+    dot = tmp_path / "out" / "credit_scoring.prestarted_frontend.policy.dot"
+    dot.mkdir(parents=True)  # the policy DOT cannot be written
+    assert main(["check", CREDIT, "--out", str(dot.parent), "--dot", "--solve", "cyclic"]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {dot}: Is a directory\n"
 
 
 def test_check_max_states_env(tmp_path, capsys, monkeypatch):
@@ -205,6 +223,21 @@ def test_corpus_empty_dir(tmp_path):
     assert code == 0
     tsv = (tmp_path / "out" / "corpus_summary.tsv").read_text().splitlines()
     assert len(tsv) == 1
+
+
+def test_corpus_unwritable_out(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    fixtures = fixture("loop_retry.bpmn").parent
+    assert main(["corpus", str(fixtures), "--out", str(blocker)]) == 1
+    captured = capsys.readouterr()
+    n_files = len(list(fixtures.glob("*.bpmn")))
+    assert captured.err == f"error: cannot write {blocker}: File exists\n" * (n_files + 1)
+    assert captured.out.count("\tERROR\t") == n_files
+    summary = tmp_path / "out" / "corpus_summary.tsv"
+    summary.mkdir(parents=True)  # every file is written but the summary
+    assert main(["corpus", str(fixtures), "--out", str(summary.parent)]) == 1
+    assert capsys.readouterr().err.endswith(f"error: cannot write {summary}: Is a directory\n")
 
 
 def test_corpus_with_corrupt_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import random
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import astuple
@@ -130,12 +131,18 @@ def _pipeline(xml: str, strategy=MessageStrategy.IGNORE):
 GEN = bench_module("gen")
 
 
-def _tree(expr, text):
+def _tree(form, text):
     """A form `fond_checker._read` read from `text` as nested tuples: items,
-    line and column of every node, the positions found by `_position`."""
-    if isinstance(expr, tuple):
-        return (expr[0], *fond_checker._position(text, expr[1]))
-    return ([_tree(item, text) for item in expr], *fond_checker._position(text, expr.at))
+    line and column of every node, each node located as item `i` of its
+    parent by `_token_index`, its line and column found by `_position`."""
+    top = [form]
+
+    def node(parent, i):
+        item = parent[i]
+        at = fond_checker._position(text, fond_checker._token_index(top, parent, i))
+        return (item, *at) if isinstance(item, str) else ([node(item, k) for k in range(len(item))], *at)
+
+    return node(top, 0)
 
 
 def _reference_tree(expr):
@@ -332,6 +339,57 @@ class TestParsePddl:
     @settings(max_examples=400, deadline=None)
     def test_reader_matches_reference(self, text):
         assert _read_outcome(text) == _reference_outcome(text)
+
+    def test_tokens_match_the_token_pattern(self):
+        """Cutting comments and splitting at whitespace gives the tokens of
+        `_TOKEN` without its comments, with every code point between atoms."""
+        pieces = [";c\n" if c == ord(";") else chr(c) for c in range(sys.maxunicode + 1)]
+        text = "(" + "a".join(pieces) + ")"  # "(" comes just before ")", so the form is balanced
+        tokens, todo = [], [fond_checker._read(text)]
+        while todo:  # the tree back to its tokens, in order
+            node = todo.pop()
+            if isinstance(node, str):
+                tokens.append(node)
+            else:
+                todo.extend([")", *reversed(node), "("])
+        assert tokens == [t for t in fond_checker._TOKEN.findall(text) if t[0] != ";"]
+
+    def test_reader_builds_plain_lists_and_strings(self):
+        todo = [fond_checker._read("; header\n" + FIG_DOMAIN)]
+        while todo:
+            node = todo.pop()
+            assert type(node) is list
+            for item in node:
+                assert type(item) in (list, str)
+                if type(item) is list:
+                    todo.append(item)
+
+    def test_comments(self):
+        assert fond_checker._read("(a;b\nc)") == ["a", "c"]
+        assert fond_checker._read("(a (b)) ; last line, no newline") == ["a", ["b"]]
+        assert fond_checker._read("(a\r\n;b\r\n c)") == ["a", "c"]
+        cases = [
+            ("(define (domain d) ; (a) ) comment\n  (:predicates ((p))))",
+             "expected a predicate name (line 2, column 17)"),
+            ("(define (domain d)\r\n  (:predicates p))", "expected a (predicate) atom (line 2, column 16)"),
+            ("; (x\n)", "unexpected ) (line 2, column 1)"),
+            ("(define (domain d)) ; x\n y ; z", "trailing input 'y' (line 2, column 2)"),
+            ("(define (domain d) ; )\n", "missing ) (line 1, column 1)"),
+        ]
+        got = []
+        for text, _ in cases:
+            with pytest.raises(PddlSyntaxError) as exc:
+                parse_pddl(text)
+            got.append(str(exc.value))
+        assert got == [message for _, message in cases]
+
+    def test_error_deep_in_nesting_has_its_position(self):
+        depth = 5000
+        frame = "  (:action a :effect "
+        text = "(define (domain d) (:predicates (p))\n" + frame + "(and " * depth + "p" + ")" * depth + "))"
+        with pytest.raises(PddlSyntaxError) as exc:
+            parse_pddl(text)
+        assert str(exc.value) == f"expected an effect (line 2, column {len(frame) + 5 * depth + 1})"
 
     @given(st.sampled_from(["", ACTION_FRAME]), st.lists(st.sampled_from(DOMAIN_WORDS), max_size=30))
     @settings(max_examples=300, deadline=None)

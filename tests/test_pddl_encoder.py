@@ -106,6 +106,31 @@ class TestTaskEncoding:
         # the message branch keeps the normal successor and adds the target's entry
         assert oneof.outcomes[1] == EffAnd([EffAdd("End_a"), EffAdd("Task_handle")])
 
+    def test_messages_read_once_in_document_order(self):
+        """The encoder indexes the task-task messages by source in one pass;
+        a task's message outcomes keep the messages' document order."""
+        xml = fixture("msg_task_task.bpmn").read_text().replace(
+            '    <bpmn:messageFlow id="MessageFlow_1"',
+            '    <bpmn:messageFlow id="MessageFlow_0" sourceRef="Task_notify" targetRef="Task_prep"/>\n'
+            '    <bpmn:messageFlow id="MessageFlow_1"',
+        )
+        graph = _graph(xml, MessageStrategy.EXCLUSIVE_EMULATION)
+        walks = []
+
+        class Walked(list):
+            def __iter__(self):
+                walks.append(len(self))
+                return super().__iter__()
+
+        graph.task_task_messages = Walked(graph.task_task_messages)
+        action = _actions(graph)["notify_partner"]
+        assert walks == [2]
+        assert action.effect.items[0].outcomes == [
+            EffAdd("End_a"),
+            EffAnd([EffAdd("End_a"), EffAdd("Start_b")]),  # Task_prep's entry marker
+            EffAnd([EffAdd("End_a"), EffAdd("Task_handle")]),
+        ]
+
     def test_unnamed_task_uses_id(self):
         xml = LINEAR.replace('name="work"', "")
         graph = _graph(xml)
