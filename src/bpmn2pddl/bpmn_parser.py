@@ -120,18 +120,10 @@ class BpmnModel:
     source_name: str
 
 
-# Tags normalized to a plain Task.
-_TASK_TAGS = {
-    "task",
-    "sendTask",
-    "receiveTask",
-    "userTask",
-    "serviceTask",
-    "manualTask",
-    "scriptTask",
-}
-
-_NODE_TAGS = {
+# Local names of the flow-node elements; the task variants are read as plain tasks.
+_NODE_TAGS = dict.fromkeys(
+    ("task", "sendTask", "receiveTask", "userTask", "serviceTask", "manualTask", "scriptTask"), NodeKind.TASK
+) | {
     "startEvent": NodeKind.START_EVENT,
     "endEvent": NodeKind.END_EVENT,
     "intermediateCatchEvent": NodeKind.INTERMEDIATE_CATCH,
@@ -141,6 +133,9 @@ _NODE_TAGS = {
     "parallelGateway": NodeKind.PARALLEL_GATEWAY,
     "eventBasedGateway": NodeKind.EVENT_BASED_GATEWAY,
 }
+# The same, keyed by ElementTree tag, so a process child is classified by one lookup.
+_KIND_BY_TAG = {f"{{{BPMN_NS}}}{name}": kind for name, kind in _NODE_TAGS.items()}
+_SEQUENCE_FLOW_TAG = f"{{{BPMN_NS}}}sequenceFlow"
 
 # Non-control-flow elements that are legal to skip silently.
 _IGNORED_TAGS = {
@@ -195,6 +190,12 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
     Bytes are decoded by the encoding the XML declaration names (UTF-8
     when it names none); a str is taken as already decoded.
 
+    Each child of a process is classified by its ElementTree tag: a flow
+    node by one lookup in ``_KIND_BY_TAG``, a sequence flow by
+    ``_SEQUENCE_FLOW_TAG``. Any other element is skipped when it lies in a
+    foreign namespace or is one of ``_IGNORED_TAGS``, and is otherwise
+    rejected as :class:`UnsupportedElement` naming its local name.
+
     Raises a :class:`ParseError` subclass on malformed XML, unsupported
     elements, dangling flow references, duplicate ids, or structurally
     invalid flows. Never raises anything else on str or bytes input.
@@ -240,12 +241,6 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
     nodes: dict[str, FlowNode] = {}
     sequence_flows: list[SequenceFlow] = []
     seen_ids: set[str] = set()
-
-    def claim_id(element_id: str) -> None:
-        if element_id in seen_ids:
-            raise DuplicateId(element_id)
-        seen_ids.add(element_id)
-
     process_pool: dict[str, str] = {}  # process id -> pool id
     participant_refs = {ref for _, _, ref in participants if ref}
     for proc in processes:
@@ -270,14 +265,20 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
     for proc in processes:
         proc_id = proc.get("id") or ""
         pool_id = process_pool[proc_id]
-        pool = pool_by_id[pool_id]
+        node_ids = pool_by_id[pool_id].node_ids
         for elem in proc:
-            euri, ename = _local(elem.tag)
-            if euri != BPMN_NS:
-                continue
-            if ename in _IGNORED_TAGS:
-                continue
-            if ename == "sequenceFlow":
+            tag = elem.tag
+            kind = _KIND_BY_TAG.get(tag)
+            if kind is not None:
+                nid = elem.get("id")
+                if nid is None:
+                    raise InvalidStructure(f"<{_local(tag)[1]}> element without id")
+                if nid in seen_ids:
+                    raise DuplicateId(nid)
+                seen_ids.add(nid)
+                nodes[nid] = FlowNode(nid, _clean_name(elem.get("name")), kind, pool_id)
+                node_ids.append(nid)
+            elif tag == _SEQUENCE_FLOW_TAG:
                 fid = elem.get("id")
                 src = elem.get("sourceRef")
                 tgt = elem.get("targetRef")
@@ -285,29 +286,20 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
                     raise InvalidStructure("sequence flow without id")
                 if src is None or tgt is None:
                     raise InvalidStructure(f"sequence flow {fid!r} missing sourceRef/targetRef")
-                claim_id(fid)
+                if fid in seen_ids:
+                    raise DuplicateId(fid)
+                seen_ids.add(fid)
                 label = _clean_name(elem.get("name"))
                 if label is None:
                     for sub in elem:
                         if _local(sub.tag) == (BPMN_NS, "conditionExpression"):
                             label = _clean_name(sub.text)
                             break
-                sequence_flows.append(
-                    SequenceFlow(id=fid, source=src, target=tgt, condition_label=label)
-                )
-                continue
-            if ename in _TASK_TAGS:
-                kind = NodeKind.TASK
-            elif ename in _NODE_TAGS:
-                kind = _NODE_TAGS[ename]
+                sequence_flows.append(SequenceFlow(fid, src, tgt, condition_label=label))
             else:
-                raise UnsupportedElement(ename)
-            nid = elem.get("id")
-            if nid is None:
-                raise InvalidStructure(f"<{ename}> element without id")
-            claim_id(nid)
-            nodes[nid] = FlowNode(id=nid, name=_clean_name(elem.get("name")), kind=kind, pool=pool_id)
-            pool.node_ids.append(nid)
+                uri, name = _local(tag)
+                if uri == BPMN_NS and name not in _IGNORED_TAGS:
+                    raise UnsupportedElement(name)
 
     for flow in sequence_flows:
         for ref in (flow.source, flow.target):
@@ -331,7 +323,9 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
         if src in pool_by_id or tgt in pool_by_id or src in participant_refs or tgt in participant_refs:
             # pool-level message flow: not a task/event interaction, skipped
             continue
-        claim_id(fid)
+        if fid in seen_ids:
+            raise DuplicateId(fid)
+        seen_ids.add(fid)
         for ref in (src, tgt):
             if ref not in nodes:
                 raise DanglingReference(fid, ref)

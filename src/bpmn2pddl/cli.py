@@ -6,6 +6,7 @@ error, 2 check failure / limit exceeded (or warnings with
 (same output, same policy DOT and traces files, same warnings), then
 prints and writes a summary TSV; it exits 1 if any file cannot be read,
 translated or written, else 2 if `check` would exit 2 on any file, else 0.
+A standard output closed early (`| head`) exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -163,10 +164,13 @@ def cmd_translate(config: RunConfig) -> int:
     return 2 if config.warnings_as_errors and result.diagnostics else 0
 
 
-def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunConfig) -> tuple[int, bool, bool]:
+def _check_variant(
+    result: TranslationResult, problem: PddlProblem, config: RunConfig
+) -> tuple[int, bool, bool] | None:
     """Analyze one variant, print its line and write its policy DOT and
     traces from the explored state space. Returns its state count and
-    whether it has a strong and a strong-cyclic policy."""
+    whether it has a strong and a strong-cyclic policy, or None when the
+    policy DOT or traces cannot be written."""
     wanted = config.solve_modes()
     report = fond_checker.analyze(result.domain, problem, wanted, config.limits)
     strong_txt = _solvable_text(report.strong, SolveMode.STRONG in wanted)
@@ -178,15 +182,19 @@ def _check_variant(result: TranslationResult, problem: PddlProblem, config: RunC
         f"strong={strong_txt} strong_cyclic={cyclic_txt} policy_size={size}"
     )
     out = Path(config.output_dir)
-    if policy and config.write_dot:
-        dot = fond_checker.export_policy_dot(result.domain, problem, policy, report.space)
-        (out / f"{result.stem}.{problem.variant}.policy.dot").write_text(dot, encoding="utf-8", newline="\n")
-    if policy and config.write_traces:
-        traces = fond_checker.enumerate_traces(result.domain, problem, policy, config.limits, report.space)
-        payload = fond_checker.traces_to_json(traces)
-        (out / f"{result.stem}.{problem.variant}.traces.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
+    try:
+        if policy and config.write_dot:
+            dot = fond_checker.export_policy_dot(result.domain, problem, policy, report.space)
+            (out / f"{result.stem}.{problem.variant}.policy.dot").write_text(dot, encoding="utf-8", newline="\n")
+        if policy and config.write_traces:
+            traces = fond_checker.enumerate_traces(result.domain, problem, policy, config.limits, report.space)
+            payload = fond_checker.traces_to_json(traces)
+            (out / f"{result.stem}.{problem.variant}.traces.json").write_text(
+                json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
+            )
+    except OSError as exc:
+        _cannot_write(exc)
+        return None
     return report.n_states, report.strong is not None, report.strong_cyclic is not None
 
 
@@ -204,13 +212,13 @@ def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, 
     n_states, strong_ok, cyclic_ok = 0, True, True
     for problem in result.problems:  # one at a time: only one state space is alive
         try:
-            states, strong, cyclic = _check_variant(result, problem, config)
+            checked = _check_variant(result, problem, config)
         except LimitExceeded as exc:
             print(f"limit exceeded on {problem.name}: {_limit_text(exc)}", file=sys.stderr)
-            states, strong, cyclic = 0, False, False
-        except OSError as exc:  # its policy DOT or traces
-            _cannot_write(exc)
+            checked = 0, False, False
+        if checked is None:
             return 1, None, 0, False, False, 0.0
+        states, strong, cyclic = checked
         n_states = max(n_states, states)
         strong_ok &= strong
         cyclic_ok &= cyclic
@@ -283,27 +291,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", help="input .bpmn file (or directory for corpus)")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument(
-            "--msg-strategy",
-            choices=["ignore", "exclusive"],
-            default="exclusive",
-            help="task-task message flows: ignore or emulate as exclusive branching",
-        )
-        p.add_argument("--done-mode", choices=["any", "all"], default="any")
-        p.add_argument("--fig4-compat", action="store_true", help="omit :non-deterministic from :requirements")
-        p.add_argument("--allow-spontaneous-start", action="store_true")
-        p.add_argument("--max-inclusive-branches", type=int, default=6)
-        p.add_argument("--solve", choices=["strong", "cyclic", "both"], default="both")
-        p.add_argument("--max-states", type=int, default=None)
-        p.add_argument("--dot", action="store_true", help="write DOT exports")
-        p.add_argument("--traces", action="store_true", help="write JSON trace reports")
-        p.add_argument("--warnings-as-errors", action="store_true")
+    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand shares
+    common.add_argument("input", help="input .bpmn file (or directory for corpus)")
+    common.add_argument("--out", default="out", help="output directory (default: out)")
+    common.add_argument(
+        "--msg-strategy",
+        choices=["ignore", "exclusive"],
+        default="exclusive",
+        help="task-task message flows: ignore or emulate as exclusive branching",
+    )
+    common.add_argument("--done-mode", choices=["any", "all"], default="any")
+    common.add_argument("--fig4-compat", action="store_true", help="omit :non-deterministic from :requirements")
+    common.add_argument("--allow-spontaneous-start", action="store_true")
+    common.add_argument("--max-inclusive-branches", type=int, default=6)
+    common.add_argument("--solve", choices=["strong", "cyclic", "both"], default="both")
+    common.add_argument("--max-states", type=int, default=None)
+    common.add_argument("--dot", action="store_true", help="write DOT exports")
+    common.add_argument("--traces", action="store_true", help="write JSON trace reports")
+    common.add_argument("--warnings-as-errors", action="store_true")
 
     for name in ("translate", "check", "corpus"):
-        common(sub.add_parser(name))
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -345,11 +353,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "translate":
-        return cmd_translate(config)
-    if args.command == "check":
-        return cmd_check(config)
-    return cmd_corpus(config)
+    command = {"translate": cmd_translate, "check": cmd_check, "corpus": cmd_corpus}[args.command]
+    try:
+        code = command(config)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # standard output closed early, as by `| head`
+        sys.stdout = open(os.devnull, "w")  # so the flush at exit has nowhere to fail
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ and track how many branches are still active with a one-hot counter
 family ``count_<g>_0..n`` that the matching join drains back to zero
 before releasing. Converging gateways wait on one arrival predicate per
 incoming flow; message interactions synthesized into the graph carry
-``msg_*`` predicates from sender to receiver.
+``msg_*`` predicates from sender to receiver. Each flow's marker is
+resolved once per encoding, into ``_Encoder.markers``, after every
+predicate name is claimed; node encodings look it up.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def sanitize_id(raw: str, *, lower: bool = False) -> str:
         raise ValueError("cannot sanitize an empty identifier")
     if lower:
         raw = raw.lower()
-    out = _INVALID_CHARS.sub("_", raw)
+    # most ids are valid already; isalnum alone would accept non-ASCII letters
+    out = raw if raw.isascii() and raw.replace("_", "a").isalnum() else _INVALID_CHARS.sub("_", raw)
     if out[0].isdigit():
         out = "n" + out
     return out
@@ -201,35 +204,37 @@ class _Encoder:
             tgt_p = self.node_pred[flow.target]
             self.msg[fid] = self.preds.claim(f"msg_{src_p}_to_{tgt_p}")
 
+        # the predicate a token on each flow sets, decided once after every name is claimed:
+        # the target's start predicate, the message, the source's start predicate, the target's predicate
+        self.markers: dict[str, str] = {}
+        markers, nodes, node_pred, start = self.markers, graph.nodes, self.node_pred, NodeKind.START_EVENT
+        for fid, flow in graph.flows.items():
+            if nodes[flow.target].kind is start:
+                markers[fid] = node_pred[flow.target]
+            elif flow.synthetic:
+                markers[fid] = self.msg[fid]
+            elif nodes[flow.source].kind is start:
+                markers[fid] = node_pred[flow.source]
+            else:
+                markers[fid] = node_pred[flow.target]
+        for (nid, i), arrival in self.arr.items():  # a join's arrival outranks only the last rule
+            fid = graph.incoming[nid][i]
+            if not graph.flows[fid].synthetic:  # arr already skips flows from start events
+                markers[fid] = arrival
+
         self.messages_from: dict[str, list[str]] = {}  # task -> targets of its task-task messages, document order
         for msg in graph.task_task_messages:
             self.messages_from.setdefault(msg.source, []).append(msg.target)
 
     # -- marker resolution ---------------------------------------------------
 
-    def marker(self, flow_id: str) -> str:
-        """The predicate representing a token on the given flow."""
-        flow = self.graph.flows[flow_id]
-        src = self.graph.nodes[flow.source]
-        tgt = self.graph.nodes[flow.target]
-        if tgt.kind is NodeKind.START_EVENT:
-            return self.node_pred[flow.target]
-        if flow.synthetic:
-            return self.msg[flow_id]
-        if src.kind is NodeKind.START_EVENT:
-            return self.node_pred[flow.source]
-        if tgt.kind.is_gateway and len(self.graph.incoming[flow.target]) >= 2:
-            idx = self.graph.incoming[flow.target].index(flow_id)
-            return self.arr[(flow.target, idx)]
-        return self.node_pred[flow.target]
-
     def entry_markers(self, node_id: str) -> list[str]:
-        """Markers a non-gateway node's action consumes, incoming order."""
-        return [self.marker(f) for f in self.graph.incoming[node_id]]
+        """Markers a node's action consumes, incoming order."""
+        return [self.markers[f] for f in self.graph.incoming[node_id]]
 
     def out_markers(self, node_id: str) -> list[str]:
         """Markers a node's action produces, outgoing order."""
-        return [self.marker(f) for f in self.graph.outgoing[node_id]]
+        return [self.markers[f] for f in self.graph.outgoing[node_id]]
 
     def _match_inclusive_joins(self) -> dict[str, str]:
         """Pair each inclusive join with the nearest inclusive split of its
@@ -302,7 +307,7 @@ class _Encoder:
         """Entry marker forced true when a task-task message is emulated."""
         normal_in = self.graph.normal_incoming(task_id)
         if normal_in:
-            return self.marker(normal_in[0])
+            return self.markers[normal_in[0]]
         return self.node_pred[task_id]
 
     def _encode_event(self, node: FlowNode) -> PddlAction | None:
@@ -341,7 +346,7 @@ class _Encoder:
 
     def _encode_split(self, node: FlowNode) -> PddlAction:
         graph = self.graph
-        entry = self.marker(graph.incoming[node.id][0])
+        entry = self.markers[graph.incoming[node.id][0]]
         succ = self.out_markers(node.id)
         name = self.action_names.claim(f"event_{sanitize_id(node.id)}")
 
@@ -378,7 +383,7 @@ class _Encoder:
     def _encode_join(self, node: FlowNode) -> list[PddlAction]:
         graph = self.graph
         base = sanitize_id(node.id)
-        markers = [self.marker(f) for f in graph.incoming[node.id]]
+        markers = self.entry_markers(node.id)
         succ = self.out_markers(node.id)
         succ_adds = [EffAdd(p) for p in succ]
 
@@ -474,7 +479,7 @@ class _Encoder:
             if self.graph.nodes[flow.source].kind is not NodeKind.START_EVENT:
                 continue
             if self.node_pred[flow.source] in init:
-                marker = self.marker(fid)
+                marker = self.markers[fid]
                 if marker not in init:
                     init.append(marker)
         return init
@@ -556,8 +561,8 @@ def _render_domain(domain: PddlDomain) -> str:
     lines.append("  )")
     for action in domain.actions:
         lines.append(f"  (:action {action.name}")
-        pre = " ".join(f"({p})" for p in action.precondition)
-        lines.append(f"    :precondition (and {pre})" if pre else "    :precondition (and)")
+        pre = action.precondition
+        lines.append("    :precondition (and (" + ") (".join(pre) + "))" if pre else "    :precondition (and)")
         lines.extend(_render_effect(action.effect))
         lines.append("  )")
     lines.append(")")
@@ -565,10 +570,18 @@ def _render_domain(domain: PddlDomain) -> str:
 
 
 def _render_effect(effect: EffAnd) -> list[str]:
-    has_oneof = any(isinstance(item, EffOneOf) for item in effect.items)
-    if not has_oneof:
-        inline = " ".join(_inline(item) for item in effect.items)
-        return [f"    :effect (and {inline})"]
+    parts = []
+    for item in effect.items:  # leaves by exact type; a subclass takes the general path
+        if type(item) is EffAdd:
+            parts.append(f"({item.pred})")
+        elif type(item) is EffNot:
+            parts.append(f"(not ({item.pred}))")
+        elif isinstance(item, EffOneOf):
+            break
+        else:
+            parts.append(_inline(item))
+    else:
+        return [f"    :effect (and {' '.join(parts)})"]
     lines = ["    :effect (and"]
     for idx, item in enumerate(effect.items):
         last = idx == len(effect.items) - 1

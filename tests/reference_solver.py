@@ -1,5 +1,5 @@
-"""Reference solvers, exploration, traces, policy DOT, PDDL reader and graph
-validation for the oracles.
+"""Reference solvers, exploration, traces, policy DOT, PDDL reader, graph
+validation and marker resolution for the oracles.
 
 These are the original quadratic solvers of ``fond_checker``, kept verbatim:
 round-by-round rescans of every state until nothing changes, and a
@@ -44,6 +44,12 @@ loop over exclusive splits × parallel joins × branches for
 ``PotentialDeadlock``. ``process_graph.validate_graph`` finds the deadlock
 pairs in one pass over strongly connected components and must return the
 same diagnostics in the same order.
+
+``marker`` is the encoder's original per-use marker resolution, verbatim
+but for taking the encoder as an argument: a branch chain walked on every
+call, with ``incoming.index`` for a join arrival. ``pddl_encoder._Encoder``
+decides each flow's marker once, into ``markers``, and must give the same
+predicate for every flow.
 """
 
 from __future__ import annotations
@@ -538,3 +544,20 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
             )
 
     return diagnostics
+
+
+def marker(enc, flow_id: str) -> str:
+    """The predicate representing a token on the given flow."""
+    flow = enc.graph.flows[flow_id]
+    src = enc.graph.nodes[flow.source]
+    tgt = enc.graph.nodes[flow.target]
+    if tgt.kind is NodeKind.START_EVENT:
+        return enc.node_pred[flow.target]
+    if flow.synthetic:
+        return enc.msg[flow_id]
+    if src.kind is NodeKind.START_EVENT:
+        return enc.node_pred[flow.source]
+    if tgt.kind.is_gateway and len(enc.graph.incoming[flow.target]) >= 2:
+        idx = enc.graph.incoming[flow.target].index(flow_id)
+        return enc.arr[(flow.target, idx)]
+    return enc.node_pred[flow.target]

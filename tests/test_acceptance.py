@@ -6,12 +6,16 @@ lines on the terminal.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import random
 import string
 import time
 
 import pytest
 
+from bpmn2pddl import cli
 from bpmn2pddl.bpmn_parser import ParseError, parse_bpmn
 from bpmn2pddl.cli import RunConfig, translate_file
 from bpmn2pddl.fond_checker import (
@@ -27,9 +31,11 @@ from bpmn2pddl.fond_checker import (
 )
 from bpmn2pddl.pddl_encoder import render_pddl
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_DIR, CORPUS_FILES, fixture, pddl_tokens, translate
+from conftest import CORPUS_DIR, CORPUS_FILES, bench_module, fixture, pddl_tokens, translate
 
 pytestmark = pytest.mark.filterwarnings("ignore")
+
+GEN = bench_module("gen")
 
 
 def _pass(n: int, name: str) -> None:
@@ -313,6 +319,40 @@ def test_acceptance_7_round_trip():
         for text in [result.domain_text, *result.problem_texts.values()]:
             assert render_pddl(parse_pddl(text)) == text, path.name
     _pass(7, "render -> parse -> render is byte-identical for the corpus")
+
+
+# Generated diagrams: (nodes, pools, --msg-strategy, --done-mode, sha256 of
+# every file `translate --dot` writes). Each option pair appears twice.
+_GOLDEN = [
+    (300, 1, "ignore", "any", "c7e4d2ee2b63473641146f37583e6458d53754bd243c9e0d1ff29a7b747de214"),
+    (1200, 2, "ignore", "any", "db6de2b3c62fb9bf6e1b3d9e49bf48d009bbdbcb126c2c34c372b0ee96f17963"),
+    (500, 2, "exclusive", "any", "2d26ffaa6509c614a2b90f5c26df432bd2975dd10c992df2a0a5f08fbc30a772"),
+    (2000, 3, "exclusive", "any", "3213decf6a665b72e902abc5de9fa02874636245bdec5d622940a9a20a55ee2d"),
+    (800, 3, "ignore", "all", "ffd160b089c213869f4c0f26c314f06aee76715372232311b7f8842f0625e518"),
+    (1500, 1, "ignore", "all", "7688811e0746b7ac7d86da6b094d4d138a01685d1b5e073045999f4087512b45"),
+    (300, 3, "exclusive", "all", "cb877d70aedf2a37bcd78efffa75f12a3da4c637c7b35afeccf2425fcd1a935f"),
+    (2000, 2, "exclusive", "all", "7fbf9f29291ce48d4e24b5c0da925abc0383b6fd6c868bd140426d3f86553089"),
+]
+
+
+def _translate_digest(tmp_path, seed: int, size: int, pools: int, msg: str, done: str) -> str:
+    diagram = GEN.block_structured(random.Random(seed), f"gen{seed}", size, pools, shape_seed=seed)
+    source = tmp_path / f"gen{seed}.bpmn"
+    source.write_text(diagram.xml, encoding="utf-8")
+    out = tmp_path / f"out{seed}"
+    argv = ["translate", str(source), "--dot", "--out", str(out), "--msg-strategy", msg, "--done-mode", done]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_acceptance_7b_golden_output(tmp_path):
+    got = [_translate_digest(tmp_path, seed, *row[:4]) for seed, row in enumerate(_GOLDEN)]
+    assert got == [row[4] for row in _GOLDEN]
+    _pass(7, f"translate --dot output unchanged on {len(_GOLDEN)} generated diagrams")
 
 
 # -- 8. message-flow strategies -------------------------------------------------

@@ -115,13 +115,46 @@ def test_non_bpmn_root():
         parse_bpmn("<root/>")
 
 
+def _default_namespace(xml: str) -> str:
+    return xml.replace("bpmn:", "").replace("xmlns:bpmn=", "xmlns=")
+
+
 def test_default_namespace_document():
-    xml = MINIMAL.replace("bpmn:", "").replace(
-        'xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"',
-        'xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"',
-    )
-    model = parse_bpmn(xml)
-    assert len(model.nodes) == 3
+    assert parse_bpmn(_default_namespace(MINIMAL)) == parse_bpmn(MINIMAL)
+
+
+_TASK = '<bpmn:task id="T1" name="work"/>'
+
+
+@pytest.mark.parametrize("in_default_namespace", [False, True])
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        (_TASK, '<bpmn:userTask name="work"/>', InvalidStructure, "<userTask> element without id"),
+        ('<bpmn:sequenceFlow id="F1" ', "<bpmn:sequenceFlow ", InvalidStructure, "sequence flow without id"),
+        (_TASK, _TASK + '<bpmn:callActivity id="C1"/>', UnsupportedElement, "unsupported BPMN element: callActivity"),
+        ('id="T1"', 'id="F2"', DuplicateId, "duplicate id 'F2'"),
+    ],
+)
+def test_process_child_errors(old, new, error, message, in_default_namespace):
+    xml = MINIMAL.replace(old, new)
+    with pytest.raises(error) as exc:
+        parse_bpmn(_default_namespace(xml) if in_default_namespace else xml)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        '<ext:callActivity id="X1"/><ext:task id="X2"/>',  # a foreign namespace, even with a BPMN local name
+        '<task id="X3"/>',  # no namespace
+        '<bpmn:textAnnotation id="A1"><bpmn:text>note</bpmn:text></bpmn:textAnnotation>',
+        "<bpmn:documentation>about</bpmn:documentation>",
+    ],
+)
+def test_process_children_skipped(extra):
+    xml = MINIMAL.replace('id="D1"', 'xmlns:ext="urn:example:ext" id="D1"').replace(_TASK, _TASK + extra)
+    assert parse_bpmn(xml) == parse_bpmn(MINIMAL)
 
 
 def test_task_variants_normalized():

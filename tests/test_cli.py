@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import sys
+
+import pytest
 
 from bpmn2pddl import fond_checker
 from bpmn2pddl.cli import RunConfig, cmd_check, main, translate_file
 from bpmn2pddl.fond_checker import Limits
-from conftest import CORPUS_DIR, fixture
+from conftest import CORPUS_DIR, FIXTURE_DIR, fixture
 
 CREDIT = str(CORPUS_DIR / "credit_scoring.bpmn")
 
@@ -297,3 +301,73 @@ def test_allow_spontaneous_start(tmp_path):
     assert (tmp_path / "credit_scoring.empty.problem.pddl").exists()
     text = (tmp_path / "credit_scoring.domain.pddl").read_text()
     assert "start_StartEvent_1els7eb" in text
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    """A standard output whose reader goes away after the first line, as `| head -1` does."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path, capsys, monkeypatch):
+    stdout = _ClosedAfterOneLine()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["corpus", str(FIXTURE_DIR), "--out", str(tmp_path)])
+    assert sys.stdout is not stdout and sys.stdout.name == os.devnull  # the flush at exit has nowhere to fail
+    sys.stdout.close()
+    assert code == 1
+    assert stdout.getvalue().startswith("inclusive_pair: nodes=")
+    assert stdout.getvalue().count("\n") == 1
+    err = capsys.readouterr().err
+    assert "None" not in err and "Traceback" not in err
+
+
+CHECK_USAGE = """\
+usage: bpmn2pddl check [-h] [--out OUT] [--msg-strategy {ignore,exclusive}]
+                       [--done-mode {any,all}] [--fig4-compat]
+                       [--allow-spontaneous-start]
+                       [--max-inclusive-branches MAX_INCLUSIVE_BRANCHES]
+                       [--solve {strong,cyclic,both}]
+                       [--max-states MAX_STATES] [--dot] [--traces]
+                       [--warnings-as-errors]
+                       input
+"""
+
+CHECK_HELP = CHECK_USAGE + """
+positional arguments:
+  input                 input .bpmn file (or directory for corpus)
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory (default: out)
+  --msg-strategy {ignore,exclusive}
+                        task-task message flows: ignore or emulate as
+                        exclusive branching
+  --done-mode {any,all}
+  --fig4-compat         omit :non-deterministic from :requirements
+  --allow-spontaneous-start
+  --max-inclusive-branches MAX_INCLUSIVE_BRANCHES
+  --solve {strong,cyclic,both}
+  --max-states MAX_STATES
+  --dot                 write DOT exports
+  --traces              write JSON trace reports
+  --warnings-as-errors
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, out, err",
+    [
+        (["check", "--help"], 0, CHECK_HELP, ""),
+        (["check"], 2, "", CHECK_USAGE + "bpmn2pddl check: error: the following arguments are required: input\n"),
+    ],
+)
+def test_check_help_and_usage_error(argv, exit_code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == exit_code
+    assert capsys.readouterr() == (out, err)

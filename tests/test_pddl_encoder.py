@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+import re
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_solver
 from bpmn2pddl.bpmn_parser import parse_bpmn
 from bpmn2pddl.fond_checker import ground_domain, parse_pddl
 from bpmn2pddl.pddl_encoder import (
@@ -18,13 +23,16 @@ from bpmn2pddl.pddl_encoder import (
     DoneMode,
     PddlAction,
     PddlDomain,
+    _Encoder,
     emit_domain,
     emit_problems,
     render_pddl,
     sanitize_id,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_DIR, fixture
+from conftest import CORPUS_DIR, CORPUS_FILES, FIXTURE_DIR, bench_module, fixture
+
+GEN = bench_module("gen")
 
 LINEAR = """<?xml version="1.0"?>
 <bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D">
@@ -78,6 +86,40 @@ class TestSanitizeId:
         assert not out[0].isdigit()
         assert all(c.isalnum() or c == "_" for c in out)
         assert sanitize_id(out) == out  # idempotent on sanitized input
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_every_code_point_as_the_regex_gives(self, lower):
+        chars = list(map(chr, range(0x110000)))
+        texts = [c.lower() for c in chars] if lower else chars
+        # one regex pass over all of them: it replaces character for character, so each keeps its span
+        replaced = re.sub(r"[^A-Za-z0-9_]", "_", "".join(texts))
+        ends = list(accumulate(map(len, texts)))
+        want = [replaced[end - len(text) : end] for text, end in zip(texts, ends)]
+        want = ["n" + w if w[0].isdigit() else w for w in want]
+        assert [sanitize_id(c, lower=lower) for c in chars] == want
+
+
+class TestMarkers:
+    """Each flow's marker, decided once in `_Encoder.markers`, is the one the
+    original per-use branch chain gives."""
+
+    @staticmethod
+    def _assert_markers(xml, strategy: MessageStrategy) -> None:
+        graph = build_graph(parse_bpmn(xml), strategy)
+        enc = _Encoder(graph, EncodeOptions())
+        assert enc.markers == {fid: reference_solver.marker(enc, fid) for fid in graph.flows}
+
+    @pytest.mark.parametrize("strategy", list(MessageStrategy))
+    def test_corpus_and_fixtures(self, strategy):
+        for path in [*CORPUS_FILES, *sorted(FIXTURE_DIR.glob("*.bpmn"))]:
+            self._assert_markers(path.read_bytes(), strategy)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10_000), st.integers(8, 300), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_generated_diagrams(self, seed, shape_seed, size, pools):
+        diagram = GEN.block_structured(random.Random(seed), "gen", size, pools, shape_seed=shape_seed)
+        for strategy in MessageStrategy:
+            self._assert_markers(diagram.xml, strategy)
 
 
 class TestTaskEncoding:
@@ -620,6 +662,29 @@ class TestRendering:
         assert f"    :effect (and {inner})\n" in text
         assert f"      (oneof\n        {inner}\n        (and ))\n      (not (p)))\n" in text
         assert ground_domain(parse_pddl(text)) == ground_domain(domain)
+
+    def test_leaf_subclass_renders_as_its_base(self):
+        class Marked(EffAdd):
+            pass
+
+        action = PddlAction("a", ["p", "q"], EffAnd([Marked("r"), EffAdd("s"), EffNot("p")]))
+        text = render_pddl(PddlDomain("d", [":strips"], [], ["p"], [action]))
+        assert "    :precondition (and (p) (q))\n    :effect (and (r) (s) (not (p)))\n" in text
+
+    def test_oneof_after_plain_items_is_laid_out_on_lines(self):
+        effect = EffAnd([EffAdd("a"), EffNot("p"), EffOneOf([EffAdd("b"), EffAnd([EffAdd("c"), EffAdd("d")])])])
+        text = render_pddl(PddlDomain("d", [":strips"], [], ["p"], [PddlAction("x", [], effect)]))
+        assert text.endswith(
+            "  (:action x\n"
+            "    :precondition (and)\n"
+            "    :effect (and\n"
+            "      (a)\n"
+            "      (not (p))\n"
+            "      (oneof\n"
+            "        (b)\n"
+            "        (and (c) (d))))\n"
+            "  )\n)\n"
+        )
 
     def test_lf_line_endings(self):
         graph = _graph(LINEAR)
