@@ -19,6 +19,8 @@ from itertools import chain, islice, product, repeat
 from operator import sub
 
 from .pddl_encoder import (
+    _EFFECT_WORDS,
+    _UNSUPPORTED_EFFECTS,
     EffAdd,
     EffAnd,
     EffNot,
@@ -321,10 +323,6 @@ def _parse_precondition(form: list, i: int) -> list[str]:
     if head == "not":
         raise UnsupportedFeature("negative preconditions are outside the supported subset")
     return [_atom(form, i)]
-
-
-_UNSUPPORTED_EFFECTS = {"when", "forall", "exists", "increase", "decrease", "assign", "probabilistic"}
-_EFFECT_WORDS = _UNSUPPORTED_EFFECTS | {"and", "not", "oneof"}
 
 
 def _parse_effect_root(form: list, i: int) -> EffAnd:
@@ -688,15 +686,6 @@ def _state_limit(limits: Limits, states: int, s: int, first: list[int], rev: lis
     exc = LimitExceeded(f"more than {limits.max_states} states reachable")
     exc.states, exc.expanded, exc.frontier, exc.depth = states, s, states - s, depth
     return exc
-
-
-def token_double_adds(space: StateSpace) -> list[DoubleAdd]:
-    """Double-adds of token predicates (goal latches and counters exempt)."""
-    return [
-        d
-        for d in space.double_adds
-        if d.pred != "done" and not d.pred.startswith(("count_", "pool_done_"))
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ and track how many branches are still active with a one-hot counter
 family ``count_<g>_0..n`` that the matching join drains back to zero
 before releasing. Converging gateways wait on one arrival predicate per
 incoming flow; message interactions synthesized into the graph carry
-``msg_*`` predicates from sender to receiver. Each flow's marker is
-resolved once per encoding, into ``_Encoder.markers``, after every
-predicate name is claimed; node encodings look it up.
+``msg_*`` predicates from sender to receiver. ``_Encoder`` claims every
+predicate name; building the domain then resolves each flow's marker once,
+into ``_Encoder.markers``, for the node encodings to look up.
+``emit_problems`` claims the names only, since no problem reads a flow's
+marker.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 
 from .bpmn_parser import FlowNode, NodeKind
 from .process_graph import MessageStrategy, ProcessGraph
@@ -94,25 +96,22 @@ class PddlProblem:
     variant: str = ""
 
 
-@dataclass
-class CounterEncoding:
-    gateway: str
-    width: int
-    count_preds: list[str]  # count_<g>_0 .. count_<g>_width
-
-
 # ---------------------------------------------------------------------------
 # Identifier handling
 
 _INVALID_CHARS = re.compile(r"[^A-Za-z0-9_]")
+# words the PDDL reader takes as syntax at the head of an effect; no identifier may be one
+_UNSUPPORTED_EFFECTS = frozenset({"when", "forall", "exists", "increase", "decrease", "assign", "probabilistic"})
+_EFFECT_WORDS = _UNSUPPORTED_EFFECTS | {"and", "not", "oneof"}
 
 
 def sanitize_id(raw: str, *, lower: bool = False) -> str:
     """Turn arbitrary text into a PDDL identifier.
 
     Characters outside ``[A-Za-z0-9_]`` become ``_``; a leading digit gains
-    the prefix ``n``. Task-derived action names are lowercased, element-id
-    predicates keep their casing.
+    the prefix ``n``; a word the reader takes as syntax (``and``, ``not``,
+    ``oneof``, ``when``, ...) gains the suffix ``_``. Task-derived action
+    names are lowercased, element-id predicates keep their casing.
     """
     if not raw:
         raise ValueError("cannot sanitize an empty identifier")
@@ -122,6 +121,8 @@ def sanitize_id(raw: str, *, lower: bool = False) -> str:
     out = raw if raw.isascii() and raw.replace("_", "a").isalnum() else _INVALID_CHARS.sub("_", raw)
     if out[0].isdigit():
         out = "n" + out
+    elif out in _EFFECT_WORDS:
+        out += "_"
     return out
 
 
@@ -148,9 +149,10 @@ class _NameAllocator:
 
 
 class _Encoder:
-    """Resolves marker predicates for a graph and encodes its nodes."""
+    """Claims the predicate names of a graph and encodes its nodes."""
 
     def __init__(self, graph: ProcessGraph, options: EncodeOptions):
+        # each table is filled in graph order, the order the domain declares it in
         self.graph = graph
         self.options = options
         self.preds = _NameAllocator()
@@ -167,7 +169,7 @@ class _Encoder:
         for nid in graph.nodes:
             self.node_pred[nid] = self.preds.claim(sanitize_id(nid))
 
-        self.counters: dict[str, CounterEncoding] = {}
+        self.counters: dict[str, list[str]] = {}  # inclusive split -> count_<g>_0..width
         for nid, node in graph.nodes.items():
             if node.kind is not NodeKind.INCLUSIVE_GATEWAY:
                 continue
@@ -180,8 +182,7 @@ class _Encoder:
                     f"limit is {options.max_inclusive_branches}"
                 )
             base = self.node_pred[nid]
-            preds = [self.preds.claim(f"count_{base}_{k}") for k in range(width + 1)]
-            self.counters[nid] = CounterEncoding(gateway=nid, width=width, count_preds=preds)
+            self.counters[nid] = [self.preds.claim(f"count_{base}_{k}") for k in range(width + 1)]
 
         self.arr: dict[tuple[str, int], str] = {}
         for nid, node in graph.nodes.items():
@@ -204,15 +205,20 @@ class _Encoder:
             tgt_p = self.node_pred[flow.target]
             self.msg[fid] = self.preds.claim(f"msg_{src_p}_to_{tgt_p}")
 
-        # the predicate a token on each flow sets, decided once after every name is claimed:
-        # the target's start predicate, the message, the source's start predicate, the target's predicate
-        self.markers: dict[str, str] = {}
-        markers, nodes, node_pred, start = self.markers, graph.nodes, self.node_pred, NodeKind.START_EVENT
+    # -- marker resolution ---------------------------------------------------
+
+    def _flow_markers(self) -> dict[str, str]:
+        """The predicate a token on each flow sets: the target's start
+        predicate, the message, the source's start predicate, a join's
+        arrival, else the target's predicate."""
+        graph = self.graph
+        markers: dict[str, str] = {}
+        nodes, node_pred, msg, start = graph.nodes, self.node_pred, self.msg, NodeKind.START_EVENT
         for fid, flow in graph.flows.items():
             if nodes[flow.target].kind is start:
                 markers[fid] = node_pred[flow.target]
             elif flow.synthetic:
-                markers[fid] = self.msg[fid]
+                markers[fid] = msg[fid]
             elif nodes[flow.source].kind is start:
                 markers[fid] = node_pred[flow.source]
             else:
@@ -221,12 +227,7 @@ class _Encoder:
             fid = graph.incoming[nid][i]
             if not graph.flows[fid].synthetic:  # arr already skips flows from start events
                 markers[fid] = arrival
-
-        self.messages_from: dict[str, list[str]] = {}  # task -> targets of its task-task messages, document order
-        for msg in graph.task_task_messages:
-            self.messages_from.setdefault(msg.source, []).append(msg.target)
-
-    # -- marker resolution ---------------------------------------------------
+        return markers
 
     def entry_markers(self, node_id: str) -> list[str]:
         """Markers a node's action consumes, incoming order."""
@@ -355,15 +356,10 @@ class _Encoder:
             return PddlAction(name=name, precondition=[entry], effect=effect)
 
         if node.kind is NodeKind.INCLUSIVE_GATEWAY:
-            counter = self.counters[node.id]
-            count0 = counter.count_preds[0]
-            subsets = [
-                list(c) for size in range(1, counter.width + 1) for c in combinations(range(counter.width), size)
-            ]
-            outcomes = [
-                _outcome([succ[i] for i in subset] + [counter.count_preds[len(subset)]])
-                for subset in subsets
-            ]
+            count = self.counters[node.id]
+            count0, width = count[0], len(count) - 1
+            subsets = [list(c) for size in range(1, width + 1) for c in combinations(range(width), size)]
+            outcomes = [_outcome([succ[i] for i in subset] + [count[len(subset)]]) for subset in subsets]
             dels = [EffNot(entry), EffNot(count0)]
             if len(outcomes) == 0:
                 effect = EffAnd([EffNot(entry)])
@@ -393,24 +389,22 @@ class _Encoder:
             return [PddlAction(name=name, precondition=list(markers), effect=effect)]
 
         if node.kind is NodeKind.INCLUSIVE_GATEWAY:
-            counter = self.counters[self.join_split[node.id]]
+            count = self.counters[self.join_split[node.id]]
             own = self.node_pred[node.id]
             actions: list[PddlAction] = []
             for i, m in enumerate(markers):
-                for k in range(1, counter.width + 1):
+                for k in range(1, len(count)):
                     name = self.action_names.claim(f"event_{base}_{i}_{k}")
-                    adds: list[EffAdd | EffNot] = [EffAdd(counter.count_preds[k - 1])]
+                    adds: list[EffAdd | EffNot] = [EffAdd(count[k - 1])]
                     if k == 1:
                         adds.append(EffAdd(own))
-                    effect = EffAnd([*adds, EffNot(m), EffNot(counter.count_preds[k])])
-                    actions.append(
-                        PddlAction(name=name, precondition=[m, counter.count_preds[k]], effect=effect)
-                    )
+                    effect = EffAnd([*adds, EffNot(m), EffNot(count[k])])
+                    actions.append(PddlAction(name=name, precondition=[m, count[k]], effect=effect))
             release = self.action_names.claim(f"event_{base}")
             actions.append(
                 PddlAction(
                     name=release,
-                    precondition=[counter.count_preds[0], own],
+                    precondition=[count[0], own],
                     effect=EffAnd([*succ_adds, EffNot(own)]),
                 )
             )
@@ -427,23 +421,17 @@ class _Encoder:
     # -- assembly ---------------------------------------------------------------
 
     def declared_predicates(self) -> list[str]:
-        preds = [self.node_pred[nid] for nid in self.graph.nodes]
-        preds.append(self.done)
-        preds.extend(self.pool_done[p] for p in self.graph.pools if p in self.pool_done)
-        for nid in self.graph.nodes:
-            if nid in self.counters:
-                preds.extend(self.counters[nid].count_preds)
-        for nid in self.graph.nodes:
-            for i in range(len(self.graph.incoming[nid])):
-                if (nid, i) in self.arr:
-                    preds.append(self.arr[(nid, i)])
-        for fid in self.graph.flows:
-            if fid in self.msg:
-                preds.append(self.msg[fid])
-        return preds
+        counts = chain.from_iterable(self.counters.values())
+        return [*self.node_pred.values(), self.done, *self.pool_done.values(), *counts, *self.arr.values(),
+                *self.msg.values()]
 
     def domain(self) -> PddlDomain:
-        self.join_split = self._match_inclusive_joins()  # only inclusive joins read it
+        # the tables only actions read
+        self.markers = self._flow_markers()
+        self.messages_from: dict[str, list[str]] = {}  # task -> targets of its task-task messages, document order
+        for msg in self.graph.task_task_messages:
+            self.messages_from.setdefault(msg.source, []).append(msg.target)
+        self.join_split = self._match_inclusive_joins()
         actions: list[PddlAction] = []
         for node in self.graph.nodes.values():
             actions.extend(self.encode_node(node))
@@ -466,23 +454,6 @@ class _Encoder:
             predicates=self.declared_predicates(),
             actions=actions,
         )
-
-    def problem_inits(self, start_preds: list[str]) -> list[str]:
-        init = list(start_preds)
-        for nid in self.graph.nodes:
-            if nid in self.counters:
-                init.append(self.counters[nid].count_preds[0])
-        # a message sent by a start event is available whenever that start is
-        for fid, flow in self.graph.flows.items():
-            if not flow.synthetic:
-                continue
-            if self.graph.nodes[flow.source].kind is not NodeKind.START_EVENT:
-                continue
-            if self.node_pred[flow.source] in init:
-                marker = self.markers[fid]
-                if marker not in init:
-                    init.append(marker)
-        return init
 
 
 def _outcome(adds: list[str]) -> EffAdd | EffAnd:
@@ -507,34 +478,37 @@ def emit_problems(graph: ProcessGraph, options: EncodeOptions | None = None) -> 
     """The paper's problem variants: all pools started, one pool started
     (per pool), and optionally the empty bootstrap variant."""
     options = options or EncodeOptions()
-    enc = _Encoder(graph, options)
+    enc = _Encoder(graph, options)  # the names only: no problem reads a flow's marker
+    node_pred, start = enc.node_pred, NodeKind.START_EVENT
+    zeros = [count[0] for count in enc.counters.values()]
+    # (sender's start predicate, marker) of each message a start event sends;
+    # a message-start's marker is its own start predicate
+    start_messages = [
+        (node_pred[flow.source], enc.msg.get(fid) or node_pred[flow.target])
+        for fid, flow in graph.flows.items()
+        if flow.synthetic and graph.nodes[flow.source].kind is start
+    ]
     domain_name = sanitize_id(graph.source_name, lower=True)
     goal = [enc.done]
 
     def make(variant: str, start_preds: list[str]) -> PddlProblem:
-        return PddlProblem(
-            name=f"{domain_name}_{variant}",
-            domain_name=domain_name,
-            init=enc.problem_inits(start_preds),
-            goal=goal,
-            variant=variant,
-        )
+        init = [*start_preds, *zeros]
+        for sender, marker in start_messages:  # available whenever its sender starts
+            if sender in init and marker not in init:
+                init.append(marker)
+        return PddlProblem(f"{domain_name}_{variant}", domain_name, init, goal, variant)
 
     problems: list[PddlProblem] = []
     if options.allow_spontaneous_start:
         problems.append(make("empty", []))
 
-    all_starts = [
-        enc.node_pred[nid] for pool in graph.pools for nid in graph.start_nodes[pool]
-    ]
-    all_problem = make("all_starts", all_starts)
+    all_problem = make("all_starts", [node_pred[nid] for pool in graph.pools for nid in graph.start_nodes[pool]])
     problems.append(all_problem)
 
     labels = _NameAllocator()
     for pool in graph.pools:
         label = labels.claim(sanitize_id(graph.pool_names[pool], lower=True))
-        pool_starts = [enc.node_pred[nid] for nid in graph.start_nodes[pool]]
-        prob = make(f"prestarted_{label}", pool_starts)
+        prob = make(f"prestarted_{label}", [node_pred[nid] for nid in graph.start_nodes[pool]])
         if set(prob.init) == set(all_problem.init):
             continue  # single-pool case collapses onto all_starts
         problems.append(prob)

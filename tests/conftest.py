@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bpmn2pddl.cli import RunConfig, translate_file
+from bpmn2pddl.fond_checker import DoubleAdd, StateSpace
 from bpmn2pddl.pddl_encoder import DoneMode
 from bpmn2pddl.process_graph import MessageStrategy
 
@@ -49,6 +50,12 @@ def bench_module(name):
 def pddl_tokens(text: str) -> list[str]:
     """Whitespace-normalized token stream for figure comparison."""
     return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def token_double_adds(space: StateSpace) -> list[DoubleAdd]:
+    """Double-adds of the encoder's token predicates: its goal latches
+    (`done`, `pool_done_*`) and counters (`count_*`) are exempt."""
+    return [d for d in space.double_adds if d.pred != "done" and not d.pred.startswith(("count_", "pool_done_"))]
 
 
 @pytest.fixture(scope="session")

@@ -27,11 +27,10 @@ from bpmn2pddl.fond_checker import (
     ground_domain,
     parse_pddl,
     solve,
-    token_double_adds,
 )
 from bpmn2pddl.pddl_encoder import render_pddl
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_DIR, CORPUS_FILES, bench_module, fixture, pddl_tokens, translate
+from conftest import CORPUS_DIR, CORPUS_FILES, bench_module, fixture, pddl_tokens, token_double_adds, translate
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 

@@ -36,7 +36,6 @@ from bpmn2pddl.fond_checker import (
     ground_domain,
     parse_pddl,
     solve,
-    token_double_adds,
     traces_to_json,
     verify_policy,
 )
@@ -54,7 +53,7 @@ from bpmn2pddl.pddl_encoder import (
     render_pddl,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_FILES, bench_module, fixture, translate
+from conftest import CORPUS_FILES, bench_module, fixture, token_double_adds, translate
 import reference_solver
 from reference_solver import applicable, apply, reference_mapping, reference_read, round_levels
 from test_process_graph import _review_chain

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 import reference_solver
 from bpmn2pddl.bpmn_parser import parse_bpmn
-from bpmn2pddl.fond_checker import ground_domain, parse_pddl
+from bpmn2pddl.fond_checker import analyze, ground_domain, parse_pddl
 from bpmn2pddl.pddl_encoder import (
+    _EFFECT_WORDS,
     EffAdd,
     EffAnd,
     EffNot,
@@ -30,7 +32,7 @@ from bpmn2pddl.pddl_encoder import (
     sanitize_id,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_DIR, CORPUS_FILES, FIXTURE_DIR, bench_module, fixture
+from conftest import CORPUS_DIR, CORPUS_FILES, FIXTURE_DIR, bench_module, fixture, translate
 
 GEN = bench_module("gen")
 
@@ -78,6 +80,12 @@ class TestSanitizeId:
         with pytest.raises(ValueError):
             sanitize_id("")
 
+    @pytest.mark.parametrize("word", sorted(_EFFECT_WORDS))
+    def test_syntax_word_gains_suffix(self, word):
+        assert sanitize_id(word) == sanitize_id(word.upper(), lower=True) == f"{word}_"
+        assert sanitize_id(f"{word}_") == f"{word}_"
+        assert sanitize_id(word.upper()) == word.upper()  # the reader's words are lowercase
+
     @given(st.text(min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_output_is_valid_identifier(self, raw):
@@ -99,14 +107,48 @@ class TestSanitizeId:
         assert [sanitize_id(c, lower=lower) for c in chars] == want
 
 
+# a task whose id is `word`: s -> T1 -> word -> e
+WORD_TASK = """<?xml version="1.0"?>
+<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D">
+  <bpmn:process id="P1" name="Words">
+    <bpmn:startEvent id="S1"/>
+    <bpmn:task id="T1" name="work"/>
+    <bpmn:task id="{word}"/>
+    <bpmn:endEvent id="E1"/>
+    <bpmn:sequenceFlow id="F1" sourceRef="S1" targetRef="T1"/>
+    <bpmn:sequenceFlow id="F2" sourceRef="T1" targetRef="{word}"/>
+    <bpmn:sequenceFlow id="F3" sourceRef="{word}" targetRef="E1"/>
+  </bpmn:process>
+</bpmn:definitions>"""
+
+
+class TestSyntaxWordIds:
+    """An id that is a word the PDDL reader takes as syntax is renamed, so
+    the written files read back as the domain and problem that were built."""
+
+    @pytest.mark.parametrize("word", sorted(_EFFECT_WORDS))
+    def test_round_trip_keeps_states_and_verdicts(self, word):
+        graph = _graph(WORD_TASK.format(word=word))
+        domain, (problem,) = emit_domain(graph), emit_problems(graph)
+        texts = [render_pddl(domain), render_pddl(problem)]
+        read_domain, read_problem = map(parse_pddl, texts)
+        assert [render_pddl(read_domain), render_pddl(read_problem)] == texts
+        want, got = analyze(domain, problem), analyze(read_domain, read_problem)
+        assert (want.n_states, want.n_deadlocks) == (got.n_states, got.n_deadlocks) == (4, 0)
+        assert got.strong.mapping == want.strong.mapping
+        assert got.strong_cyclic.mapping == want.strong_cyclic.mapping
+        assert [a.name for a in domain.actions] == ["work", f"{word}_", "event_E1"]
+
+
 class TestMarkers:
-    """Each flow's marker, decided once in `_Encoder.markers`, is the one the
-    original per-use branch chain gives."""
+    """Each flow's marker, decided once in `_Encoder.markers` when the domain
+    is built, is the one the original per-use branch chain gives."""
 
     @staticmethod
     def _assert_markers(xml, strategy: MessageStrategy) -> None:
         graph = build_graph(parse_bpmn(xml), strategy)
         enc = _Encoder(graph, EncodeOptions())
+        enc.domain()
         assert enc.markers == {fid: reference_solver.marker(enc, fid) for fid in graph.flows}
 
     @pytest.mark.parametrize("strategy", list(MessageStrategy))
@@ -120,6 +162,27 @@ class TestMarkers:
         diagram = GEN.block_structured(random.Random(seed), "gen", size, pools, shape_seed=shape_seed)
         for strategy in MessageStrategy:
             self._assert_markers(diagram.xml, strategy)
+
+    def test_one_translation_builds_the_marker_table_once(self, monkeypatch):
+        from bpmn2pddl import pddl_encoder
+
+        encoders, calls = [], []
+        init, flow_markers = pddl_encoder._Encoder.__init__, pddl_encoder._Encoder._flow_markers
+
+        def recorded(self, *args):
+            encoders.append(self)
+            init(self, *args)
+
+        def counted(self):
+            calls.append(self)
+            return flow_markers(self)
+
+        monkeypatch.setattr(pddl_encoder._Encoder, "__init__", recorded)
+        monkeypatch.setattr(pddl_encoder._Encoder, "_flow_markers", counted)
+        translate(fixture("msg_task_task.bpmn"))  # emit_domain, then emit_problems
+        assert len(encoders) == 2
+        assert calls == encoders[:1]
+        assert [hasattr(enc, "messages_from") for enc in encoders] == [True, False]
 
 
 class TestTaskEncoding:
@@ -707,3 +770,81 @@ def _preds_of(tree) -> set[str]:
     for o in tree.outcomes:
         out |= _preds_of(o)
     return out
+
+
+# -- golden output -------------------------------------------------------------
+
+_MSG_TASK_EVENT = fixture("msg_task_event.bpmn").read_text()
+# the start event Start_a sends both messages; the one to Start_b is a message-start
+_START_MESSAGES = _MSG_TASK_EVENT.replace(
+    'sourceRef="Task_send" targetRef="Catch_notice"/>',
+    'sourceRef="Start_a" targetRef="Catch_notice"/>\n'
+    '    <bpmn:messageFlow id="MessageFlow_2" sourceRef="Start_a" targetRef="Start_b"/>',
+)
+_TASK_TO_START = _MSG_TASK_EVENT.replace('"Task_send" targetRef="Catch_notice"', '"Task_send" targetRef="Start_b"')
+# generated diagrams: (nodes, pools); seed and shape seed are the row's index
+_GOLDEN_GEN = [(n, 1 + i % 3) for i, n in enumerate([8, 30, 90, 250] * 4)]
+
+
+def _golden_inputs() -> dict[str, str | bytes]:
+    paths = [*CORPUS_FILES, *sorted(FIXTURE_DIR.glob("*.bpmn"))]
+    inputs = {p.stem: p.read_bytes() for p in paths}
+    inputs |= {"start_messages": _START_MESSAGES, "task_to_start": _TASK_TO_START}
+    for i, (size, pools) in enumerate(_GOLDEN_GEN):
+        inputs[f"gen{i}"] = GEN.block_structured(random.Random(i), f"gen{i}", size, pools, shape_seed=i).xml
+    return inputs
+
+
+def _golden_digest(stem: str, xml: str | bytes) -> str:
+    """sha256 over every rendered domain and problem file of `xml`, under
+    every message strategy, done mode and spontaneous-start setting."""
+    digest = hashlib.sha256()
+    for strategy, done_mode, spontaneous in product(MessageStrategy, DoneMode, (False, True)):
+        graph = build_graph(parse_bpmn(xml, source_name=stem), strategy)
+        options = EncodeOptions(done_mode=done_mode, allow_spontaneous_start=spontaneous)
+        files = [("domain", emit_domain(graph, options)), *((p.variant, p) for p in emit_problems(graph, options))]
+        for name, obj in files:
+            digest.update(f"{strategy.value}/{done_mode.value}/{spontaneous}/{name}\0".encode())
+            digest.update(render_pddl(obj).encode())
+    return digest.hexdigest()
+
+
+# any change here is a change of the emitted PDDL
+_GOLDEN_DIGESTS = {
+    "check_inventory": "96cf74c73f957554bc6c02b9cb245c93fecab9e1d72424a8e2417f32c633d6e1",
+    "credit_scoring": "138b3112a3418ef60c9ef2231e9e3eb03821f024de5b456eaff1804c3ae11ebb",
+    "dispatch_of_goods": "7cd674b116708465abaf13fdcc758cff549abef4c2629b8265c168788e892ea8",
+    "order_pizza": "8f90f5eed6229ca21e3700d5f0f25f716917ecfd3456b65b96235d25607f16ec",
+    "order_pizza_2": "4ddda7b7833fd70dfbdacdcb9cda4ff1eb4f0efcc9ef363d3d5a3e2ecc0795e7",
+    "place_order": "c3eed9e1d48674058fa38ebb44162bdad4b413ec57d535237b0725c32fdd1eb5",
+    "recourse": "9d8cb3a5dcba3678d7710a2e1507f301d6eab90c2d8e4038c0b399d305fbfdc1",
+    "self_serve_restaurant": "349f6fc0dd77b621b40dec55e37cf9910334cf3f3ddfd089447a93ca30e2dc21",
+    "inclusive_pair": "ca1563df8e3dac9b8e7622c1ff632b5708bc3e00eee295cb4a08808e05abf3d8",
+    "loop_retry": "9dde641e6080ef739a7052175fae466ff53f1611297fe1c60d31c57a32e54e8f",
+    "msg_task_event": "95a88c791e3f226bf5115bde23b2c3c4f3c3c7d835d2279b171e6c6551d76bad",
+    "msg_task_task": "1879fb20775ecd4b911276348f8dab63db5a18607a9d8f6019c3cad2fbc053d7",
+    "xor_and_deadlock": "729cf8e2cfb0b39c95d3e41dff12bd2cd3cc4d7c057e44ef0c4a2eb018d182d3",
+    "start_messages": "fd09627e644dad419259b045d80162963df54ac62474ce3f7a768e084ba00820",
+    "task_to_start": "259e957d6aa12c3a685675e6f56e335813562788264cfa4a3cbc482ddb07595d",
+    "gen0": "413f311a89289269528c3f3a2a118c34479a93b7ecdcb6bc942de824a747eab7",
+    "gen1": "ef3a4bb3f42b42cd6b2f03170a383eecfa044f848c2e4c477aeeb1d35903aecd",
+    "gen2": "770f474dbc425f5738a518a6bbe905d2fd92f9c1f978f39f822565f1ed25f518",
+    "gen3": "0d33ee9dbcf8f07e46d2dcdc43df67e8a7bee9261604717c0bf8d47f1f6df2d4",
+    "gen4": "fe86611dd5415ca3728c3303e49c889c749dc8978a2f21e063ff5f19e3059166",
+    "gen5": "b13a7fcf8330a77e6638e6b6b5db53cef8018aad019a279666096da0928248bd",
+    "gen6": "44ac9445d269e6febe52e75d287120d77c49f6859a32c458e176d9fa0e715662",
+    "gen7": "389040b0b260c1d7187eeb2a56dcbba1d824d172d899ab8c8818b78ce7819eb8",
+    "gen8": "eb07c3e7bdac6d3b593b6702dea611f88d3f452e70b573625bf2dcae0998091f",
+    "gen9": "f6189e8f2f8a512e3cdc9b4854d5a74380f0be09db6fc2cf51d8d4b10141a414",
+    "gen10": "0e4c6b961aef9d04143832f9e72bb05088651beebea4fb8324ac2440c5819cab",
+    "gen11": "1e3c8d9af6cd995177617ec54a9e53024bab7d6ad81c0f4c679d32ef0bc0a77e",
+    "gen12": "39ca7af9be7d404e94703bd1eb1b5f75ce9b7e17f81911062cadc94f70207d4e",
+    "gen13": "4c05aa544968381a58582a8fd85598445201967c2176bb8c09ba8643f4fa514c",
+    "gen14": "740777275fe316b4692b6013879effc025832516151283392ccd306dc2bb4b34",
+    "gen15": "ad80d99d6a5d2a95903e8115237da4d869ced82d1f91e0dca47006a7a1434814",
+}
+
+
+def test_golden_output():
+    got = {stem: _golden_digest(stem, xml) for stem, xml in _golden_inputs().items()}
+    assert got == _GOLDEN_DIGESTS
