@@ -164,6 +164,26 @@ def cmd_translate(config: RunConfig) -> int:
     return 2 if config.warnings_as_errors and result.diagnostics else 0
 
 
+def _traces_text(payload: list[dict]) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` for the trace schema of
+    :func:`fond_checker.traces_to_json`. With `indent` set, ``json.dumps``
+    encodes in pure Python; here only each string goes through it, to its C
+    escaper, and the fixed layout is joined around them."""
+    dumps, traces = json.dumps, []
+    for trace in payload:
+        steps = []
+        for step in trace["steps"]:
+            state = ",\n          ".join(map(dumps, step["state"]))
+            state = f"[\n          {state}\n        ]" if state else "[]"
+            steps.append(f'      {{\n        "state": {state},\n        "action": {dumps(step["action"])},\n'
+                         f'        "outcome": {step["outcome"]}\n      }}')
+        body = ",\n".join(steps)
+        body = f"[\n{body}\n    ]" if steps else "[]"
+        traces.append(f'  {{\n    "steps": {body},\n    "terminal": {dumps(trace["terminal"])}\n  }}')
+    body = ",\n".join(traces)
+    return f"[\n{body}\n]\n" if traces else "[]\n"
+
+
 def _check_variant(
     result: TranslationResult, problem: PddlProblem, config: RunConfig
 ) -> tuple[int, bool, bool] | None:
@@ -188,10 +208,8 @@ def _check_variant(
             (out / f"{result.stem}.{problem.variant}.policy.dot").write_text(dot, encoding="utf-8", newline="\n")
         if policy and config.write_traces:
             traces = fond_checker.enumerate_traces(result.domain, problem, policy, config.limits, report.space)
-            payload = fond_checker.traces_to_json(traces)
-            (out / f"{result.stem}.{problem.variant}.traces.json").write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
-            )
+            text = _traces_text(fond_checker.traces_to_json(traces))
+            (out / f"{result.stem}.{problem.variant}.traces.json").write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         _cannot_write(exc)
         return None

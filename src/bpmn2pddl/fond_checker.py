@@ -29,6 +29,7 @@ from .pddl_encoder import (
     PddlDomain,
     PddlProblem,
 )
+from .process_graph import _dot_escape
 
 
 class PddlSyntaxError(Exception):
@@ -437,51 +438,69 @@ def _validate_domain(domain: PddlDomain, action_forms: list[list] | None = None)
 
 
 def ground_domain(domain: PddlDomain) -> list[GroundAction]:
-    """Flatten effect trees into explicit nondeterministic outcomes."""
-    _validate_domain(domain)
+    """Each action with its precondition and its nondeterministic outcomes as
+    predicate sets, decoded from the records :func:`_compile` makes over the
+    domain's declared predicates. :func:`explore` compiles the domain itself
+    and never calls this."""
+    preds = list(dict.fromkeys(domain.predicates))
+
+    def atoms(m: int) -> frozenset:
+        return frozenset(preds[i] for i in _bits(m))
+
     grounded = []
-    for action in domain.actions:
-        grounded.append(
-            GroundAction(
-                name=action.name,
-                pre=frozenset(action.precondition),
-                outcomes=tuple(_flatten_effect(action.effect)),
-            )
-        )
+    for _a, pre, name, add, keep, outs in _compile(domain, {p: 1 << i for i, p in enumerate(preds)}):
+        pairs = outs or [(add, keep)]
+        grounded.append(GroundAction(name, atoms(pre), tuple(Outcome(atoms(a), atoms(~k & ~a)) for a, k in pairs)))
     return grounded
 
 
-def _flatten_effect(effect: EffAnd) -> list[Outcome]:
-    adds, dels, groups = _collect_effect(effect)
-    if not groups:
-        return [Outcome(adds=frozenset(adds), dels=frozenset(dels - adds))]
-    outcomes = []
-    for combo in product(*groups):
-        o_adds = set(adds)
-        o_dels = set(dels)
-        for a, d in combo:
-            o_adds |= a
-            o_dels |= d
-        outcomes.append(Outcome(adds=frozenset(o_adds), dels=frozenset(o_dels - o_adds)))
-    return outcomes
+def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
+    """Validate `domain` and compile each action into the record
+    ``(index, pre, name, add, keep, outs)`` over the bit table `power`
+    (predicate -> its power of two).
 
-
-def _collect_effect(tree, inside_oneof: bool = False) -> tuple[set, set, list]:
-    adds, dels, groups = set(), set(), []
-    todo = [tree]  # an explicit stack, children reversed so oneof groups keep tree order
-    while todo:
-        node = todo.pop()
-        if isinstance(node, EffAdd):
-            adds.add(node.pred)
-        elif isinstance(node, EffNot):
-            dels.add(node.pred)
-        elif isinstance(node, EffAnd):
-            todo.extend(reversed(node.items))
-        elif inside_oneof:
-            raise UnsupportedFeature("nested oneof effects are outside the supported subset")
-        else:
-            groups.append([_collect_effect(o, inside_oneof=True)[:2] for o in node.outcomes])
-    return adds, dels, groups
+    One walk of the effect tree ORs each atom into the common part or into
+    the outcome of the ``oneof`` it sits in. The outcomes are the
+    ``product`` of the ``oneof`` groups in tree order, each an add mask and
+    a keep mask (the complement of its deletes), so a successor is
+    ``state & keep | add`` and an add wins over a delete. An action with
+    one outcome has it in ``add`` and ``keep`` and ``outs`` None; any other
+    has the tuple of its ``(add, keep)`` pairs in ``outs``. A ``oneof``
+    inside a ``oneof`` is :class:`UnsupportedFeature`.
+    """
+    _validate_domain(domain)
+    records = []
+    for a, action in enumerate(domain.actions):
+        pre = 0
+        for p in action.precondition:
+            pre |= power[p]
+        parts = [[0, 0]]  # [add, delete] of the common part, then of each oneof outcome
+        groups = []  # per oneof, in tree order: its outcomes' parts
+        todo = [(action.effect, 0)]  # an explicit stack of (node, its part); children reversed: tree order
+        while todo:
+            node, k = todo.pop()
+            if isinstance(node, EffAdd):
+                parts[k][0] |= power[node.pred]
+            elif isinstance(node, EffNot):
+                parts[k][1] |= power[node.pred]
+            elif isinstance(node, EffAnd):
+                todo.extend((item, k) for item in reversed(node.items))
+            elif k:
+                raise UnsupportedFeature("nested oneof effects are outside the supported subset")
+            else:
+                todo.extend((o, len(parts) + j) for j, o in enumerate(node.outcomes))
+                groups.append(group := [[0, 0] for _ in node.outcomes])
+                parts += group
+        outs = []
+        for combo in product(*groups):
+            add, dele = parts[0]
+            for x, d in combo:
+                add |= x
+                dele |= d
+            outs.append((add, ~dele))
+        one = len(outs) == 1  # its (add, keep) in the record, else the outcomes' pairs
+        records.append((a, pre, action.name, *outs[0], None) if one else (a, pre, action.name, 0, -1, tuple(outs)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +527,8 @@ class StateSpace:
     tuples, and every one-outcome pair into ``t`` shares the one ``(t,)``:
     per state the space holds a mask, a ``rev`` list and that tuple, per
     pair list entries and, for a multi-outcome pair, its own tuple, so its
-    size is O(states + transitions). ``states``, ``index``,
+    size is O(states + transitions). ``actions`` maps each action name to
+    its outcomes' add masks, in outcome order. ``states``, ``index``,
     ``transitions`` and ``double_adds`` are the public views, built on first
     use; :meth:`state` decodes one state from its set bits, once, so the
     solvers, traces and DOT export decode only the states they touch.
@@ -523,7 +543,7 @@ class StateSpace:
     rev: list[list[int]]
     goal_states: set[int]
     deadlock_states: set[int]
-    actions: dict[str, GroundAction]
+    actions: dict[str, tuple[int, ...]]
     _decoded: dict[int, frozenset] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def state(self, s: int) -> frozenset:
@@ -554,9 +574,7 @@ class StateSpace:
     def double_adds(self) -> list[DoubleAdd]:
         """Every outcome that adds an atom already true, in pair, outcome and
         bit order. :func:`explore` records none; this view tests each pair."""
-        power = {p: 1 << i for i, p in enumerate(self.preds)}
-        adds = {a.name: [sum(map(power.__getitem__, o.adds)) for o in a.outcomes] for a in self.actions.values()}
-        masks, name, preds = self.masks, self.name, self.preds
+        adds, masks, name, preds = self.actions, self.masks, self.name, self.preds
         return [DoubleAdd(s, name[p], o, preds[i]) for p, s in enumerate(self.owner)
                 for o, add in enumerate(adds[name[p]]) for i in _bits(add & masks[s])]
 
@@ -572,18 +590,18 @@ def _bits(mask: int):
 def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = None) -> StateSpace:
     """BFS over every state reachable from init via every outcome.
 
-    The grounded domain is compiled once into int bitmasks: a bit per
-    declared predicate, then per init or goal atom the domain lacks; per
-    action a precondition mask and per outcome an add mask and a keep mask
-    (the complement of its deletes), so a successor is ``state & keep | add``.
-    A one-outcome action compiles to its one ``(add, keep)`` and skips the
-    outcome loop. Each action is filed under its marker, the precondition
-    bit the fewest actions need (ties to the first declared), keyed by that
-    bit's power of two, so a state peels its marked bits off with
-    ``m & -m``. A state tests only the actions filed under its set bits,
-    plus those with no precondition, in domain order, so states,
-    transitions and the solvers' (state, action) pairs come out in the
-    order a scan over every action gives.
+    The domain is compiled once, straight from its effect trees
+    (:func:`_compile`), into int bitmasks over a bit per declared
+    predicate, then per init or goal atom the domain lacks. Each action's
+    record is filed under its marker, the precondition bit the fewest
+    actions need (ties to the lowest bit), keyed by that bit's power of
+    two, so a state peels its marked bits off with ``m & -m``. A state
+    tests only the records filed under its set bits, plus those with no
+    precondition, in domain order, so states, transitions and the solvers'
+    (state, action) pairs come out in the order a scan over every action
+    gives. A state with one marked bucket tests that bucket's list as it
+    is, and the merged list is sorted only when the buckets, taken in bit
+    order, are not already in domain order.
 
     Successors are immutable tuples. A state's ``(t,)`` is made when the
     state is found and shared by every one-outcome pair that leads to it;
@@ -594,87 +612,82 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     ``double_adds`` view is read. O(states + transitions).
     """
     limits = limits or Limits()
-    actions = ground_domain(domain)
     power = {p: 1 << i for i, p in enumerate(dict.fromkeys([*domain.predicates, *problem.init, *problem.goal]))}
-
-    def mask(atoms) -> int:
-        m = 0
-        for p in atoms:
-            m |= power[p]
-        return m
-
-    pres = [mask(a.pre) for a in actions]
-    effects = [tuple((mask(x.adds), ~mask(x.dels)) for x in a.outcomes) for a in actions]
-    single = [outs[0] if len(outs) == 1 else None for outs in effects]  # a one-outcome action's (add, keep)
-    names = [a.name for a in actions]
+    records = _compile(domain, power)
     need: dict[int, int] = {}  # precondition bit -> how many actions need it
-    for pre in pres:
-        for b in _bits(pre):
+    for record in records:
+        for b in _bits(record[1]):
             need[b] = need.get(b, 0) + 1
-    filed: dict[int, list[int]] = {}  # marker power of two (0: no precondition) -> actions, in domain order
-    for a, pre in enumerate(pres):
-        b = min(_bits(pre), key=need.__getitem__, default=-1)
-        filed.setdefault(1 << b if b >= 0 else 0, []).append(a)
+    filed: dict[int, list[tuple]] = {}  # marker power of two (0: no precondition) -> records, in domain order
+    for record in records:
+        b = min(_bits(record[1]), key=need.__getitem__, default=-1)
+        filed.setdefault(1 << b if b >= 0 else 0, []).append(record)
     always = filed.pop(0, [])
     markers = sum(filed)
-    init, goal = mask(problem.init), mask(problem.goal)
+    ordered = [*always, *chain.from_iterable(filed[k] for k in sorted(filed))] == records
+    init, goal = sum({power[p] for p in problem.init}), sum({power[p] for p in problem.goal})
 
     masks, index, rev, alone = [init], {init: 0}, [[]], [(0,)]  # alone[t] is the tuple (t,)
     name, succs, first = [], [], []
     goal_states, deadlock_states = set(), set()
+    n, pairs, max_states = 1, 0, limits.max_states  # len(masks), len(name)
     for s, state in enumerate(masks):  # grows while it is read: the BFS queue
-        first.append(len(name))
-        candidates = always[:]
+        first.append(pairs)
         m = state & markers
-        while m:
-            low = m & -m
-            candidates += filed[low]
-            m ^= low
-        candidates.sort()
-        for a in candidates:
-            pre = pres[a]
+        if not m:
+            candidates = always
+        elif not (always or m & (m - 1)):  # one marked bucket
+            candidates = filed[m]
+        else:
+            candidates = always[:]
+            while m:
+                low = m & -m
+                candidates += filed[low]
+                m ^= low
+            if not ordered:
+                candidates.sort()
+        for _a, pre, nm, add, keep, outs in candidates:
             if state & pre != pre:
                 continue
-            p = len(name)
-            name.append(names[a])
-            one = single[a]
-            if one is not None:
-                add, keep = one
+            name.append(nm)
+            if outs is None:
                 succ = state & keep | add
                 t = index.get(succ)
                 if t is None:
-                    if len(masks) >= limits.max_states:
-                        raise _state_limit(limits, len(masks), s, first, rev)
-                    t = index[succ] = len(masks)
+                    if n >= max_states:
+                        raise _state_limit(limits, n, s, first, rev)
+                    t = index[succ] = n
+                    n += 1
                     masks.append(succ)
                     rev.append([])
                     alone.append((t,))
-                rev[t].append(p)
+                rev[t].append(pairs)
                 succs.append(alone[t])
-                continue
-            out = []
-            for add, keep in effects[a]:
-                succ = state & keep | add
-                t = index.get(succ)
-                if t is None:
-                    if len(masks) >= limits.max_states:
-                        raise _state_limit(limits, len(masks), s, first, rev)
-                    t = index[succ] = len(masks)
-                    masks.append(succ)
-                    rev.append([])
-                    alone.append((t,))
-                rev[t].append(p)
-                out.append(t)
-            succs.append(tuple(out))
+            else:
+                out = []
+                for add, keep in outs:
+                    succ = state & keep | add
+                    t = index.get(succ)
+                    if t is None:
+                        if n >= max_states:
+                            raise _state_limit(limits, n, s, first, rev)
+                        t = index[succ] = n
+                        n += 1
+                        masks.append(succ)
+                        rev.append([])
+                        alone.append((t,))
+                    rev[t].append(pairs)
+                    out.append(t)
+                succs.append(tuple(out))
+            pairs += 1
         if state & goal == goal:
             goal_states.add(s)
-        elif first[s] == len(name):
+        elif first[s] == pairs:
             deadlock_states.add(s)
-    first.append(len(name))
-    owner = list(chain.from_iterable(map(repeat, range(len(masks)), map(sub, first[1:], first))))
-
-    return StateSpace(masks, list(power), owner, name, succs, first, rev,
-                      goal_states, deadlock_states, {a.name: a for a in actions})
+    first.append(pairs)
+    owner = list(chain.from_iterable(map(repeat, range(n), map(sub, first[1:], first))))
+    adds = {nm: (add,) if outs is None else tuple(x for x, _ in outs) for _a, _p, nm, add, _k, outs in records}
+    return StateSpace(masks, list(power), owner, name, succs, first, rev, goal_states, deadlock_states, adds)
 
 
 def _state_limit(limits: Limits, states: int, s: int, first: list[int], rev: list[list[int]]) -> LimitExceeded:
@@ -718,12 +731,12 @@ def _backward(owner: list[int], rev: list[list[int]], pending: list[int], goals)
     for t in queue:  # grows while it is read: a FIFO
         above = level[t] + 1
         for p in rev[t]:
-            pending[p] -= 1
-            if pending[p] == 0:
-                s = owner[p]
-                if level[s] < 0:
-                    level[s] = above
-                    queue.append(s)
+            c = pending[p]
+            if c != 1:
+                pending[p] = c - 1
+            elif level[s := owner[p]] < 0:  # a fired pair stays at 1; its owner has a level from then on
+                level[s] = above
+                queue.append(s)
     return level
 
 
@@ -829,16 +842,19 @@ def _cyclic_levels(space: StateSpace) -> list[int]:
 
 def _extract(space: StateSpace, level: list[int], fits) -> dict[frozenset, str]:
     """Choose an action for each winning state the policy reaches from init."""
+    first, name, succs, goals = space.first, space.name, space.succs, space.goal_states
     mapping: dict[frozenset, str] = {}
     seen = {0}
     queue = [0]
     for s in queue:
-        if s in space.goal_states:
+        if s in goals:
             continue
-        fitting = (p for p in range(space.first[s], space.first[s + 1]) if fits(space.succs[p], level[s]))
-        p = min(fitting, key=space.name.__getitem__)
-        mapping[space.state(s)] = space.name[p]
-        for t in space.succs[p]:
+        mine, best = level[s], None
+        for p in range(first[s], first[s + 1]):  # the fitting pair whose action name is least
+            if (best is None or name[p] < name[best]) and fits(succs[p], mine):
+                best = p
+        mapping[space.state(s)] = name[best]
+        for t in succs[best]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
@@ -1036,8 +1052,9 @@ def export_policy_dot(
     domain: PddlDomain, problem: PddlProblem, policy: Policy, space: StateSpace | None = None
 ) -> str:
     """DOT digraph of the policy: states labeled by their true predicates,
-    edges labeled action/outcome, goal states double-circled. Walks the
-    policy's edges in `space`, exploring the problem first when it is None."""
+    edges labeled action/outcome, each name escaped, goal states
+    double-circled. Walks the policy's edges in `space`, exploring the
+    problem first when it is None."""
     if space is None:
         space = explore(domain, problem)
 
@@ -1058,10 +1075,10 @@ def export_policy_dot(
 
     lines = ["digraph policy {", "  rankdir=LR;"]
     for s in order:
-        label = "\\n".join(sorted(space.state(s))) or "{}"
+        label = "\\n".join(map(_dot_escape, sorted(space.state(s)))) or "{}"
         shape = "doublecircle" if s in space.goal_states else "box"
         lines.append(f'  {ids[s]} [shape={shape} label="{label}"];')
     for src, dst, label in edges:
-        lines.append(f'  {src} -> {dst} [label="{label}"];')
+        lines.append(f'  {src} -> {dst} [label="{_dot_escape(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
 
-from .bpmn_parser import FlowNode, NodeKind
+from .bpmn_parser import _EVENTS, _GATEWAYS, FlowNode, NodeKind
 from .process_graph import MessageStrategy, ProcessGraph
 
 
@@ -103,6 +103,7 @@ _INVALID_CHARS = re.compile(r"[^A-Za-z0-9_]")
 # words the PDDL reader takes as syntax at the head of an effect; no identifier may be one
 _UNSUPPORTED_EFFECTS = frozenset({"when", "forall", "exists", "increase", "decrease", "assign", "probabilistic"})
 _EFFECT_WORDS = _UNSUPPORTED_EFFECTS | {"and", "not", "oneof"}
+_TASK = NodeKind.TASK  # read per node: a module global is far cheaper than an Enum member lookup
 
 
 def sanitize_id(raw: str, *, lower: bool = False) -> str:
@@ -169,11 +170,14 @@ class _Encoder:
         for nid in graph.nodes:
             self.node_pred[nid] = self.preds.claim(sanitize_id(nid))
 
+        # members and the graph's tables as locals: an Enum member read is a slow class lookup
+        nodes, incoming, flows, node_pred = graph.nodes, graph.incoming, graph.flows, self.node_pred
+        claim, inclusive, start = self.preds.claim, NodeKind.INCLUSIVE_GATEWAY, NodeKind.START_EVENT
         self.counters: dict[str, list[str]] = {}  # inclusive split -> count_<g>_0..width
-        for nid, node in graph.nodes.items():
-            if node.kind is not NodeKind.INCLUSIVE_GATEWAY:
+        for nid, node in nodes.items():
+            if node.kind is not inclusive:
                 continue
-            if len(graph.incoming[nid]) >= 2:
+            if len(incoming[nid]) >= 2:
                 continue  # converging side uses the matched split's counter
             width = len(graph.outgoing[nid])
             if width > options.max_inclusive_branches:
@@ -181,29 +185,25 @@ class _Encoder:
                     f"inclusive gateway {nid!r} has {width} branches; "
                     f"limit is {options.max_inclusive_branches}"
                 )
-            base = self.node_pred[nid]
-            self.counters[nid] = [self.preds.claim(f"count_{base}_{k}") for k in range(width + 1)]
+            base = node_pred[nid]
+            self.counters[nid] = [claim(f"count_{base}_{k}") for k in range(width + 1)]
 
         self.arr: dict[tuple[str, int], str] = {}
-        for nid, node in graph.nodes.items():
-            if not node.kind.is_gateway or len(graph.incoming[nid]) < 2:
+        for nid, node in nodes.items():
+            if node.kind not in _GATEWAYS or len(incoming[nid]) < 2:
                 continue
-            for i, fid in enumerate(graph.incoming[nid]):
-                flow = graph.flows[fid]
-                if graph.nodes[flow.source].kind is NodeKind.START_EVENT:
+            for i, fid in enumerate(incoming[nid]):
+                if nodes[flows[fid].source].kind is start:
                     continue  # the start predicate itself is the arrival marker
-                self.arr[(nid, i)] = self.preds.claim(f"arr_{self.node_pred[nid]}_{i}")
+                self.arr[(nid, i)] = claim(f"arr_{node_pred[nid]}_{i}")
 
         self.msg: dict[str, str] = {}
-        for fid, flow in graph.flows.items():
+        for fid, flow in flows.items():
             if not flow.synthetic:
                 continue
-            tgt = graph.nodes[flow.target]
-            if tgt.kind is NodeKind.START_EVENT:
+            if nodes[flow.target].kind is start:
                 continue  # message-start: the start predicate is the marker
-            src_p = self.node_pred[flow.source]
-            tgt_p = self.node_pred[flow.target]
-            self.msg[fid] = self.preds.claim(f"msg_{src_p}_to_{tgt_p}")
+            self.msg[fid] = claim(f"msg_{node_pred[flow.source]}_to_{node_pred[flow.target]}")
 
     # -- marker resolution ---------------------------------------------------
 
@@ -278,9 +278,10 @@ class _Encoder:
     # -- node encodings --------------------------------------------------------
 
     def encode_node(self, node: FlowNode) -> list[PddlAction]:
-        if node.kind is NodeKind.TASK:
+        kind = node.kind
+        if kind is _TASK:
             return [self._encode_task(node)]
-        if node.kind.is_event:
+        if kind in _EVENTS:
             action = self._encode_event(node)
             return [action] if action else []
         return self._encode_gateway(node)

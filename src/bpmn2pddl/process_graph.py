@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bpmn_parser import BpmnModel, FlowNode, MessageFlow, NodeKind, SequenceFlow
+from .bpmn_parser import _GATEWAYS, BpmnModel, FlowNode, MessageFlow, NodeKind, SequenceFlow
 
 
 class MessageStrategy(Enum):
@@ -91,6 +91,7 @@ def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrateg
     carries more than one (non-synthetic) incoming or outgoing flow.
     """
     nodes = dict(model.nodes)
+    task, start, end = NodeKind.TASK, NodeKind.START_EVENT, NodeKind.END_EVENT  # locals: Enum lookups are slow
     flows: dict[str, SequenceFlow] = {}
     incoming: dict[str, list[str]] = {nid: [] for nid in nodes}
     outgoing: dict[str, list[str]] = {nid: [] for nid in nodes}
@@ -104,7 +105,7 @@ def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrateg
     for msg in model.message_flows:
         src = nodes[msg.source]
         tgt = nodes[msg.target]
-        if src.kind is NodeKind.TASK and tgt.kind is NodeKind.TASK:
+        if src.kind is task and tgt.kind is task:
             task_task_messages.append(msg)
             continue
         # task-event, event-task, and event-event messages become control flow
@@ -133,8 +134,8 @@ def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrateg
     )
 
     for pool in model.pools:
-        starts = [nid for nid in pool.node_ids if nodes[nid].kind is NodeKind.START_EVENT]
-        ends = [nid for nid in pool.node_ids if nodes[nid].kind is NodeKind.END_EVENT]
+        starts = [nid for nid in pool.node_ids if nodes[nid].kind is start]
+        ends = [nid for nid in pool.node_ids if nodes[nid].kind is end]
         if not starts:
             raise NoStartEvent(pool.id)
         if not ends:
@@ -143,13 +144,13 @@ def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrateg
         graph.end_nodes[pool.id] = ends
 
     for nid, node in nodes.items():
-        if node.kind is NodeKind.START_EVENT:
+        if node.kind is start:
             continue
         if not incoming[nid]:
             raise IsolatedNode(nid)
 
     for nid, node in nodes.items():
-        if node.kind.is_gateway:
+        if node.kind in _GATEWAYS:
             continue
         if len(graph.normal_incoming(nid)) > 1:
             raise MultipleIncomingNonGateway(nid)
@@ -320,10 +321,10 @@ def export_graph_dot(graph: ProcessGraph) -> str:
     lines = ["digraph process {", "  rankdir=LR;"]
     for nid, node in graph.nodes.items():
         label = node.name or nid
-        lines.append(f'  "{nid}" [shape={_DOT_SHAPES[node.kind]} label="{_dot_escape(label)}"];')
+        lines.append(f'  "{_dot_escape(nid)}" [shape={_DOT_SHAPES[node.kind]} label="{_dot_escape(label)}"];')
     for flow in graph.flows.values():
         style = " [style=dashed]" if flow.synthetic else ""
-        lines.append(f'  "{flow.source}" -> "{flow.target}"{style};')
+        lines.append(f'  "{_dot_escape(flow.source)}" -> "{_dot_escape(flow.target)}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

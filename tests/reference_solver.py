@@ -15,6 +15,13 @@ The ``fond_checker`` versions must produce the same traces and DOT text.
 ``applicable`` and ``apply`` are the frozenset state helpers these
 reference versions step with.
 
+``ground_domain``, ``_flatten_effect`` and ``_collect_effect`` are the
+original grounding, verbatim: the effect tree collected into add and delete
+sets per ``oneof`` outcome, their ``product`` built into ``Outcome`` and
+``GroundAction`` objects. ``fond_checker`` compiles each action straight into
+bitmasks and decodes its ``ground_domain`` from them; the two must give equal
+lists, and every reference version here grounds with this one.
+
 ``round_levels`` is the backward core's original strong-cyclic loop,
 verbatim but for returning None where it raised ``Unsolvable``: one full
 "some outcome reaches" ``_backward`` pass per round of the greatest
@@ -56,6 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 from bpmn2pddl.bpmn_parser import NodeKind
 from bpmn2pddl.fond_checker import (
@@ -63,6 +71,7 @@ from bpmn2pddl.fond_checker import (
     GroundAction,
     LimitExceeded,
     Limits,
+    Outcome,
     PddlSyntaxError,
     Policy,
     SolveMode,
@@ -70,11 +79,60 @@ from bpmn2pddl.fond_checker import (
     Trace,
     TraceSet,
     Unsolvable,
+    UnsupportedFeature,
     _backward,
-    ground_domain,
+    _validate_domain,
 )
-from bpmn2pddl.pddl_encoder import PddlDomain, PddlProblem
+from bpmn2pddl.pddl_encoder import EffAdd, EffAnd, EffNot, PddlDomain, PddlProblem
 from bpmn2pddl.process_graph import Diagnostic, ProcessGraph, _reachable_from
+
+
+def ground_domain(domain: PddlDomain) -> list[GroundAction]:
+    """Flatten effect trees into explicit nondeterministic outcomes."""
+    _validate_domain(domain)
+    grounded = []
+    for action in domain.actions:
+        grounded.append(
+            GroundAction(
+                name=action.name,
+                pre=frozenset(action.precondition),
+                outcomes=tuple(_flatten_effect(action.effect)),
+            )
+        )
+    return grounded
+
+
+def _flatten_effect(effect: EffAnd) -> list[Outcome]:
+    adds, dels, groups = _collect_effect(effect)
+    if not groups:
+        return [Outcome(adds=frozenset(adds), dels=frozenset(dels - adds))]
+    outcomes = []
+    for combo in product(*groups):
+        o_adds = set(adds)
+        o_dels = set(dels)
+        for a, d in combo:
+            o_adds |= a
+            o_dels |= d
+        outcomes.append(Outcome(adds=frozenset(o_adds), dels=frozenset(o_dels - o_adds)))
+    return outcomes
+
+
+def _collect_effect(tree, inside_oneof: bool = False) -> tuple[set, set, list]:
+    adds, dels, groups = set(), set(), []
+    todo = [tree]  # an explicit stack, children reversed so oneof groups keep tree order
+    while todo:
+        node = todo.pop()
+        if isinstance(node, EffAdd):
+            adds.add(node.pred)
+        elif isinstance(node, EffNot):
+            dels.add(node.pred)
+        elif isinstance(node, EffAnd):
+            todo.extend(reversed(node.items))
+        elif inside_oneof:
+            raise UnsupportedFeature("nested oneof effects are outside the supported subset")
+        else:
+            groups.append([_collect_effect(o, inside_oneof=True)[:2] for o in node.outcomes])
+    return adds, dels, groups
 
 
 def applicable(state: frozenset, action: GroundAction) -> bool:

@@ -8,9 +8,11 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpmn2pddl import fond_checker
-from bpmn2pddl.cli import RunConfig, cmd_check, main, translate_file
+from bpmn2pddl.cli import RunConfig, _traces_text, cmd_check, main, translate_file
 from bpmn2pddl.fond_checker import Limits
 from conftest import CORPUS_DIR, FIXTURE_DIR, fixture
 
@@ -166,15 +168,48 @@ def test_check_trace_limit_exits_2(tmp_path, capsys):
     assert "limit exceeded on loop_retry_all_starts: more than 1 traces" in capsys.readouterr().err
 
 
-def test_check_grounds_once_per_variant(tmp_path, monkeypatch):
-    calls = []
-    ground = fond_checker.ground_domain
-    monkeypatch.setattr(fond_checker, "ground_domain", lambda domain: calls.append(1) or ground(domain))
+def test_check_compiles_once_per_variant(tmp_path, monkeypatch):
+    compiled, grounded = [], []
+    compile_, ground = fond_checker._compile, fond_checker.ground_domain
+    monkeypatch.setattr(fond_checker, "_compile", lambda *args: compiled.append(1) or compile_(*args))
+    monkeypatch.setattr(fond_checker, "ground_domain", lambda domain: grounded.append(1) or ground(domain))
     code = main(["check", CREDIT, "--out", str(tmp_path), "--dot", "--traces"])
     assert code == 0
-    assert len(calls) == 4  # all_starts and the three prestarted variants
+    assert len(compiled) == 4  # all_starts and the three prestarted variants
+    assert grounded == []  # explore compiles straight from the effect trees
     assert len(list(tmp_path.glob("*.policy.dot"))) == 4
     assert len(list(tmp_path.glob("*.traces.json"))) == 4
+
+
+# names with quotes, backslashes, control and non-ASCII characters, and the empty name
+_NAMES = st.text(st.sampled_from(['a', '"', "\\", "\n", "\t", "\x00", "é", "ü", "☃", "\U0001f600", "/"]), max_size=6)
+# built in the key order of fond_checker.traces_to_json
+_STEPS = st.lists(st.builds(lambda state, action, outcome: {"state": state, "action": action, "outcome": outcome},
+                            st.lists(_NAMES, max_size=3), _NAMES, st.integers(0, 40)), max_size=3)
+_PAYLOADS = st.lists(st.builds(lambda steps, terminal: {"steps": steps, "terminal": terminal}, _STEPS, _NAMES),
+                     max_size=3)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_traces_text_is_indented_json(payload):
+    """The trace writer gives json.dumps(payload, indent=2)'s text: empty
+    state and step lists, no traces, and every escape included."""
+    assert _traces_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_traces_files_are_indented_json(tmp_path):
+    written = []
+    for msg in ("ignore", "exclusive"):
+        for done in ("any", "all"):
+            out = tmp_path / f"{msg}_{done}"
+            argv = ["corpus", str(CORPUS_DIR), "--out", str(out), "--traces", "--msg-strategy", msg, "--done-mode", done]
+            assert main(argv) in (0, 2)  # 2: a variant without a strong or strong-cyclic policy
+            written += out.glob("*.traces.json")
+    assert len(written) == 46  # the variants with a policy
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path
 
 
 def test_corpus_all_files(tmp_path, capsys):

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import random
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -988,6 +989,9 @@ def _assert_same_space(domain, problem, label):
     assert got.goal_states == want.goal_states, label
     assert got.deadlock_states == want.deadlock_states, label
     assert Counter(map(astuple, got.double_adds)) == Counter(map(astuple, want.double_adds)), label
+    power = {p: 1 << i for i, p in enumerate(got.preds)}
+    assert got.actions == {a.name: tuple(sum(map(power.__getitem__, o.adds)) for o in a.outcomes)
+                           for a in want.actions.values()}, label
     return got
 
 
@@ -1031,6 +1035,143 @@ class TestExploreOracle:
             tracing._count_explore(want, (domain, problem), {}, reference_solver.explore(domain, problem))
             assert got == want
             assert got["fond_checker.states"] > 0 and got["applicable_pairs"] > 0
+
+
+def _random_effect(rng, preds, depth=0, inside=False) -> EffAnd:
+    """A random effect tree: leaves, nested ands, and at top level oneofs
+    of any width whose outcomes may add what the common part deletes."""
+    items = []
+    for _ in range(rng.randint(0, 4)):
+        r = rng.random()
+        if r < 0.35:
+            items.append(EffAdd(rng.choice(preds)))
+        elif r < 0.6:
+            items.append(EffNot(rng.choice(preds)))
+        elif r < 0.8 and depth < 3:
+            items.append(_random_effect(rng, preds, depth + 1, inside))
+        elif not inside:
+            outcomes = [_random_effect(rng, preds, depth + 1, True) for _ in range(rng.randint(1, 3))]
+            items.append(EffOneOf([o.items[0] if len(o.items) == 1 else o for o in outcomes]))
+    return EffAnd(items)
+
+
+def _raised(actions) -> list[tuple[type, str]]:
+    """The exception type and message that `ground_domain`, the original
+    grounding and `explore` raise for a domain over (p) (q) with `actions`."""
+    domain = PddlDomain("d", [":strips"], [], ["p", "q"], actions)
+    raised = []
+    for call in (ground_domain, reference_solver.ground_domain, lambda d: explore(d, PddlProblem("p", "d", ["p"], ["q"]))):
+        with pytest.raises((PddlSyntaxError, UnsupportedFeature)) as exc:
+            call(domain)
+        raised.append((type(exc.value), str(exc.value)))
+    return raised
+
+
+class TestCompile:
+    """`explore` compiles the domain straight from its effect trees; `ground_domain`
+    decodes the same records and equals the original grounding."""
+
+    def test_ground_domain_equals_the_original_on_corpus_and_fixtures(self):
+        domains = 0
+        for path in [*CORPUS_FILES, *map(fixture, FIXTURES)]:
+            for strategy in MessageStrategy:
+                for done_mode in DoneMode:
+                    domain = translate(path, strategy, done_mode=done_mode).domain
+                    assert ground_domain(domain) == reference_solver.ground_domain(domain), path.stem
+                    domains += 1
+        assert domains == 4 * (len(CORPUS_FILES) + len(FIXTURES))
+
+    def test_random_effect_trees(self):
+        """Several oneofs, nested ands, adds over deletes: the grounding, the
+        outcome order and the explored space all equal the originals."""
+        rng = random.Random(0xC0DE)
+        widths = Counter()
+        for i in range(300):
+            preds = [f"p{k}" for k in range(rng.randint(2, 6))]
+            actions = [PddlAction(f"a{j}", rng.sample(preds, rng.randint(0, 2)), _random_effect(rng, preds))
+                       for j in range(rng.randint(1, 5))]
+            domain = PddlDomain("rnd", [":strips"], [], preds, actions)
+            want = reference_solver.ground_domain(domain)
+            assert ground_domain(domain) == want, i
+            widths.update(len(a.outcomes) for a in want)
+            problem = PddlProblem("rnd", "rnd", rng.sample(preds, rng.randint(0, 2)), [rng.choice(preds)])
+            _assert_same_space(domain, problem, f"instance {i}")
+        assert widths[1] and widths[2] and sum(n for w, n in widths.items() if w > 3) > 20
+
+    def test_defects_raise_the_same_from_explore(self):
+        def act(items, pre=("p",)):
+            return PddlAction("a", list(pre), EffAnd(items))
+
+        undeclared = (PddlSyntaxError, "action 'a' uses undeclared predicate 'r'")
+        empty = (PddlSyntaxError, "action 'a' has a oneof with no outcomes")
+        nested = (UnsupportedFeature, "nested oneof effects are outside the supported subset")
+        cases = [
+            ([act([EffAdd("q")])] * 2, (PddlSyntaxError, "action 'a' is defined twice")),
+            ([act([EffAdd("q")], pre=["r"])], undeclared),
+            ([act([EffAdd("r")])], undeclared),
+            ([act([EffNot("r")])], undeclared),
+            ([act([EffOneOf([EffAdd("q"), EffAnd([EffNot("r")])])])], undeclared),
+            ([act([EffOneOf([])])], empty),
+            ([act([EffNot("p"), EffOneOf([EffAdd("q"), EffOneOf([])])])], empty),
+            ([act([EffOneOf([EffOneOf([EffAdd("p"), EffAdd("q")]), EffAdd("q")])])], nested),
+            ([act([EffOneOf([EffAdd("q"), EffAnd([EffAnd([EffOneOf([EffAdd("p")])])])])])], nested),
+        ]
+        for actions, want in cases:
+            assert _raised(actions) == [want] * 3, actions
+
+    def test_bit_table_and_one_outcome_oneof(self):
+        """The bit table is the domain's predicates, then the problem's extra
+        init and goal atoms; a one-outcome oneof compiles as one outcome."""
+        domain = PddlDomain("d", [":strips"], [], ["s", "g"], [
+            PddlAction("go", ["s"], EffAnd([EffNot("s"), EffOneOf([EffAnd([EffAdd("g"), EffAdd("s")])])])),
+        ])
+        space = explore(domain, PddlProblem("p", "d", ["x", "s"], ["g", "y", "x"]))
+        assert space.preds == ["s", "g", "x", "y"]
+        assert space.masks == [0b101, 0b111]
+        assert space.actions == {"go": (0b11,)} and space.succs == [(1,), (1,)]
+
+
+@st.composite
+def _generated(draw):
+    """A small diagram of one of bench/gen.py's families, seeds and sizes drawn."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["block_structured", "parallel", "inclusive", "message_pools"]))
+    if family == "block_structured":
+        size, pools = draw(st.integers(8, 40)), draw(st.integers(1, 2))
+        return GEN.block_structured(rng, "gen", size, pools, shape_seed=draw(st.integers(0, 10**6)))
+    if family == "parallel":
+        return GEN.parallel(rng, "gen", draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    if family == "inclusive":
+        return GEN.inclusive(rng, "gen", draw(st.integers(2, 4)))
+    lengths = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    messages = []
+    for _ in range(draw(st.integers(1, 2))):
+        sender = draw(st.integers(0, len(lengths) - 2))
+        receiver = draw(st.integers(sender + 1, len(lengths) - 1))
+        messages.append((sender, draw(st.integers(0, lengths[sender] - 1)),
+                         receiver, draw(st.integers(0, lengths[receiver] - 1))))
+    return GEN.message_pools(rng, "gen", lengths, messages)
+
+
+@given(_generated(), st.sampled_from(MessageStrategy))
+@settings(max_examples=60, deadline=None)
+def test_generated_diagrams_match_the_oracles(diagram, strategy):
+    """The compiled explorer builds the frozenset explorer's space, or trips the
+    same state limit; under 1000 states both solvers give the reference policies."""
+    domain, problems = _pipeline(diagram.xml, strategy)
+    limits = Limits(max_states=3000)
+    for problem in problems:
+        try:
+            want = reference_solver.explore(domain, problem, limits)
+        except LimitExceeded as exc:
+            with pytest.raises(LimitExceeded, match=f"^{re.escape(str(exc))}$"):
+                explore(domain, problem, limits)
+            continue
+        space = _assert_same_space(domain, problem, problem.variant)
+        assert len(space.masks) == len(want.states)
+        if len(space.masks) < 1000:
+            for mode, got, expected in _mappings(domain, problem, space):
+                assert got == expected, (problem.variant, mode.value)
 
 
 def test_bench_tracing_wraps_and_restores_the_program():
@@ -1409,6 +1550,21 @@ class TestPolicyDot:
         dot = export_policy_dot(domain, problem, policy)
         assert dot.count("{") == dot.count("}")
         assert dot.count('"') % 2 == 0
+
+    def test_labels_are_escaped(self):
+        """Predicate and action names are escaped in their labels, each
+        predicate before the join, so quotes and backslashes stay DOT text."""
+        text = r'''(define (domain d) (:predicates (a"b) (k) (g\h))
+          (:action go"x :precondition (a"b) :effect (and (g\h) (not (a"b)))))'''
+        domain = parse_pddl(text)
+        problem = PddlProblem("p", "d", ['a"b', "k"], ["g\\h"])
+        dot = export_policy_dot(domain, problem, solve(domain, problem, SolveMode.STRONG))
+        assert dot.splitlines()[2:] == [
+            r'  s0 [shape=box label="a\"b\nk"];',
+            r'  s1 [shape=doublecircle label="g\\h\nk"];',
+            r'  s0 -> s1 [label="go\"x"];',
+            "}",
+        ]
 
 
 class TestAnalyze:

@@ -327,3 +327,13 @@ def test_dot_export():
     assert "style=dashed" in dot  # synthetic flow
     assert dot.count("->") == len(graph.flows)
     assert dot.count("{") == dot.count("}")
+
+
+def test_dot_export_escapes_ids():
+    """Element ids are XML attribute values, so they may hold quotes and
+    backslashes; DOT gets them escaped like the labels."""
+    xml = fixture("loop_retry.bpmn").read_text().replace('"Start_1"', '"S&quot;1"').replace('"Merge_1"', '"M\\1"')
+    lines = export_graph_dot(_graph(xml)).splitlines()
+    assert r'  "S\"1" [shape=circle label="Start"];' in lines
+    assert r'  "M\\1" [shape=diamond label="M\\1"];' in lines
+    assert r'  "S\"1" -> "M\\1";' in lines
