@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from enum import Enum
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
@@ -80,44 +79,77 @@ _GATEWAYS = frozenset(
 )
 
 
-@dataclass
-class FlowNode:
-    id: str
-    name: str | None
-    kind: NodeKind
-    pool: str
+class Record:
+    """Base of the record types, plain classes with ``__slots__`` and a straight-line ``__init__``:
+    ``repr``, ``==`` and copies read the fields ``__match_args__`` names, as a dataclass's do.
+    Records are unhashable; the two frozen ones take ``__hash__`` and ``__setattr__`` from here."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def _frozen(self, name: str, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
-@dataclass
-class SequenceFlow:
-    id: str
-    source: str
-    target: str
-    synthetic: bool = False
-    condition_label: str | None = None
+class FlowNode(Record):
+    __slots__ = __match_args__ = ("id", "name", "kind", "pool")
+    def __init__(self, id, name, kind, pool):
+        self.id: str = id
+        self.name: str | None = name
+        self.kind: NodeKind = kind
+        self.pool: str = pool
 
 
-@dataclass
-class MessageFlow:
-    id: str
-    source: str
-    target: str
+class SequenceFlow(Record):
+    __slots__ = __match_args__ = ("id", "source", "target", "synthetic", "condition_label")
+    def __init__(self, id, source, target, synthetic=False, condition_label=None):
+        self.id: str = id
+        self.source: str = source
+        self.target: str = target
+        self.synthetic: bool = synthetic
+        self.condition_label: str | None = condition_label
 
 
-@dataclass
-class Pool:
-    id: str
-    name: str | None
-    node_ids: list[str] = field(default_factory=list)
+class MessageFlow(Record):
+    __slots__ = __match_args__ = ("id", "source", "target")
+    def __init__(self, id, source, target):
+        self.id: str = id
+        self.source: str = source
+        self.target: str = target
 
 
-@dataclass
-class BpmnModel:
-    pools: list[Pool]
-    nodes: dict[str, FlowNode]
-    sequence_flows: list[SequenceFlow]
-    message_flows: list[MessageFlow]
-    source_name: str
+class Pool(Record):
+    __slots__ = __match_args__ = ("id", "name", "node_ids")
+    def __init__(self, id, name, node_ids=None):
+        self.id: str = id
+        self.name: str | None = name
+        self.node_ids: list[str] = [] if node_ids is None else node_ids
+
+
+class BpmnModel(Record):
+    __slots__ = __match_args__ = ("pools", "nodes", "sequence_flows", "message_flows", "source_name")
+    def __init__(self, pools, nodes, sequence_flows, message_flows, source_name):
+        self.pools: list[Pool] = pools
+        self.nodes: dict[str, FlowNode] = nodes
+        self.sequence_flows: list[SequenceFlow] = sequence_flows
+        self.message_flows: list[MessageFlow] = message_flows
+        self.source_name: str = source_name
 
 
 # Local names of the flow-node elements; the task variants are read as plain tasks.

@@ -16,11 +16,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import fond_checker
-from .bpmn_parser import ParseError, parse_bpmn
+from .bpmn_parser import ParseError, Record, parse_bpmn
 from .fond_checker import Limits, LimitExceeded, SolveMode
 from .pddl_encoder import (
     DoneMode,
@@ -37,20 +36,25 @@ from .process_graph import Diagnostic, GraphError, MessageStrategy, build_graph,
 ENV_MAX_STATES = "BPMN2PDDL_MAX_STATES"
 
 
-@dataclass
-class RunConfig:
-    input_path: str = ""
-    output_dir: str = "out"
-    msg_strategy: MessageStrategy = MessageStrategy.EXCLUSIVE_EMULATION
-    done_mode: DoneMode = DoneMode.ANY_END
-    fig4_compat: bool = False
-    allow_spontaneous_start: bool = False
-    max_inclusive_branches: int = 6
-    solve_mode: str = "both"  # strong | cyclic | both
-    limits: Limits = field(default_factory=Limits)
-    write_dot: bool = False
-    write_traces: bool = False
-    warnings_as_errors: bool = False
+class RunConfig(Record):
+    __slots__ = __match_args__ = ("input_path", "output_dir", "msg_strategy", "done_mode", "fig4_compat",
+                                  "allow_spontaneous_start", "max_inclusive_branches", "solve_mode", "limits",
+                                  "write_dot", "write_traces", "warnings_as_errors")
+    def __init__(self, input_path="", output_dir="out", msg_strategy=MessageStrategy.EXCLUSIVE_EMULATION,
+                 done_mode=DoneMode.ANY_END, fig4_compat=False, allow_spontaneous_start=False, max_inclusive_branches=6,
+                 solve_mode="both", limits=None, write_dot=False, write_traces=False, warnings_as_errors=False):
+        self.input_path: str = input_path
+        self.output_dir: str = output_dir
+        self.msg_strategy: MessageStrategy = msg_strategy
+        self.done_mode: DoneMode = done_mode
+        self.fig4_compat: bool = fig4_compat
+        self.allow_spontaneous_start: bool = allow_spontaneous_start
+        self.max_inclusive_branches: int = max_inclusive_branches
+        self.solve_mode: str = solve_mode  # strong | cyclic | both
+        self.limits: Limits = Limits() if limits is None else limits
+        self.write_dot: bool = write_dot
+        self.write_traces: bool = write_traces
+        self.warnings_as_errors: bool = warnings_as_errors
 
     def encode_options(self) -> EncodeOptions:
         return EncodeOptions(
@@ -68,19 +72,22 @@ class RunConfig:
         return (SolveMode.STRONG, SolveMode.STRONG_CYCLIC)
 
 
-@dataclass
-class TranslationResult:
-    stem: str
-    graph: object
-    diagnostics: list[Diagnostic]
-    domain: PddlDomain
-    problems: list[PddlProblem]
-    domain_text: str
-    problem_texts: dict[str, str]  # variant -> text
-    n_nodes: int
-    n_flows: int
-    n_synthetic: int
-    elapsed_ms: float
+class TranslationResult(Record):
+    __slots__ = __match_args__ = ("stem", "graph", "diagnostics", "domain", "problems", "domain_text", "problem_texts",
+                                  "n_nodes", "n_flows", "n_synthetic", "elapsed_ms")
+    def __init__(self, stem, graph, diagnostics, domain, problems, domain_text, problem_texts, n_nodes, n_flows,
+                 n_synthetic, elapsed_ms):
+        self.stem: str = stem
+        self.graph: object = graph
+        self.diagnostics: list[Diagnostic] = diagnostics
+        self.domain: PddlDomain = domain
+        self.problems: list[PddlProblem] = problems
+        self.domain_text: str = domain_text
+        self.problem_texts: dict[str, str] = problem_texts  # variant -> text
+        self.n_nodes: int = n_nodes
+        self.n_flows: int = n_flows
+        self.n_synthetic: int = n_synthetic
+        self.elapsed_ms: float = elapsed_ms
 
 
 def translate_file(path: str | Path, config: RunConfig | None = None) -> TranslationResult:
@@ -131,14 +138,14 @@ def _write_outputs(result: TranslationResult, config: RunConfig) -> None:
         )
 
 
-def _translate_or_report(config: RunConfig) -> TranslationResult | None:
+def _translate_or_report(config: RunConfig, path: str) -> TranslationResult | None:
     try:
-        result = translate_file(config.input_path, config)
+        result = translate_file(path, config)
     except OSError as exc:
-        print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     except (ParseError, GraphError, EncodingError) as exc:
-        print(f"error: {config.input_path}: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return None
     try:
         _write_outputs(result, config)
@@ -158,7 +165,7 @@ def _translate_or_report(config: RunConfig) -> TranslationResult | None:
 
 
 def cmd_translate(config: RunConfig) -> int:
-    result = _translate_or_report(config)
+    result = _translate_or_report(config, config.input_path)
     if result is None:
         return 1
     return 2 if config.warnings_as_errors and result.diagnostics else 0
@@ -216,12 +223,12 @@ def _check_variant(
     return report.n_states, report.strong is not None, report.strong_cyclic is not None
 
 
-def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, bool, bool, float]:
-    """`check` on one file: its exit code, its translation (None when the
+def _check_file(config: RunConfig, path: str) -> tuple[int, TranslationResult | None, int, bool, bool, float]:
+    """`check` on the file at `path`: its exit code, its translation (None when the
     file cannot be read, translated or written), the largest variant's state count,
     whether every variant has a strong and a strong-cyclic policy (no, when
     a limit was hit), and the milliseconds checking took."""
-    result = _translate_or_report(config)
+    result = _translate_or_report(config, path)
     if result is None:
         return 1, None, 0, False, False, 0.0
 
@@ -248,7 +255,7 @@ def _check_file(config: RunConfig) -> tuple[int, TranslationResult | None, int, 
 
 
 def cmd_check(config: RunConfig) -> int:
-    return _check_file(config)[0]
+    return _check_file(config, config.input_path)[0]
 
 
 def _cannot_write(exc: OSError) -> int:
@@ -277,7 +284,7 @@ def cmd_corpus(config: RunConfig) -> int:
     rows: list[str] = []
     codes = {0}
     for path in sorted(directory.glob("*.bpmn")):
-        code, result, n_states, strong_ok, cyclic_ok, check_ms = _check_file(replace(config, input_path=str(path)))
+        code, result, n_states, strong_ok, cyclic_ok, check_ms = _check_file(config, str(path))
         codes.add(code)
         if result is None:
             rows.append(f"{path.name}\tERROR\t\t\t\t\t\t\t\t")

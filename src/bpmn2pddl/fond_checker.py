@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, islice, product, repeat
 from operator import sub
 
+from .bpmn_parser import Record
 from .pddl_encoder import (
     _EFFECT_WORDS,
     _UNSUPPORTED_EFFECTS,
@@ -58,24 +58,29 @@ class SolveMode(Enum):
     STRONG_CYCLIC = "strong-cyclic"
 
 
-@dataclass
-class Limits:
-    max_states: int = 1_000_000
-    max_traces: int = 100_000
-    max_trace_len: int = 10_000
+class Limits(Record):
+    __slots__ = __match_args__ = ("max_states", "max_traces", "max_trace_len")
+    def __init__(self, max_states=1_000_000, max_traces=100_000, max_trace_len=10_000):
+        self.max_states: int = max_states
+        self.max_traces: int = max_traces
+        self.max_trace_len: int = max_trace_len
 
 
-@dataclass(frozen=True)
-class Outcome:
-    adds: frozenset
-    dels: frozenset
+class Outcome(Record):
+    __slots__ = __match_args__ = ("adds", "dels")
+    __hash__, __setattr__, __delattr__ = Record._hash, Record._frozen, Record._frozen
+    def __init__(self, adds: frozenset, dels: frozenset):
+        object.__setattr__(self, "adds", adds)
+        object.__setattr__(self, "dels", dels)
 
 
-@dataclass(frozen=True)
-class GroundAction:
-    name: str
-    pre: frozenset
-    outcomes: tuple[Outcome, ...]
+class GroundAction(Record):
+    __slots__ = __match_args__ = ("name", "pre", "outcomes")
+    __hash__, __setattr__, __delattr__ = Record._hash, Record._frozen, Record._frozen
+    def __init__(self, name: str, pre: frozenset, outcomes: tuple[Outcome, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "outcomes", outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +512,16 @@ def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
 # Exhaustive exploration
 
 
-@dataclass
-class DoubleAdd:
-    state_index: int
-    action: str
-    outcome: int
-    pred: str
+class DoubleAdd(Record):
+    __slots__ = __match_args__ = ("state_index", "action", "outcome", "pred")
+    def __init__(self, state_index, action, outcome, pred):
+        self.state_index: int = state_index
+        self.action: str = action
+        self.outcome: int = outcome
+        self.pred: str = pred
 
 
-@dataclass
-class StateSpace:
+class StateSpace(Record):
     """The explored transition system, with integer bitmask states.
 
     State ``s`` is the int ``masks[s]``; bit ``i`` is predicate ``preds[i]``.
@@ -534,17 +539,21 @@ class StateSpace:
     solvers, traces and DOT export decode only the states they touch.
     """
 
-    masks: list[int]
-    preds: list[str]
-    owner: list[int]
-    name: list[str]
-    succs: list[tuple[int, ...]]
-    first: list[int]
-    rev: list[list[int]]
-    goal_states: set[int]
-    deadlock_states: set[int]
-    actions: dict[str, tuple[int, ...]]
-    _decoded: dict[int, frozenset] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # no __slots__: the views and the decoded states live in the instance's __dict__
+    __match_args__ = ("masks", "preds", "owner", "name", "succs", "first", "rev", "goal_states", "deadlock_states",
+                      "actions")
+    def __init__(self, masks, preds, owner, name, succs, first, rev, goal_states, deadlock_states, actions):
+        self.masks: list[int] = masks
+        self.preds: list[str] = preds
+        self.owner: list[int] = owner
+        self.name: list[str] = name
+        self.succs: list[tuple[int, ...]] = succs
+        self.first: list[int] = first
+        self.rev: list[list[int]] = rev
+        self.goal_states: set[int] = goal_states
+        self.deadlock_states: set[int] = deadlock_states
+        self.actions: dict[str, tuple[int, ...]] = actions
+        self._decoded: dict[int, frozenset] = {}
 
     def state(self, s: int) -> frozenset:
         """State `s` as the frozenset of its true predicates."""
@@ -705,10 +714,11 @@ def _state_limit(limits: Limits, states: int, s: int, first: list[int], rev: lis
 # Policies
 
 
-@dataclass
-class Policy:
-    mapping: dict[frozenset, str]
-    kind: SolveMode
+class Policy(Record):
+    __slots__ = __match_args__ = ("mapping", "kind")
+    def __init__(self, mapping, kind):
+        self.mapping: dict[frozenset, str] = mapping
+        self.kind: SolveMode = kind
 
 
 def _backward(owner: list[int], rev: list[list[int]], pending: list[int], goals) -> list[int]:
@@ -914,15 +924,17 @@ def verify_policy(space: StateSpace, policy: Policy) -> None:
 # Trace enumeration
 
 
-@dataclass
-class Trace:
-    steps: list[tuple[frozenset, str, int]]
-    terminal: str  # "goal" | "deadlock" | "cycle"
+class Trace(Record):
+    __slots__ = __match_args__ = ("steps", "terminal")
+    def __init__(self, steps, terminal):
+        self.steps: list[tuple[frozenset, str, int]] = steps
+        self.terminal: str = terminal  # "goal" | "deadlock" | "cycle"
 
 
-@dataclass
-class TraceSet:
-    traces: list[Trace] = field(default_factory=list)
+class TraceSet(Record):
+    __slots__ = __match_args__ = ("traces",)
+    def __init__(self, traces=None):
+        self.traces: list[Trace] = [] if traces is None else traces
 
 
 def enumerate_traces(
@@ -1008,15 +1020,17 @@ def traces_to_json(traces: TraceSet) -> list[dict]:
 # Reports and exports
 
 
-@dataclass
-class CheckReport:
-    problem_name: str
-    variant: str
-    n_states: int
-    n_deadlocks: int
-    strong: Policy | None
-    strong_cyclic: Policy | None
-    space: StateSpace
+class CheckReport(Record):
+    __slots__ = __match_args__ = ("problem_name", "variant", "n_states", "n_deadlocks", "strong", "strong_cyclic",
+                                  "space")
+    def __init__(self, problem_name, variant, n_states, n_deadlocks, strong, strong_cyclic, space):
+        self.problem_name: str = problem_name
+        self.variant: str = variant
+        self.n_states: int = n_states
+        self.n_deadlocks: int = n_deadlocks
+        self.strong: Policy | None = strong
+        self.strong_cyclic: Policy | None = strong_cyclic
+        self.space: StateSpace = space
 
 
 def analyze(

@@ -19,11 +19,10 @@ marker.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
 
-from .bpmn_parser import _EVENTS, _GATEWAYS, FlowNode, NodeKind
+from .bpmn_parser import _EVENTS, _GATEWAYS, FlowNode, NodeKind, Record
 from .process_graph import MessageStrategy, ProcessGraph
 
 
@@ -36,64 +35,73 @@ class DoneMode(Enum):
     ALL_POOLS = "all"
 
 
-@dataclass
-class EncodeOptions:
-    fig4_compat: bool = False
-    done_mode: DoneMode = DoneMode.ANY_END
-    allow_spontaneous_start: bool = False
-    max_inclusive_branches: int = 6
+class EncodeOptions(Record):
+    __slots__ = __match_args__ = ("fig4_compat", "done_mode", "allow_spontaneous_start", "max_inclusive_branches")
+    def __init__(self, fig4_compat=False, done_mode=DoneMode.ANY_END, allow_spontaneous_start=False,
+                 max_inclusive_branches=6):
+        self.fig4_compat: bool = fig4_compat
+        self.done_mode: DoneMode = done_mode
+        self.allow_spontaneous_start: bool = allow_spontaneous_start
+        self.max_inclusive_branches: int = max_inclusive_branches
 
 
 # ---------------------------------------------------------------------------
 # PDDL abstract syntax
 
 
-@dataclass
-class EffAdd:
-    pred: str
+class EffAdd(Record):
+    __slots__ = __match_args__ = ("pred",)
+    def __init__(self, pred):
+        self.pred: str = pred
 
 
-@dataclass
-class EffNot:
-    pred: str
+class EffNot(Record):
+    __slots__ = __match_args__ = ("pred",)
+    def __init__(self, pred):
+        self.pred: str = pred
 
 
-@dataclass
-class EffAnd:
-    items: list[EffAdd | EffNot | EffAnd | EffOneOf]
+class EffAnd(Record):
+    __slots__ = __match_args__ = ("items",)
+    def __init__(self, items):
+        self.items: list[EffAdd | EffNot | EffAnd | EffOneOf] = items
 
 
-@dataclass
-class EffOneOf:
-    outcomes: list[EffAdd | EffNot | EffAnd]
+class EffOneOf(Record):
+    __slots__ = __match_args__ = ("outcomes",)
+    def __init__(self, outcomes):
+        self.outcomes: list[EffAdd | EffNot | EffAnd] = outcomes
 
 
 EffectTree = EffAdd | EffNot | EffAnd | EffOneOf
 
 
-@dataclass
-class PddlAction:
-    name: str
-    precondition: list[str]  # conjunction of positive literals
-    effect: EffAnd
+class PddlAction(Record):
+    __slots__ = __match_args__ = ("name", "precondition", "effect")
+    def __init__(self, name, precondition, effect):
+        self.name: str = name
+        self.precondition: list[str] = precondition  # conjunction of positive literals
+        self.effect: EffAnd = effect
 
 
-@dataclass
-class PddlDomain:
-    name: str
-    requirements: list[str]
-    types: list[str]
-    predicates: list[str]
-    actions: list[PddlAction]
+class PddlDomain(Record):
+    __slots__ = __match_args__ = ("name", "requirements", "types", "predicates", "actions")
+    def __init__(self, name, requirements, types, predicates, actions):
+        self.name: str = name
+        self.requirements: list[str] = requirements
+        self.types: list[str] = types
+        self.predicates: list[str] = predicates
+        self.actions: list[PddlAction] = actions
 
 
-@dataclass
-class PddlProblem:
-    name: str
-    domain_name: str
-    init: list[str]
-    goal: list[str]
-    variant: str = ""
+class PddlProblem(Record):
+    __slots__ = __match_args__ = ("name", "domain_name", "init", "goal", "variant")
+    def __init__(self, name, domain_name, init, goal, variant=""):
+        self.name: str = name
+        self.domain_name: str = domain_name
+        self.init: list[str] = init
+        self.goal: list[str] = goal
+        self.variant: str = variant
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ events per pool) are enforced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .bpmn_parser import _GATEWAYS, BpmnModel, FlowNode, MessageFlow, NodeKind, SequenceFlow
+from .bpmn_parser import _GATEWAYS, BpmnModel, FlowNode, MessageFlow, NodeKind, Record, SequenceFlow
 
 
 class MessageStrategy(Enum):
@@ -54,19 +53,22 @@ class MultipleOutgoingNonGateway(GraphError):
         self.node_id = node_id
 
 
-@dataclass
-class ProcessGraph:
-    nodes: dict[str, FlowNode]
-    incoming: dict[str, list[str]]  # node id -> flow ids, document order
-    outgoing: dict[str, list[str]]
-    flows: dict[str, SequenceFlow]
-    task_task_messages: list[MessageFlow]
-    start_nodes: dict[str, list[str]]  # pool id -> node ids
-    end_nodes: dict[str, list[str]]
-    pools: list[str]
-    pool_names: dict[str, str]
-    msg_strategy: MessageStrategy
-    source_name: str
+class ProcessGraph(Record):
+    __slots__ = __match_args__ = ("nodes", "incoming", "outgoing", "flows", "task_task_messages", "start_nodes",
+                                  "end_nodes", "pools", "pool_names", "msg_strategy", "source_name")
+    def __init__(self, nodes, incoming, outgoing, flows, task_task_messages, start_nodes, end_nodes, pools, pool_names,
+                 msg_strategy, source_name):
+        self.nodes: dict[str, FlowNode] = nodes
+        self.incoming: dict[str, list[str]] = incoming  # node id -> flow ids, document order
+        self.outgoing: dict[str, list[str]] = outgoing
+        self.flows: dict[str, SequenceFlow] = flows
+        self.task_task_messages: list[MessageFlow] = task_task_messages
+        self.start_nodes: dict[str, list[str]] = start_nodes  # pool id -> node ids
+        self.end_nodes: dict[str, list[str]] = end_nodes
+        self.pools: list[str] = pools
+        self.pool_names: dict[str, str] = pool_names
+        self.msg_strategy: MessageStrategy = msg_strategy
+        self.source_name: str = source_name
 
     def normal_incoming(self, node_id: str) -> list[str]:
         return [f for f in self.incoming[node_id] if not self.flows[f].synthetic]
@@ -75,11 +77,12 @@ class ProcessGraph:
         return [f for f in self.outgoing[node_id] if not self.flows[f].synthetic]
 
 
-@dataclass
-class Diagnostic:
-    code: str
-    node_ids: tuple[str, ...]
-    message: str
+class Diagnostic(Record):
+    __slots__ = __match_args__ = ("code", "node_ids", "message")
+    def __init__(self, code, node_ids, message):
+        self.code: str = code
+        self.node_ids: tuple[str, ...] = node_ids
+        self.message: str = message
 
 
 def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrategy.EXCLUSIVE_EMULATION) -> ProcessGraph:

@@ -10,8 +10,8 @@ import re
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import astuple
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -988,7 +988,8 @@ def _assert_same_space(domain, problem, label):
     assert got.transitions == want.transitions, label
     assert got.goal_states == want.goal_states, label
     assert got.deadlock_states == want.deadlock_states, label
-    assert Counter(map(astuple, got.double_adds)) == Counter(map(astuple, want.double_adds)), label
+    fields = attrgetter("state_index", "action", "outcome", "pred")
+    assert Counter(map(fields, got.double_adds)) == Counter(map(fields, want.double_adds)), label
     power = {p: 1 << i for i, p in enumerate(got.preds)}
     assert got.actions == {a.name: tuple(sum(map(power.__getitem__, o.adds)) for o in a.outcomes)
                            for a in want.actions.values()}, label
@@ -1172,6 +1173,34 @@ def test_generated_diagrams_match_the_oracles(diagram, strategy):
         if len(space.masks) < 1000:
             for mode, got, expected in _mappings(domain, problem, space):
                 assert got == expected, (problem.variant, mode.value)
+
+
+@given(_generated(), st.sampled_from(MessageStrategy))
+@settings(max_examples=40, deadline=None)
+def test_generated_diagrams_match_the_token_game(diagram, strategy):
+    """On every emitted problem of a generated diagram, the rendered and
+    parsed domain explores to the token game's states and (state, successor)
+    edges, or both pass the same 3000-state limit."""
+    from token_game import TokenGame
+
+    graph = build_graph(parse_bpmn(diagram.xml), strategy)
+    domain = parse_pddl(render_pddl(emit_domain(graph)))
+    problems = {frozenset(p.init): p for p in emit_problems(graph)}
+    game, limits = TokenGame(graph), Limits(max_states=3000)
+    starts = [[n for p in graph.pools for n in graph.start_nodes[p]]] + [graph.start_nodes[p] for p in graph.pools]
+    inits = {game.initial(start_ids) for start_ids in starts}
+    assert inits == problems.keys()  # one emitted problem per start variant, and no other
+    for init, problem in problems.items():
+        try:
+            space = explore(domain, problem, limits)
+        except LimitExceeded:
+            with pytest.raises(RuntimeError, match="state budget exceeded"):
+                game.explore(init, limits.max_states)
+            continue
+        states, edges, _ = game.explore(init, limits.max_states)
+        assert set(space.states) == states, problem.variant
+        assert {(space.states[s], space.states[t]) for s, moves in enumerate(space.transitions)
+                for _a, _o, t in moves} == edges, problem.variant
 
 
 def test_bench_tracing_wraps_and_restores_the_program():

@@ -8,8 +8,16 @@ mutable and unhashable.
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bpmn2pddl
 from bpmn2pddl.bpmn_parser import BpmnModel, FlowNode, MessageFlow, NodeKind, Pool, SequenceFlow
 from bpmn2pddl.cli import RunConfig, TranslationResult
 from bpmn2pddl.fond_checker import (
@@ -206,6 +214,13 @@ class TestRecord:
         assert getattr(record, name) is values[name]
 
 
+@pytest.mark.parametrize("cls, values, defaults, fresh, text", RECORDS, ids=_IDS)
+def test_copies_and_pickles_are_equal(cls, values, defaults, fresh, text):
+    record = cls(*values.values())
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record and twin is not record
+
+
 def test_records_of_different_types_are_unequal():
     assert EffAdd("p") != EffNot("p")
     assert EffAnd([]) != EffOneOf([])
@@ -219,3 +234,20 @@ def test_state_space_equality_ignores_its_decoded_states():
     assert space == other
     assert repr(space) == repr(other)
     assert other._decoded == {} and other._decoded is not space._decoded
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
+    src = str(Path(bpmn2pddl.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    listing = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+    return set(listing.split())
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    """Importing the command line adds neither module to what the bare
+    interpreter (with this host's `site` and `.pth` files) already loads."""
+    added = _modules_after("import bpmn2pddl.cli") - _modules_after("pass")
+    assert "bpmn2pddl.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
