@@ -161,7 +161,6 @@ class TestRecord:
         by_position = cls(*values.values())
         by_keyword = cls(**values)
         for record in (by_position, by_keyword):
-            assert _fields(record, values) == values
             assert all(getattr(record, name) is value for name, value in values.items())
         with pytest.raises(TypeError):
             cls(*values.values(), None)  # one positional argument too many
@@ -213,12 +212,10 @@ class TestRecord:
             delattr(record, name)
         assert getattr(record, name) is values[name]
 
-
-@pytest.mark.parametrize("cls, values, defaults, fresh, text", RECORDS, ids=_IDS)
-def test_copies_and_pickles_are_equal(cls, values, defaults, fresh, text):
-    record = cls(*values.values())
-    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-        assert type(twin) is cls and twin == record and twin is not record
+    def test_copies_and_pickles(self, cls, values, defaults, fresh, text):
+        record = cls(*values.values())
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record and twin is not record
 
 
 def test_records_of_different_types_are_unequal():
@@ -246,8 +243,8 @@ def _modules_after(code: str) -> set[str]:
 
 
 def test_import_does_not_load_dataclasses_or_inspect():
-    """Importing the command line adds neither module to what the bare
-    interpreter (with this host's `site` and `.pth` files) already loads."""
+    """Importing the command line adds neither module to what a bare
+    interpreter, with whatever its `site` and `.pth` files import, loads."""
     added = _modules_after("import bpmn2pddl.cli") - _modules_after("pass")
     assert "bpmn2pddl.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
