@@ -62,14 +62,6 @@ class NodeKind(Enum):
     # members are singletons, so identity hashing is exact; Enum's own hash runs Python code
     __hash__ = object.__hash__
 
-    @property
-    def is_event(self) -> bool:
-        return self in _EVENTS
-
-    @property
-    def is_gateway(self) -> bool:
-        return self in _GATEWAYS
-
 
 _EVENTS = frozenset(
     (NodeKind.START_EVENT, NodeKind.END_EVENT, NodeKind.INTERMEDIATE_CATCH, NodeKind.INTERMEDIATE_THROW)

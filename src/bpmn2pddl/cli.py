@@ -12,6 +12,7 @@ A standard output closed early (`| head`) exits 1 without a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,6 +310,7 @@ def cmd_corpus(config: RunConfig) -> int:
     return 1 if 1 in codes else max(codes)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every main call
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpmn2pddl",
@@ -321,11 +323,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument(
         "--msg-strategy",
-        choices=["ignore", "exclusive"],
+        choices=[m.value for m in MessageStrategy],
         default="exclusive",
         help="task-task message flows: ignore or emulate as exclusive branching",
     )
-    common.add_argument("--done-mode", choices=["any", "all"], default="any")
+    common.add_argument("--done-mode", choices=[m.value for m in DoneMode], default="any")
     common.add_argument("--fig4-compat", action="store_true", help="omit :non-deterministic from :requirements")
     common.add_argument("--allow-spontaneous-start", action="store_true")
     common.add_argument("--max-inclusive-branches", type=int, default=6)
@@ -356,10 +358,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         input_path=args.input,
         output_dir=args.out,
-        msg_strategy=(
-            MessageStrategy.IGNORE if args.msg_strategy == "ignore" else MessageStrategy.EXCLUSIVE_EMULATION
-        ),
-        done_mode=DoneMode.ANY_END if args.done_mode == "any" else DoneMode.ALL_POOLS,
+        msg_strategy=MessageStrategy(args.msg_strategy),
+        done_mode=DoneMode(args.done_mode),
         fig4_compat=args.fig4_compat,
         allow_spontaneous_start=args.allow_spontaneous_start,
         max_inclusive_branches=args.max_inclusive_branches,

@@ -512,15 +512,6 @@ def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
 # Exhaustive exploration
 
 
-class DoubleAdd(Record):
-    __slots__ = __match_args__ = ("state_index", "action", "outcome", "pred")
-    def __init__(self, state_index, action, outcome, pred):
-        self.state_index: int = state_index
-        self.action: str = action
-        self.outcome: int = outcome
-        self.pred: str = pred
-
-
 class StateSpace(Record):
     """The explored transition system, with integer bitmask states.
 
@@ -533,10 +524,10 @@ class StateSpace(Record):
     per state the space holds a mask, a ``rev`` list and that tuple, per
     pair list entries and, for a multi-outcome pair, its own tuple, so its
     size is O(states + transitions). ``actions`` maps each action name to
-    its outcomes' add masks, in outcome order. ``states``, ``index``,
-    ``transitions`` and ``double_adds`` are the public views, built on first
-    use; :meth:`state` decodes one state from its set bits, once, so the
-    solvers, traces and DOT export decode only the states they touch.
+    its outcomes' add masks, in outcome order. :meth:`state` decodes one
+    state from its set bits, once, so the solvers, traces and DOT export
+    decode only the states they touch; ``states`` and ``transitions`` decode
+    the whole space, once, on first use.
     """
 
     # no __slots__: the views and the decoded states live in the instance's __dict__
@@ -572,20 +563,8 @@ class StateSpace(Record):
         return [self.state(s) for s in range(len(self.masks))]
 
     @cached_property
-    def index(self) -> dict[frozenset, int]:
-        return {state: s for s, state in enumerate(self.states)}
-
-    @cached_property
     def transitions(self) -> list[list[tuple[str, int, int]]]:
         return [self.moves(s) for s in range(len(self.masks))]
-
-    @cached_property
-    def double_adds(self) -> list[DoubleAdd]:
-        """Every outcome that adds an atom already true, in pair, outcome and
-        bit order. :func:`explore` records none; this view tests each pair."""
-        adds, masks, name, preds = self.actions, self.masks, self.name, self.preds
-        return [DoubleAdd(s, name[p], o, preds[i]) for p, s in enumerate(self.owner)
-                for o, add in enumerate(adds[name[p]]) for i in _bits(add & masks[s])]
 
 
 def _bits(mask: int):
@@ -616,9 +595,8 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     state is found and shared by every one-outcome pair that leads to it;
     only a multi-outcome pair gets a tuple of its own. So each state
     allocates its mask, its ``rev`` list and that tuple, and each pair
-    only entries of flat lists; ``owner`` is expanded from ``first`` after
-    the search, and outcomes that add a true atom are found only when the
-    ``double_adds`` view is read. O(states + transitions).
+    only entries of flat lists, and ``owner`` is expanded from ``first``
+    after the search. O(states + transitions).
     """
     limits = limits or Limits()
     power = {p: 1 << i for i, p in enumerate(dict.fromkeys([*domain.predicates, *problem.init, *problem.goal]))}

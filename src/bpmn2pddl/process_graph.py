@@ -185,7 +185,7 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
     joins: list[str] = []
     for nid, node in graph.nodes.items():
         kind = node.kind
-        if not kind.is_gateway:
+        if kind not in _GATEWAYS:
             continue
         fan_out, fan_in = len(graph.outgoing[nid]), len(graph.incoming[nid])
         if fan_out <= 1 and fan_in <= 1:

@@ -3,11 +3,12 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from bpmn2pddl.cli import RunConfig, translate_file
-from bpmn2pddl.fond_checker import DoubleAdd, StateSpace
+from bpmn2pddl.fond_checker import StateSpace, _bits
 from bpmn2pddl.pddl_encoder import DoneMode
 from bpmn2pddl.process_graph import MessageStrategy
 
@@ -52,10 +53,27 @@ def pddl_tokens(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
+class DoubleAdd(NamedTuple):
+    """Outcome `outcome` of `action` in state `state_index` adds `pred`, which is already true."""
+
+    state_index: int
+    action: str
+    outcome: int
+    pred: str
+
+
+def double_adds(space: StateSpace) -> list[DoubleAdd]:
+    """Every outcome that adds an atom already true, in pair, outcome and
+    bit order. :func:`explore` records none; this tests each pair."""
+    adds, masks, name, preds = space.actions, space.masks, space.name, space.preds
+    return [DoubleAdd(s, name[p], o, preds[i]) for p, s in enumerate(space.owner)
+            for o, add in enumerate(adds[name[p]]) for i in _bits(add & masks[s])]
+
+
 def token_double_adds(space: StateSpace) -> list[DoubleAdd]:
     """Double-adds of the encoder's token predicates: its goal latches
     (`done`, `pool_done_*`) and counters (`count_*`) are exempt."""
-    return [d for d in space.double_adds if d.pred != "done" and not d.pred.startswith(("count_", "pool_done_"))]
+    return [d for d in double_adds(space) if d.pred != "done" and not d.pred.startswith(("count_", "pool_done_"))]
 
 
 @pytest.fixture(scope="session")

@@ -65,9 +65,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from bpmn2pddl.bpmn_parser import NodeKind
+from bpmn2pddl.bpmn_parser import _GATEWAYS, NodeKind
 from bpmn2pddl.fond_checker import (
-    DoubleAdd,
     GroundAction,
     LimitExceeded,
     Limits,
@@ -85,6 +84,7 @@ from bpmn2pddl.fond_checker import (
 )
 from bpmn2pddl.pddl_encoder import EffAdd, EffAnd, EffNot, PddlDomain, PddlProblem
 from bpmn2pddl.process_graph import Diagnostic, ProcessGraph, _reachable_from
+from conftest import DoubleAdd
 
 
 def ground_domain(domain: PddlDomain) -> list[GroundAction]:
@@ -558,7 +558,7 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
             )
 
     for nid, node in graph.nodes.items():
-        if not node.kind.is_gateway:
+        if node.kind not in _GATEWAYS:
             continue
         if len(graph.outgoing[nid]) <= 1 and len(graph.incoming[nid]) <= 1:
             diagnostics.append(
@@ -615,7 +615,7 @@ def marker(enc, flow_id: str) -> str:
         return enc.msg[flow_id]
     if src.kind is NodeKind.START_EVENT:
         return enc.node_pred[flow.source]
-    if tgt.kind.is_gateway and len(enc.graph.incoming[flow.target]) >= 2:
+    if tgt.kind in _GATEWAYS and len(enc.graph.incoming[flow.target]) >= 2:
         idx = enc.graph.incoming[flow.target].index(flow_id)
         return enc.arr[(flow.target, idx)]
     return enc.node_pred[flow.target]

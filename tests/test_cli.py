@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpmn2pddl import fond_checker
-from bpmn2pddl.cli import RunConfig, _traces_text, cmd_check, main, translate_file
+from bpmn2pddl.cli import RunConfig, _traces_text, build_arg_parser, cmd_check, main, translate_file
 from bpmn2pddl.fond_checker import Limits
 from conftest import CORPUS_DIR, FIXTURE_DIR, fixture
 
@@ -406,3 +406,14 @@ def test_check_help_and_usage_error(argv, exit_code, out, err, capsys, monkeypat
         main(argv)
     assert exc.value.code == exit_code
     assert capsys.readouterr() == (out, err)
+
+
+def test_main_builds_one_parser(capsys):
+    build_arg_parser.cache_clear()
+    for command in ("translate", "corpus"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: bpmn2pddl {command} ")
+    info = build_arg_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -11,7 +11,6 @@ import sys
 import tempfile
 from collections import Counter
 from itertools import product
-from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,7 +53,7 @@ from bpmn2pddl.pddl_encoder import (
     render_pddl,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_FILES, bench_module, fixture, token_double_adds, translate
+from conftest import CORPUS_FILES, bench_module, double_adds, fixture, token_double_adds, translate
 import reference_solver
 from reference_solver import applicable, apply, reference_mapping, reference_read, round_levels
 from test_process_graph import _review_chain
@@ -559,7 +558,7 @@ class TestExplore:
         mid_right = frozenset({"B1", "arr_Join_1"})
         both = frozenset({"arr_Join_0", "arr_Join_1"})
         for s in (mid_left, mid_right, both):
-            assert s in space.index
+            assert s in space.states
         # join fires only from the full-marker state
         join_sources = {
             src
@@ -567,7 +566,7 @@ class TestExplore:
             for (name, _o, _t) in trs
             if name == "event_Join"
         }
-        assert join_sources == {space.index[both]}
+        assert join_sources == {space.states.index(both)}
         assert token_double_adds(space) == []
 
     def test_xor_and_pathology_deadlocks(self):
@@ -597,9 +596,7 @@ class TestExplore:
         for preds in (["p", "q", "g"], ["q", "p", "g"], ["g", "q", "p"]):
             space = explore(PddlDomain("d", [":strips"], [], preds, [action]), problem)
             order = [p for p in preds if p != "g"]
-            assert [(d.state_index, d.action, d.outcome, d.pred) for d in space.double_adds] == [
-                (0, "again", 0, p) for p in order
-            ]
+            assert double_adds(space) == [(0, "again", 0, p) for p in order]
 
 
 def _brute_force_strong_exists(domain, problem) -> bool:
@@ -984,12 +981,10 @@ def _assert_same_space(domain, problem, label):
     got = explore(domain, problem)
     want = reference_solver.explore(domain, problem)
     assert got.states == want.states, label
-    assert got.index == want.index, label
     assert got.transitions == want.transitions, label
     assert got.goal_states == want.goal_states, label
     assert got.deadlock_states == want.deadlock_states, label
-    fields = attrgetter("state_index", "action", "outcome", "pred")
-    assert Counter(map(fields, got.double_adds)) == Counter(map(fields, want.double_adds)), label
+    assert Counter(double_adds(got)) == Counter(want.double_adds), label
     power = {p: 1 << i for i, p in enumerate(got.preds)}
     assert got.actions == {a.name: tuple(sum(map(power.__getitem__, o.adds)) for o in a.outcomes)
                            for a in want.actions.values()}, label
@@ -1262,7 +1257,7 @@ class TestMarkerIndex:
         report = analyze(domain, problem, (SolveMode.STRONG,))
         assert report.n_states == n + 2
         assert len(report.strong.mapping) == n + 1
-        for view in ("states", "index", "transitions", "double_adds"):
+        for view in ("states", "transitions"):
             assert view not in report.space.__dict__, view
         assert len(report.space._decoded) == n + 1  # the policy's states, decoded once each
 
@@ -1291,7 +1286,7 @@ class TestSharedSuccessors:
         ])
         problem = PddlProblem(name="p", domain_name="d", init=["s"], goal=["g"])
         space = _assert_same_space(domain, problem, "shared")
-        a, g = space.index[frozenset({"a"})], space.index[frozenset({"g"})]
+        a, g = space.states.index(frozenset({"a"})), space.states.index(frozenset({"g"}))
         go, try_, again, fin = space.succs
         assert go == again == (a,) and go is again
         assert try_ == (a, g) and try_ is not go

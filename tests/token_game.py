@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from bpmn2pddl.bpmn_parser import NodeKind
+from bpmn2pddl.bpmn_parser import _EVENTS, _GATEWAYS, NodeKind
 from bpmn2pddl.pddl_encoder import DoneMode, sanitize_id
 from bpmn2pddl.process_graph import MessageStrategy, ProcessGraph
 
@@ -61,7 +61,7 @@ class TokenGame:
                 ]
         self.arr: dict[tuple[str, int], str] = {}
         for nid, node in graph.nodes.items():
-            if node.kind.is_gateway and len(graph.incoming[nid]) >= 2:
+            if node.kind in _GATEWAYS and len(graph.incoming[nid]) >= 2:
                 for i, fid in enumerate(graph.incoming[nid]):
                     if graph.nodes[graph.flows[fid].source].kind is NodeKind.START_EVENT:
                         continue
@@ -135,7 +135,7 @@ class TokenGame:
         if graph.nodes[flow.source].kind is NodeKind.START_EVENT:
             return self.pred[flow.source]
         tgt = graph.nodes[flow.target]
-        if tgt.kind.is_gateway and len(graph.incoming[flow.target]) >= 2:
+        if tgt.kind in _GATEWAYS and len(graph.incoming[flow.target]) >= 2:
             return self.arr[(flow.target, graph.incoming[flow.target].index(fid))]
         return self.pred[flow.target]
 
@@ -164,7 +164,7 @@ class TokenGame:
                 continue
             if node.kind is NodeKind.TASK:
                 succs.extend(self._fire_task(state, nid))
-            elif node.kind.is_event:
+            elif node.kind in _EVENTS:
                 succs.extend(self._fire_simple(state, nid, end=node.kind is NodeKind.END_EVENT))
             else:
                 succs.extend(self._fire_gateway(state, nid, node.kind))
