@@ -294,10 +294,14 @@ def _parse_action(section: list) -> PddlAction:
     name = _sym(section[1], "an action name")
     precondition: list[str] = []
     effect: EffAnd | None = None
+    seen: set[str] = set()
     for i in range(2, len(section), 2):
         key = _sym(section[i], "an action keyword")
         if i + 1 >= len(section):
             raise _Misplaced(f"{key} has no value", section)
+        if key in seen:
+            raise _Misplaced(f"repeated action keyword {key!r}", section, i)
+        seen.add(key)
         if key == ":parameters":
             if not isinstance(section[i + 1], list) or section[i + 1]:
                 raise UnsupportedFeature("action parameters are outside the supported subset")

@@ -294,6 +294,12 @@ class TestParsePddl:
             (action + "    :precondition))", ":precondition has no value (line 3, column 3)"),
             (action + "    :precondition (p) :cost 1))", "unknown action keyword ':cost' (line 3, column 3)"),
             (action + "    :precondition (p)))", "action 'a' has no effect (line 3, column 3)"),
+            (action + "    :precondition (p) :effect (and (q))\n    :effect (and (not (p)))))",
+             "repeated action keyword ':effect' (line 5, column 5)"),
+            (action + "    :precondition (p) :effect (q) :precondition (q)))",
+             "repeated action keyword ':precondition' (line 4, column 35)"),
+            (action + "    :parameters () :parameters () :effect (q)))",
+             "repeated action keyword ':parameters' (line 4, column 20)"),
             (action + "    :precondition p :effect (q)))", "expected a precondition (line 4, column 19)"),
             (action + "    :precondition () :effect (q)))", "expected a precondition (line 4, column 19)"),
             (action + "    :precondition (and p) :effect (q)))", "expected a (predicate) atom (line 4, column 24)"),
