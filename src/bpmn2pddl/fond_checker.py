@@ -25,6 +25,7 @@ from .pddl_encoder import (
     EffAnd,
     EffNot,
     EffOneOf,
+    EffectTree,
     PddlAction,
     PddlDomain,
     PddlProblem,
@@ -88,76 +89,38 @@ class GroundAction(Record):
 
 
 class _Misplaced(Exception):
-    """A syntax error: its message and the place it names, a token index for
-    :func:`_read`, a form or a form and the index of one of its items for a
-    section reader. :func:`parse_pddl` raises it as a :class:`PddlSyntaxError`
-    with the line and column of that place, found only then."""
+    """A syntax error: its message and the index of the token it names. :func:`parse_pddl` raises it with
+    that token's line and column, found only then, unless :func:`_structure` finds an error first."""
 
 
 _TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
 _COMMENT = re.compile(r";[^\n]*")
 
 
-def _read(text: str) -> list:
-    """Read the one top-level form of `text` in a single scan.
-
-    ``;`` comments are cut out, then the tokens are the parentheses and the
-    whitespace-separated atoms, split at C speed. A form is a plain
-    ``list`` and an atom a ``str``: no position is kept, and one is worked
-    out from the tree only for an error (:func:`_token_index`). Open forms
-    wait on an explicit stack, so deep nesting never recurses. Only
-    whitespace and comments may follow the form.
-    """
+def _tokens(text: str) -> list[str]:
+    """The parentheses and whitespace-separated atoms of `text`, ``;`` comments cut, split at C speed."""
     if ";" in text:
         text = _COMMENT.sub("", text)
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    top: list = []  # the top-level items
-    items, parents = top, []
-    for tok in tokens:
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def _structure(t: list[str]) -> tuple[str, int] | None:
+    """Why the tokens `t` are not one parenthesized form, as a message and a token
+    index, or None if they are: one depth scan, run only when the reader is about to raise."""
+    opened: list[int] = []  # the index of each "(" not yet closed
+    for k, tok in enumerate(t):
+        if not opened:  # at the top level: a token after token 0 follows the first item
+            if tok == ")":
+                return ("trailing input ')'" if k else "unexpected )"), k
+            if k:
+                return f"trailing input {tok!r}", k
         if tok == "(":
-            form = []
-            items.append(form)
-            parents.append(items)
-            items = form
-        elif tok != ")":
-            items.append(tok)
-        elif parents:
-            items = parents.pop()
-        else:  # a ")" that closes no form
-            break
-    else:
-        if len(top) == 1 and not parents and isinstance(top[0], list):
-            return top[0]
-    if len(top) > 1:
-        at = _token_index(top, top, 1)
-        raise _Misplaced(f"trailing input {tokens[at]!r}", at)
-    if parents:
-        raise _Misplaced("missing )", _token_index(top, items))
-    end = _token_index(top, top, len(top))  # the tokens the top-level items take
-    if end < len(tokens):
-        raise _Misplaced("trailing input ')'" if top else "unexpected )", end)
-    if not top:
-        raise PddlSyntaxError("empty input")
-    raise _Misplaced("expected a parenthesized form", 0)
-
-
-def _token_index(items: list, form: list, item: int = -1) -> int:
-    """The token index of item `item` of `form`, or of the ``(`` of `form`
-    itself when `item` is -1, among the forms `items` read from token 0 on.
-    One walk of the tree in token order counts the tokens before it, finding
-    `form` by identity; an explicit stack keeps deep nesting from recursing."""
-    at, stack = 0, [[items, 0]]  # each open form and the index of its next item
-    while True:
-        frame = stack[-1]
-        node, i = frame
-        if node is form and i == max(item, 0):
-            return at + min(item, 0)  # the "(" is one token before item 0
-        frame[1] = i + 1
-        if i == len(node):
-            stack.pop()  # its ")"
-        elif isinstance(node[i], list):
-            stack.append([node[i], 0])
-        at += 1
+            opened.append(k)
+        elif tok == ")":
+            opened.pop()
+    if opened:
+        return "missing )", opened[-1]
+    return None if t[0] == "(" else ("expected a parenthesized form", 0)
 
 
 def _position(text: str, at: int) -> tuple[int, int]:
@@ -167,257 +130,290 @@ def _position(text: str, at: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _sym(item: object, what: str) -> str:
-    if isinstance(item, str):
-        return item
-    raise _Misplaced(f"expected {what}", item)
+def _one_item(t: list[str], i: int) -> bool:
+    """Whether exactly one item, an atom or a form, starts at token `i` before its form closes: a depth count."""
+    depth = 0
+    while True:
+        depth += (t[i] == "(") - (t[i] == ")")
+        i += 1
+        if depth <= 0:
+            return depth == 0 and t[i] == ")"
 
 
-def _atom(form: list, i: int) -> str:
-    """An atom of the subset, item `i` of `form`: a zero-arity predicate like (p)."""
-    item = form[i]
-    if isinstance(item, list) and len(item) == 1 and isinstance(item[0], str):  # the common (p)
-        return item[0]
-    if not isinstance(item, list) or not item:
-        raise _Misplaced("expected a (predicate) atom", form, i)
-    if len(item) > 1:
-        raise UnsupportedFeature("predicates with arguments are outside the supported subset")
-    return _sym(item[0], "a predicate name")
+def _atom(t: list[str], j: int) -> str:
+    """The atom of the subset at token `j`, a zero-arity predicate like (p): three tokens."""
+    if t[j] == "(":
+        name = t[j + 1]
+        if t[j + 2] == ")" and name != "(" and name != ")":
+            return name
+        if name == "(" and _one_item(t, j + 1):
+            raise _Misplaced("expected a predicate name", j + 1)
+        if name != ")":
+            raise UnsupportedFeature("predicates with arguments are outside the supported subset")
+    raise _Misplaced("expected a (predicate) atom", j)
+
+
+def _atoms(t: list[str], j: int) -> tuple[list[str], int]:
+    """The atoms from token `j` to the end of their form: their names and the index of its ``)``."""
+    names = []
+    while (tok := t[j]) != ")":
+        names.append(t[j + 1] if tok == "(" and t[j + 2] == ")" and t[j + 1] not in "()" else _atom(t, j))
+        j += 3
+    return names, j
+
+
+def _names(t: list[str], j: int, what: str) -> tuple[list[str], int]:
+    """The plain names from token `j` to the end of their form, and the index of its ``)``."""
+    k = j
+    while t[k] != ")":
+        if t[k] == "(":
+            raise _Misplaced(f"expected {what}", k)
+        k += 1
+    return t[j:k], k
+
+
+def _distinct(names: list[str], at: int, width: int, what: str) -> None:
+    """Raise a name of `names` given twice at its second item; item k is at token ``at + width * k``."""
+    if len(set(names)) < len(names):
+        first: dict[str, int] = {}  # the first k of each name: a later one returns it, not its own k
+        k = next(k for k, n in enumerate(names) if first.setdefault(n, k) != k)
+        raise _Misplaced(f"repeated {what} {names[k]!r}", at + width * k)
 
 
 def parse_pddl(text: str) -> PddlDomain | PddlProblem:
     """Parse a domain or problem in the emitted subset.
 
-    The text is scanned once into a tree of plain lists and strings
-    (:func:`_read`), which is then checked section by section. The head
-    names one domain or problem. No section but ``:action`` may repeat, nor
-    may a requirement flag or a predicate within its section. A domain must
-    name each action once, declare every predicate it uses and give every
-    ``oneof`` an outcome; a problem must have a ``:goal`` and name one
-    domain in ``:domain``. Raises :class:`PddlSyntaxError` with the line
-    and column of the offending token (for a domain check, of the action's
-    form), worked out from the tree and the text only then, or
-    :class:`UnsupportedFeature` for constructs outside the subset
-    (parameters, conditional effects, numeric fluents, objects, ...).
+    ``;`` comments are cut and the text split into tokens at C speed; one
+    walk over the tokens with a single index builds the records, no tree.
+    The head names one domain or problem. No section but ``:action`` may
+    repeat, nor a requirement flag or a predicate within its section, nor a
+    keyword within an action. A domain must name each action once, declare
+    every predicate it uses and give every ``oneof`` an outcome; a problem
+    must have a ``:goal`` and name one domain in ``:domain``. Raises
+    :class:`PddlSyntaxError` at the line and column of the offending token
+    (a domain check names the ``(:action``) or :class:`UnsupportedFeature`
+    outside the subset (parameters, conditional effects, objects, ...).
+    Only when the walk is about to raise does a depth scan look for a
+    missing or unexpected ``)``, trailing input or no form: that comes first.
     """
-    tree = None
+    t = _tokens(text)
+    if not t:
+        raise PddlSyntaxError("empty input")
     try:
-        tree = _read(text)
-        return _parse_define(tree)
-    except _Misplaced as exc:
-        message, at, *item = exc.args
-        if tree is not None:  # a section reader names a form, or a form and one of its items
-            at = _token_index([tree], at, *item)
+        parsed, end = _parse_define(t)
+        if end < len(t):
+            raise IndexError  # trailing input, which _structure names
+        return parsed
+    except (_Misplaced, UnsupportedFeature, IndexError) as exc:  # IndexError: the tokens ran out
+        found = _structure(t)
+        if found is None and type(exc) is not _Misplaced:
+            raise
+        message, at = found or exc.args
         raise PddlSyntaxError(message, *_position(text, at)) from None
 
 
-def _parse_define(top: list) -> PddlDomain | PddlProblem:
-    if not top or _sym(top[0], "define") != "define":
-        raise _Misplaced("expected (define ...)", top)
-    if len(top) < 2 or not isinstance(top[1], list) or not top[1]:
-        raise _Misplaced("expected (domain NAME) or (problem NAME)", top)
-    head = top[1]
-    kind = _sym(head[0], "domain or problem")
-    if kind == "domain":
-        return _parse_domain(top)
-    if kind == "problem":
-        return _parse_problem(top)
-    raise _Misplaced(f"expected domain or problem, got {kind!r}", head)
+def _parse_define(t: list[str]) -> tuple[PddlDomain | PddlProblem, int]:
+    """The ``(define (domain|problem NAME) ...)`` form at token 0 and the index past it."""
+    if t[1] != "define":  # if t[0] is not "(", _structure names the error
+        raise _Misplaced("expected define", 1) if t[1] == "(" else _Misplaced("expected (define ...)", 0)
+    if t[2] != "(" or t[3] == ")":
+        raise _Misplaced("expected (domain NAME) or (problem NAME)", 0)
+    kind, name = t[3], t[4]
+    if kind != "domain" and kind != "problem":
+        raise _Misplaced("expected domain or problem", 3) if kind == "(" else \
+            _Misplaced(f"expected domain or problem, got {kind!r}", 2)
+    if name == ")" or name == "(":
+        raise _Misplaced(f"{kind} has no name", 2) if name == ")" else _Misplaced(f"expected a {kind} name", 4)
+    if t[5] != ")":
+        raise _Misplaced(f"({kind} NAME) takes one name", 2)
+    return (_parse_domain if kind == "domain" else _parse_problem)(t, name)
 
 
-def _sections(top: list):
-    """Each ``(:tag ...)`` section of a ``define`` form: its tag and its form."""
-    for i in range(2, len(top)):
-        section = top[i]
-        if not isinstance(section, list) or not section:
-            raise _Misplaced("expected a (:section ...)", top, i)
-        yield _sym(section[0], "a section tag"), section
+def _section(t: list[str], i: int) -> str:
+    """The tag of the ``(:tag ...)`` section at token `i`."""
+    if t[i] != "(" or t[i + 1] == ")":
+        raise _Misplaced("expected a (:section ...)", i)
+    if t[i + 1] == "(":
+        raise _Misplaced("expected a section tag", i + 1)
+    return t[i + 1]
 
 
-def _parse_domain(top: list) -> PddlDomain:
-    head = top[1]
-    name = _sym(head[1], "a domain name") if len(head) > 1 else ""
-    if not name:
-        raise _Misplaced("domain has no name", head)
-    if len(head) > 2:
-        raise _Misplaced("(domain NAME) takes one name", head)
-    requirements: list[str] = []
-    types: list[str] = []
-    predicates: list[str] = []
-    actions: list[PddlAction] = []
-    action_forms: list[list] = []
-    seen: set[str] = set()
-    for tag, section in _sections(top):
-        if tag == ":action":
-            actions.append(_parse_action(section))
-            action_forms.append(section)
-            continue
-        if tag == ":requirements":
-            requirements = _distinct(section, [_sym(b, "a requirement flag") for b in section[1:]], "requirement")
-        elif tag == ":types":
-            types = [_sym(b, "a type name") for b in section[1:]]
-        elif tag == ":predicates":
-            predicates = _distinct(section, [_atom(section, i) for i in range(1, len(section))], "predicate")
-        elif tag in (":constants", ":functions"):
-            raise UnsupportedFeature(f"{tag} is outside the supported subset")
-        else:
-            raise _Misplaced(f"unknown domain section {tag!r}", section)
-        _once(tag, section, seen)
-    domain = PddlDomain(
-        name=name, requirements=requirements, types=types, predicates=predicates, actions=actions
-    )
-    _validate_domain(domain, action_forms)
-    return domain
-
-
-def _once(tag: str, section: list, seen: set[str]) -> None:
-    """Reject a section whose tag is in `seen`, the tags read before, then add it."""
+def _once(tag: str, i: int, seen: set[str]) -> None:
+    """Reject the section at token `i` if its tag is in `seen`, the tags read before; then add it."""
     if tag in seen:
-        raise _Misplaced(f"repeated section {tag!r}", section)
+        raise _Misplaced(f"repeated section {tag!r}", i)
     seen.add(tag)
 
 
-def _distinct(section: list, names: list[str], what: str) -> list[str]:
-    """`names`, read one from each item of `section` after its tag; a name
-    given twice is raised at its second item."""
-    seen: set[str] = set()
-    for i, n in enumerate(names, 1):
-        if n in seen:
-            raise _Misplaced(f"repeated {what} {n!r}", section, i)
-        seen.add(n)
-    return names
-
-
-def _parse_action(section: list) -> PddlAction:
-    if len(section) < 2:
-        raise _Misplaced("action has no name", section)
-    name = _sym(section[1], "an action name")
-    precondition: list[str] = []
-    effect: EffAnd | None = None
-    seen: set[str] = set()
-    for i in range(2, len(section), 2):
-        key = _sym(section[i], "an action keyword")
-        if i + 1 >= len(section):
-            raise _Misplaced(f"{key} has no value", section)
-        if key in seen:
-            raise _Misplaced(f"repeated action keyword {key!r}", section, i)
-        seen.add(key)
-        if key == ":parameters":
-            if not isinstance(section[i + 1], list) or section[i + 1]:
-                raise UnsupportedFeature("action parameters are outside the supported subset")
-        elif key == ":precondition":
-            precondition = _parse_precondition(section, i + 1)
-        elif key == ":effect":
-            effect = _parse_effect_root(section, i + 1)
+def _parse_domain(t: list[str], name: str) -> tuple[PddlDomain, int]:
+    requirements, types, predicates, actions, seen = [], [], [], [], set()
+    action_at: list[int] = []  # the token index of each (:action
+    used: list[str | None] = []  # each predicate the actions name, and None for each oneof with no outcome
+    i = 6
+    while t[i] != ")":
+        tag = _section(t, i)
+        if tag == ":action":
+            action_at.append(i)
+            action, i = _parse_action(t, i, used)
+            actions.append(action)
+            continue
+        if tag == ":requirements":
+            requirements, j = _names(t, i + 2, "a requirement flag")
+            _distinct(requirements, i + 2, 1, "requirement")
+        elif tag == ":types":
+            types, j = _names(t, i + 2, "a type name")
+        elif tag == ":predicates":
+            predicates, j = _atoms(t, i + 2)
+            _distinct(predicates, i + 2, 3, "predicate")
+        elif tag in (":constants", ":functions"):
+            raise UnsupportedFeature(f"{tag} is outside the supported subset")
         else:
-            raise _Misplaced(f"unknown action keyword {key!r}", section)
+            raise _Misplaced(f"unknown domain section {tag!r}", i)
+        _once(tag, i, seen)
+        i = j + 1
+    domain = PddlDomain(name, requirements, types, predicates, actions)
+    if not set(predicates).issuperset(used) or len({a.name for a in actions}) < len(actions):
+        _validate_domain(domain, action_at)  # a defect: its walk finds the first, in its own order
+    return domain, i + 1
+
+
+def _parse_action(t: list[str], s: int, used: list[str | None]) -> tuple[PddlAction, int]:
+    """The ``(:action ...)`` form at token `s` and the index past it; `used` as for :func:`_parse_effect`."""
+    name = t[s + 2]
+    if name == ")" or name == "(":
+        raise _Misplaced("action has no name", s) if name == ")" else _Misplaced("expected an action name", s + 2)
+    precondition, effect, seen = [], None, set()
+    j = s + 3
+    while (key := t[j]) != ")":
+        if key == "(":
+            raise _Misplaced("expected an action keyword", j)
+        if t[j + 1] == ")":
+            raise _Misplaced(f"{key} has no value", s)
+        if key in seen:
+            raise _Misplaced(f"repeated action keyword {key!r}", j)
+        seen.add(key)
+        if key == ":precondition":
+            precondition, j = _parse_precondition(t, j + 1)
+            used += precondition
+        elif key == ":effect":
+            effect, j = _parse_effect(t, j + 1, False, used)
+        elif key == ":parameters":
+            if t[j + 1] != "(" or t[j + 2] != ")":
+                raise UnsupportedFeature("action parameters are outside the supported subset")
+            j += 3
+        else:
+            raise _Misplaced(f"unknown action keyword {key!r}", s)
     if effect is None:
-        raise _Misplaced(f"action {name!r} has no effect", section)
-    return PddlAction(name=name, precondition=precondition, effect=effect)
+        raise _Misplaced(f"action {name!r} has no effect", s)
+    return PddlAction(name, precondition, effect if type(effect) is EffAnd else EffAnd([effect])), j + 1
 
 
-def _parse_precondition(form: list, i: int) -> list[str]:
-    """The precondition, item `i` of `form`: an atom or an (and ...) of atoms."""
-    value = form[i]
-    if not isinstance(value, list) or not value:
-        raise _Misplaced("expected a precondition", form, i)
-    head = value[0]
+def _parse_precondition(t: list[str], i: int) -> tuple[list[str], int]:
+    """The precondition at token `i`, an atom or an (and ...) of atoms: its atoms and the index past it."""
+    if t[i] != "(" or t[i + 1] == ")":
+        raise _Misplaced("expected a precondition", i)
+    head = t[i + 1]
     if head == "and":
-        atoms = []
-        for k in range(1, len(value)):
-            sub = value[k]
-            if isinstance(sub, list) and sub and sub[0] == "not":
+        atoms, j = [], i + 2
+        while (tok := t[j]) != ")":
+            if tok == "(" and t[j + 2] == ")" and (name := t[j + 1]) not in "()":
+                atoms.append(name)  # the common (p), read inline
+            elif tok == "(" and t[j + 1] == "not":
                 raise UnsupportedFeature("negative preconditions are outside the supported subset")
-            atoms.append(_atom(value, k))
-        return atoms
+            else:
+                atoms.append(_atom(t, j))
+            j += 3
+        return atoms, j + 1
     if head == "not":
         raise UnsupportedFeature("negative preconditions are outside the supported subset")
-    return [_atom(form, i)]
+    return [_atom(t, i)], i + 3
 
 
-def _parse_effect_root(form: list, i: int) -> EffAnd:
-    tree = _parse_effect(form, i, inside_oneof=False)
-    if isinstance(tree, EffAnd):
-        return tree
-    return EffAnd([tree])
-
-
-def _parse_effect(form: list, i: int, inside_oneof: bool) -> EffAdd | EffNot | EffAnd | EffOneOf:
-    """The effect that is item `i` of `form`."""
-    value = form[i]
-    if not isinstance(value, list) or not value:
-        raise _Misplaced("expected an effect", form, i)
-    word = value[0]
-    if isinstance(word, str) and word in _UNSUPPORTED_EFFECTS:
+def _parse_effect(t: list[str], i: int, inside_oneof: bool, used: list[str | None]) -> tuple[EffectTree, int]:
+    """The effect at token `i` and the index past it. `used` gets each
+    predicate it names, and None for a ``oneof`` with no outcome."""
+    if t[i] != "(" or t[i + 1] == ")":
+        raise _Misplaced("expected an effect", i)
+    word = t[i + 1]
+    if word in _UNSUPPORTED_EFFECTS:
         raise UnsupportedFeature(f"({word} ...) effects are outside the supported subset")
     if word == "and":
-        # splice nested (and ...) forms into this one, so deep nesting never recurses
-        items = []
-        todo = [(value, k) for k in range(len(value) - 1, 0, -1)]
-        while todo:
-            parent, k = todo.pop()
-            sub = parent[k]
-            if isinstance(sub, list) and len(sub) == 1 and isinstance(sub[0], str) and sub[0] not in _EFFECT_WORDS:
-                items.append(EffAdd(sub[0]))  # the common (p), read inline
-            elif isinstance(sub, list) and sub and sub[0] == "and":
-                todo.extend((sub, j) for j in range(len(sub) - 1, 0, -1))
+        # nested (and ...) forms are spliced into this one by a depth count, so deep nesting never recurses
+        items, depth, j = [], 0, i + 2  # depth: the nested (and ...) forms open
+        while True:
+            tok = t[j]
+            if tok == ")":
+                j += 1
+                if not depth:
+                    return EffAnd(items), j
+                depth -= 1
+            elif tok == "(" and t[j + 2] == ")" and (name := t[j + 1]) not in _EFFECT_WORDS and name not in "()":
+                items.append(EffAdd(name))  # the common (p) and (not (p)), read inline
+                used.append(name)
+                j += 3
+            elif tok == "(" and t[j + 1] == "not" and t[j + 2] == "(" and t[j + 4] == t[j + 5] == ")" \
+                    and (name := t[j + 3]) not in "()":
+                items.append(EffNot(name))
+                used.append(name)
+                j += 6
+            elif tok == "(" and t[j + 1] == "and":
+                depth += 1
+                j += 2
             else:
-                items.append(_parse_effect(parent, k, inside_oneof))
-        return EffAnd(items)
+                item, j = _parse_effect(t, j, inside_oneof, used)
+                items.append(item)
     if word == "not":
-        if len(value) != 2:
-            raise _Misplaced("(not ...) takes one atom", value)
-        return EffNot(_atom(value, 1))
+        if not _one_item(t, i + 2):
+            raise _Misplaced("(not ...) takes one atom", i)
+        used.append(name := _atom(t, i + 2))
+        return EffNot(name), i + 6
     if word == "oneof":
         if inside_oneof:
             raise UnsupportedFeature("nested oneof effects are outside the supported subset")
-        outcomes = [_parse_effect(value, k, inside_oneof=True) for k in range(1, len(value))]
-        for o in outcomes:
-            if isinstance(o, EffOneOf):
-                raise UnsupportedFeature("nested oneof effects are outside the supported subset")
-        return EffOneOf(outcomes)
-    return EffAdd(_atom(form, i))
+        outcomes, j = [], i + 2
+        while t[j] != ")":
+            outcome, j = _parse_effect(t, j, True, used)
+            outcomes.append(outcome)
+        if not outcomes:
+            used.append(None)
+        return EffOneOf(outcomes), j + 1
+    used.append(name := _atom(t, i))
+    return EffAdd(name), i + 3
 
 
-def _parse_problem(top: list) -> PddlProblem:
-    head = top[1]
-    name = _sym(head[1], "a problem name") if len(head) > 1 else ""
-    if not name:
-        raise _Misplaced("problem has no name", head)
-    if len(head) > 2:
-        raise _Misplaced("(problem NAME) takes one name", head)
-    domain_name = ""
-    init: list[str] = []
-    goal: list[str] | None = None
-    seen: set[str] = set()
-    for tag, section in _sections(top):
+def _parse_problem(t: list[str], name: str) -> tuple[PddlProblem, int]:
+    domain_name, init, goal, seen = "", [], None, set()
+    i = 6
+    while t[i] != ")":
+        tag = _section(t, i)
+        if tag in (":domain", ":goal") and not _one_item(t, i + 2):
+            raise _Misplaced(":domain takes one name" if tag == ":domain" else ":goal takes one formula", i)
         if tag == ":domain":
-            if len(section) != 2:
-                raise _Misplaced(":domain takes one name", section)
-            domain_name = _sym(section[1], "a domain name")
+            if t[i + 2] == "(":
+                raise _Misplaced("expected a domain name", i + 2)
+            domain_name, j = t[i + 2], i + 3
         elif tag == ":init":
-            init = [_atom(section, i) for i in range(1, len(section))]
+            init, j = _atoms(t, i + 2)
         elif tag == ":goal":
-            if len(section) != 2:
-                raise _Misplaced(":goal takes one formula", section)
-            goal = _parse_precondition(section, 1)
+            goal, j = _parse_precondition(t, i + 2)
         elif tag == ":objects":
             raise UnsupportedFeature(":objects is outside the supported subset")
         else:
-            raise _Misplaced(f"unknown problem section {tag!r}", section)
-        _once(tag, section, seen)
+            raise _Misplaced(f"unknown problem section {tag!r}", i)
+        _once(tag, i, seen)
+        i = j + 1
     if goal is None:  # an empty goal would make any problem trivially solved
-        raise _Misplaced("problem has no :goal", top)
-    return PddlProblem(name=name, domain_name=domain_name, init=init, goal=goal)
+        raise _Misplaced("problem has no :goal", 0)
+    return PddlProblem(name, domain_name, init, goal), i + 1
 
 
-def _validate_domain(domain: PddlDomain, action_forms: list[list] | None = None) -> None:
+def _validate_domain(domain: PddlDomain, action_at: list[int] | None = None) -> None:
     """Check that each action is named once, declares what it uses and gives
-    every ``oneof`` an outcome. With `action_forms`, the form each action
-    was read from, a defect is raised at its ``(:action`` form."""
+    every ``oneof`` an outcome. With `action_at`, the token index of the
+    ``(:action`` each action was read from, a defect is raised there."""
 
     def defect(message: str, i: int) -> Exception:
-        return PddlSyntaxError(message) if action_forms is None else _Misplaced(message, action_forms[i])
+        return PddlSyntaxError(message) if action_at is None else _Misplaced(message, action_at[i])
 
     declared = set(domain.predicates)
     named: set[str] = set()

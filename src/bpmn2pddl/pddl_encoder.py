@@ -139,17 +139,17 @@ class _NameAllocator:
     """Deterministic collision resolution: repeated names get _2, _3, ..."""
 
     def __init__(self) -> None:
-        self._taken: set[str] = set()
+        self._next: dict[str, int] = {}  # each name taken -> the first suffix not yet tried for it
 
     def claim(self, name: str) -> str:
-        if name not in self._taken:
-            self._taken.add(name)
+        if name not in self._next:
+            self._next[name] = 2
             return name
-        k = 2
-        while f"{name}_{k}" in self._taken:
+        k = self._next[name]  # the suffixes below it are taken: only more names get taken
+        while f"{name}_{k}" in self._next:
             k += 1
-        final = f"{name}_{k}"
-        self._taken.add(final)
+        self._next[name] = k + 1
+        self._next[final := f"{name}_{k}"] = 2
         return final
 
 

@@ -37,13 +37,22 @@ fields): a BFS that tests every action in every state with
 ``_tokenize`` and ``_read`` are the original two-pass PDDL reader, verbatim
 but for its form class, here :class:`SExpr`: a character loop builds a list
 of ``(token, line, col)`` tuples, then an explicit-stack pass over that list
-builds a tree of forms that carry their line and column. ``parse_pddl``
-reads in one scan into plain lists and strings and keeps no positions: a
-node's token index is found from the tree by ``fond_checker._token_index``,
-its line and column from the text by ``fond_checker._position``. The two
-must give the same tree (items, line and column) or raise the same
-``PddlSyntaxError`` text.
-``parse_pddl`` itself raised ``empty input`` when the token list was empty.
+builds a tree of forms that carry their line and column. The original
+``parse_pddl`` raised ``empty input`` when the token list was empty.
+
+``reference_parse_pddl`` is the list-tree reader that came next, verbatim
+but for the names ``read_lists`` (its ``_read``) and
+``reference_parse_pddl``, its own ``_validate_domain`` (which names an
+action by its form), and ``fond_checker._position`` and ``_COMMENT``,
+imported: ``read_lists`` scans the text once into plain lists and strings
+that keep no positions, the ``_parse_*`` readers walk that tree, and a
+node's token index is found from the tree by ``_token_index`` only for an
+error. ``read_lists`` with ``_token_index`` and ``_position`` must give the
+same tree (items, line and column) as ``reference_read`` or raise the same
+``PddlSyntaxError`` text. ``fond_checker.parse_pddl`` reads the tokens
+straight into records, in one pass with no tree, and must return an equal
+record or raise the same exception type and message as
+``reference_parse_pddl``.
 
 ``validate_graph`` is the original structural check, verbatim: one forward
 walk for unreachable nodes, then one backward walk per parallel join and a
@@ -80,9 +89,20 @@ from bpmn2pddl.fond_checker import (
     Unsolvable,
     UnsupportedFeature,
     _backward,
-    _validate_domain,
+    _COMMENT,
+    _position,
 )
-from bpmn2pddl.pddl_encoder import EffAdd, EffAnd, EffNot, PddlDomain, PddlProblem
+from bpmn2pddl.pddl_encoder import (
+    _EFFECT_WORDS,
+    _UNSUPPORTED_EFFECTS,
+    EffAdd,
+    EffAnd,
+    EffNot,
+    EffOneOf,
+    PddlAction,
+    PddlDomain,
+    PddlProblem,
+)
 from bpmn2pddl.process_graph import Diagnostic, ProcessGraph, _reachable_from
 from conftest import DoubleAdd
 
@@ -525,6 +545,350 @@ def reference_read(text: str) -> SExpr:
     if not tokens:
         raise PddlSyntaxError("empty input")
     return _read(tokens)
+
+
+class _Misplaced(Exception):
+    """A syntax error: its message and the place it names, a token index for
+    :func:`read_lists`, a form or a form and the index of one of its items for a
+    section reader. :func:`reference_parse_pddl` raises it as a :class:`PddlSyntaxError`
+    with the line and column of that place, found only then."""
+
+
+def read_lists(text: str) -> list:
+    """Read the one top-level form of `text` in a single scan.
+
+    ``;`` comments are cut out, then the tokens are the parentheses and the
+    whitespace-separated atoms, split at C speed. A form is a plain
+    ``list`` and an atom a ``str``: no position is kept, and one is worked
+    out from the tree only for an error (:func:`_token_index`). Open forms
+    wait on an explicit stack, so deep nesting never recurses. Only
+    whitespace and comments may follow the form.
+    """
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    top: list = []  # the top-level items
+    items, parents = top, []
+    for tok in tokens:
+        if tok == "(":
+            form = []
+            items.append(form)
+            parents.append(items)
+            items = form
+        elif tok != ")":
+            items.append(tok)
+        elif parents:
+            items = parents.pop()
+        else:  # a ")" that closes no form
+            break
+    else:
+        if len(top) == 1 and not parents and isinstance(top[0], list):
+            return top[0]
+    if len(top) > 1:
+        at = _token_index(top, top, 1)
+        raise _Misplaced(f"trailing input {tokens[at]!r}", at)
+    if parents:
+        raise _Misplaced("missing )", _token_index(top, items))
+    end = _token_index(top, top, len(top))  # the tokens the top-level items take
+    if end < len(tokens):
+        raise _Misplaced("trailing input ')'" if top else "unexpected )", end)
+    if not top:
+        raise PddlSyntaxError("empty input")
+    raise _Misplaced("expected a parenthesized form", 0)
+
+
+def _token_index(items: list, form: list, item: int = -1) -> int:
+    """The token index of item `item` of `form`, or of the ``(`` of `form`
+    itself when `item` is -1, among the forms `items` read from token 0 on.
+    One walk of the tree in token order counts the tokens before it, finding
+    `form` by identity; an explicit stack keeps deep nesting from recursing."""
+    at, stack = 0, [[items, 0]]  # each open form and the index of its next item
+    while True:
+        frame = stack[-1]
+        node, i = frame
+        if node is form and i == max(item, 0):
+            return at + min(item, 0)  # the "(" is one token before item 0
+        frame[1] = i + 1
+        if i == len(node):
+            stack.pop()  # its ")"
+        elif isinstance(node[i], list):
+            stack.append([node[i], 0])
+        at += 1
+
+
+def _sym(item: object, what: str) -> str:
+    if isinstance(item, str):
+        return item
+    raise _Misplaced(f"expected {what}", item)
+
+
+def _atom(form: list, i: int) -> str:
+    """An atom of the subset, item `i` of `form`: a zero-arity predicate like (p)."""
+    item = form[i]
+    if isinstance(item, list) and len(item) == 1 and isinstance(item[0], str):  # the common (p)
+        return item[0]
+    if not isinstance(item, list) or not item:
+        raise _Misplaced("expected a (predicate) atom", form, i)
+    if len(item) > 1:
+        raise UnsupportedFeature("predicates with arguments are outside the supported subset")
+    return _sym(item[0], "a predicate name")
+
+
+def reference_parse_pddl(text: str) -> PddlDomain | PddlProblem:
+    """Parse a domain or problem in the emitted subset.
+
+    The text is scanned once into a tree of plain lists and strings
+    (:func:`read_lists`), which is then checked section by section. The head
+    names one domain or problem. No section but ``:action`` may repeat, nor
+    may a requirement flag or a predicate within its section. A domain must
+    name each action once, declare every predicate it uses and give every
+    ``oneof`` an outcome; a problem must have a ``:goal`` and name one
+    domain in ``:domain``. Raises :class:`PddlSyntaxError` with the line
+    and column of the offending token (for a domain check, of the action's
+    form), worked out from the tree and the text only then, or
+    :class:`UnsupportedFeature` for constructs outside the subset
+    (parameters, conditional effects, numeric fluents, objects, ...).
+    """
+    tree = None
+    try:
+        tree = read_lists(text)
+        return _parse_define(tree)
+    except _Misplaced as exc:
+        message, at, *item = exc.args
+        if tree is not None:  # a section reader names a form, or a form and one of its items
+            at = _token_index([tree], at, *item)
+        raise PddlSyntaxError(message, *_position(text, at)) from None
+
+
+def _parse_define(top: list) -> PddlDomain | PddlProblem:
+    if not top or _sym(top[0], "define") != "define":
+        raise _Misplaced("expected (define ...)", top)
+    if len(top) < 2 or not isinstance(top[1], list) or not top[1]:
+        raise _Misplaced("expected (domain NAME) or (problem NAME)", top)
+    head = top[1]
+    kind = _sym(head[0], "domain or problem")
+    if kind == "domain":
+        return _parse_domain(top)
+    if kind == "problem":
+        return _parse_problem(top)
+    raise _Misplaced(f"expected domain or problem, got {kind!r}", head)
+
+
+def _sections(top: list):
+    """Each ``(:tag ...)`` section of a ``define`` form: its tag and its form."""
+    for i in range(2, len(top)):
+        section = top[i]
+        if not isinstance(section, list) or not section:
+            raise _Misplaced("expected a (:section ...)", top, i)
+        yield _sym(section[0], "a section tag"), section
+
+
+def _parse_domain(top: list) -> PddlDomain:
+    head = top[1]
+    name = _sym(head[1], "a domain name") if len(head) > 1 else ""
+    if not name:
+        raise _Misplaced("domain has no name", head)
+    if len(head) > 2:
+        raise _Misplaced("(domain NAME) takes one name", head)
+    requirements: list[str] = []
+    types: list[str] = []
+    predicates: list[str] = []
+    actions: list[PddlAction] = []
+    action_forms: list[list] = []
+    seen: set[str] = set()
+    for tag, section in _sections(top):
+        if tag == ":action":
+            actions.append(_parse_action(section))
+            action_forms.append(section)
+            continue
+        if tag == ":requirements":
+            requirements = _distinct(section, [_sym(b, "a requirement flag") for b in section[1:]], "requirement")
+        elif tag == ":types":
+            types = [_sym(b, "a type name") for b in section[1:]]
+        elif tag == ":predicates":
+            predicates = _distinct(section, [_atom(section, i) for i in range(1, len(section))], "predicate")
+        elif tag in (":constants", ":functions"):
+            raise UnsupportedFeature(f"{tag} is outside the supported subset")
+        else:
+            raise _Misplaced(f"unknown domain section {tag!r}", section)
+        _once(tag, section, seen)
+    domain = PddlDomain(
+        name=name, requirements=requirements, types=types, predicates=predicates, actions=actions
+    )
+    _validate_domain(domain, action_forms)
+    return domain
+
+
+def _once(tag: str, section: list, seen: set[str]) -> None:
+    """Reject a section whose tag is in `seen`, the tags read before, then add it."""
+    if tag in seen:
+        raise _Misplaced(f"repeated section {tag!r}", section)
+    seen.add(tag)
+
+
+def _distinct(section: list, names: list[str], what: str) -> list[str]:
+    """`names`, read one from each item of `section` after its tag; a name
+    given twice is raised at its second item."""
+    seen: set[str] = set()
+    for i, n in enumerate(names, 1):
+        if n in seen:
+            raise _Misplaced(f"repeated {what} {n!r}", section, i)
+        seen.add(n)
+    return names
+
+
+def _parse_action(section: list) -> PddlAction:
+    if len(section) < 2:
+        raise _Misplaced("action has no name", section)
+    name = _sym(section[1], "an action name")
+    precondition: list[str] = []
+    effect: EffAnd | None = None
+    seen: set[str] = set()
+    for i in range(2, len(section), 2):
+        key = _sym(section[i], "an action keyword")
+        if i + 1 >= len(section):
+            raise _Misplaced(f"{key} has no value", section)
+        if key in seen:
+            raise _Misplaced(f"repeated action keyword {key!r}", section, i)
+        seen.add(key)
+        if key == ":parameters":
+            if not isinstance(section[i + 1], list) or section[i + 1]:
+                raise UnsupportedFeature("action parameters are outside the supported subset")
+        elif key == ":precondition":
+            precondition = _parse_precondition(section, i + 1)
+        elif key == ":effect":
+            effect = _parse_effect_root(section, i + 1)
+        else:
+            raise _Misplaced(f"unknown action keyword {key!r}", section)
+    if effect is None:
+        raise _Misplaced(f"action {name!r} has no effect", section)
+    return PddlAction(name=name, precondition=precondition, effect=effect)
+
+
+def _parse_precondition(form: list, i: int) -> list[str]:
+    """The precondition, item `i` of `form`: an atom or an (and ...) of atoms."""
+    value = form[i]
+    if not isinstance(value, list) or not value:
+        raise _Misplaced("expected a precondition", form, i)
+    head = value[0]
+    if head == "and":
+        atoms = []
+        for k in range(1, len(value)):
+            sub = value[k]
+            if isinstance(sub, list) and sub and sub[0] == "not":
+                raise UnsupportedFeature("negative preconditions are outside the supported subset")
+            atoms.append(_atom(value, k))
+        return atoms
+    if head == "not":
+        raise UnsupportedFeature("negative preconditions are outside the supported subset")
+    return [_atom(form, i)]
+
+
+def _parse_effect_root(form: list, i: int) -> EffAnd:
+    tree = _parse_effect(form, i, inside_oneof=False)
+    if isinstance(tree, EffAnd):
+        return tree
+    return EffAnd([tree])
+
+
+def _parse_effect(form: list, i: int, inside_oneof: bool) -> EffAdd | EffNot | EffAnd | EffOneOf:
+    """The effect that is item `i` of `form`."""
+    value = form[i]
+    if not isinstance(value, list) or not value:
+        raise _Misplaced("expected an effect", form, i)
+    word = value[0]
+    if isinstance(word, str) and word in _UNSUPPORTED_EFFECTS:
+        raise UnsupportedFeature(f"({word} ...) effects are outside the supported subset")
+    if word == "and":
+        # splice nested (and ...) forms into this one, so deep nesting never recurses
+        items = []
+        todo = [(value, k) for k in range(len(value) - 1, 0, -1)]
+        while todo:
+            parent, k = todo.pop()
+            sub = parent[k]
+            if isinstance(sub, list) and len(sub) == 1 and isinstance(sub[0], str) and sub[0] not in _EFFECT_WORDS:
+                items.append(EffAdd(sub[0]))  # the common (p), read inline
+            elif isinstance(sub, list) and sub and sub[0] == "and":
+                todo.extend((sub, j) for j in range(len(sub) - 1, 0, -1))
+            else:
+                items.append(_parse_effect(parent, k, inside_oneof))
+        return EffAnd(items)
+    if word == "not":
+        if len(value) != 2:
+            raise _Misplaced("(not ...) takes one atom", value)
+        return EffNot(_atom(value, 1))
+    if word == "oneof":
+        if inside_oneof:
+            raise UnsupportedFeature("nested oneof effects are outside the supported subset")
+        outcomes = [_parse_effect(value, k, inside_oneof=True) for k in range(1, len(value))]
+        for o in outcomes:
+            if isinstance(o, EffOneOf):
+                raise UnsupportedFeature("nested oneof effects are outside the supported subset")
+        return EffOneOf(outcomes)
+    return EffAdd(_atom(form, i))
+
+
+def _parse_problem(top: list) -> PddlProblem:
+    head = top[1]
+    name = _sym(head[1], "a problem name") if len(head) > 1 else ""
+    if not name:
+        raise _Misplaced("problem has no name", head)
+    if len(head) > 2:
+        raise _Misplaced("(problem NAME) takes one name", head)
+    domain_name = ""
+    init: list[str] = []
+    goal: list[str] | None = None
+    seen: set[str] = set()
+    for tag, section in _sections(top):
+        if tag == ":domain":
+            if len(section) != 2:
+                raise _Misplaced(":domain takes one name", section)
+            domain_name = _sym(section[1], "a domain name")
+        elif tag == ":init":
+            init = [_atom(section, i) for i in range(1, len(section))]
+        elif tag == ":goal":
+            if len(section) != 2:
+                raise _Misplaced(":goal takes one formula", section)
+            goal = _parse_precondition(section, 1)
+        elif tag == ":objects":
+            raise UnsupportedFeature(":objects is outside the supported subset")
+        else:
+            raise _Misplaced(f"unknown problem section {tag!r}", section)
+        _once(tag, section, seen)
+    if goal is None:  # an empty goal would make any problem trivially solved
+        raise _Misplaced("problem has no :goal", top)
+    return PddlProblem(name=name, domain_name=domain_name, init=init, goal=goal)
+
+
+def _validate_domain(domain: PddlDomain, action_forms: list[list] | None = None) -> None:
+    """Check that each action is named once, declares what it uses and gives
+    every ``oneof`` an outcome. With `action_forms`, the form each action
+    was read from, a defect is raised at its ``(:action`` form."""
+
+    def defect(message: str, i: int) -> Exception:
+        return PddlSyntaxError(message) if action_forms is None else _Misplaced(message, action_forms[i])
+
+    declared = set(domain.predicates)
+    named: set[str] = set()
+    for i, action in enumerate(domain.actions):
+        if action.name in named:  # a policy names its actions
+            raise defect(f"action {action.name!r} is defined twice", i)
+        named.add(action.name)
+        used = list(action.precondition)
+        todo = [action.effect]  # an explicit stack, so deep nesting never recurses
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (EffAdd, EffNot)):
+                used.append(node.pred)
+            elif isinstance(node, EffAnd):
+                todo.extend(node.items)
+            elif node.outcomes:
+                todo.extend(node.outcomes)
+            else:  # grounded, it would have no outcome, which a solver reads as a sure win
+                raise defect(f"action {action.name!r} has a oneof with no outcomes", i)
+        for p in used:
+            if p not in declared:
+                raise defect(f"action {action.name!r} uses undeclared predicate {p!r}", i)
 
 
 def _reaching(graph: ProcessGraph, roots: list[str]) -> set[str]:

@@ -131,14 +131,15 @@ GEN = bench_module("gen")
 
 
 def _tree(form, text):
-    """A form `fond_checker._read` read from `text` as nested tuples: items,
-    line and column of every node, each node located as item `i` of its
-    parent by `_token_index`, its line and column found by `_position`."""
+    """A form `reference_solver.read_lists` read from `text` as nested
+    tuples: items, line and column of every node, each node located as item
+    `i` of its parent by `_token_index`, its line and column found by
+    `fond_checker._position`."""
     top = [form]
 
     def node(parent, i):
         item = parent[i]
-        at = fond_checker._position(text, fond_checker._token_index(top, parent, i))
+        at = fond_checker._position(text, reference_solver._token_index(top, parent, i))
         return (item, *at) if isinstance(item, str) else ([node(item, k) for k in range(len(item))], *at)
 
     return node(top, 0)
@@ -153,8 +154,8 @@ def _reference_tree(expr):
 
 def _read_outcome(text):
     try:
-        return _tree(fond_checker._read(text), text)
-    except fond_checker._Misplaced as exc:
+        return _tree(reference_solver.read_lists(text), text)
+    except reference_solver._Misplaced as exc:
         message, at = exc.args
         return str(PddlSyntaxError(message, *fond_checker._position(text, at)))
     except PddlSyntaxError as exc:
@@ -178,6 +179,33 @@ DOMAIN_WORDS = [
     "(:constants", "(:functions", "define", "; c\n", "\n",
 ]
 ACTION_FRAME = "(:predicates (p) (q)) (:action a "
+SECTION_WORDS = [  # heads, problem sections and whole forms, for the soups of `test_parse_matches_reference`
+    "(define", "(domain", "(problem", "(:domain", "d", "(:init", "(:goal", "(:objects", "(:state", "(d)", "(p q)",
+    "(:domain d)", "(:goal (p))", "(:init (p))", ":parameters ()", ":parameters (x)", "((p))", "(not (p))",
+    "(oneof (p) (q))", ":effect (oneof)", "(r)", "(:action a :effect (p))", "(:predicates (p) (p))",
+    "(:requirements :strips :strips)",
+]
+SOUP_FRAMES = ["", "(define (domain d) ", "(define (domain d) " + ACTION_FRAME, "(define (problem p) ", "(define "]
+
+
+def _parse_outcome(parse, text):
+    """The record `parse` reads from `text`, or the type and text of the error it raises."""
+    try:
+        return parse(text)
+    except (PddlSyntaxError, UnsupportedFeature) as exc:
+        return type(exc), str(exc)
+
+
+def _balanced(frame, words):
+    """`frame` and `words` joined, each unmatched ")" dropped and each open form closed."""
+    depth, kept = frame.count("(") - frame.count(")"), [frame]
+    for word in words:
+        depth += word.count("(") - word.count(")")
+        if depth < 0:
+            depth = 0
+            continue
+        kept.append(word)
+    return " ".join(kept) + ")" * depth
 
 
 class TestParsePddl:
@@ -347,32 +375,33 @@ class TestParsePddl:
 
     def test_tokens_match_the_token_pattern(self):
         """Cutting comments and splitting at whitespace gives the tokens of
-        `_TOKEN` without its comments, with every code point between atoms."""
+        `_TOKEN` without its comments, with every code point between atoms,
+        so a token index from the reader is one `_position` can find."""
         pieces = [";c\n" if c == ord(";") else chr(c) for c in range(sys.maxunicode + 1)]
-        text = "(" + "a".join(pieces) + ")"  # "(" comes just before ")", so the form is balanced
-        tokens, todo = [], [fond_checker._read(text)]
-        while todo:  # the tree back to its tokens, in order
-            node = todo.pop()
-            if isinstance(node, str):
-                tokens.append(node)
-            else:
-                todo.extend([")", *reversed(node), "("])
-        assert tokens == [t for t in fond_checker._TOKEN.findall(text) if t[0] != ";"]
+        text = "(" + "a".join(pieces) + ")"
+        assert fond_checker._tokens(text) == [t for t in fond_checker._TOKEN.findall(text) if t[0] != ";"]
 
     def test_reader_builds_plain_lists_and_strings(self):
-        todo = [fond_checker._read("; header\n" + FIG_DOMAIN)]
+        domain = parse_pddl("; header\n" + FIG_DOMAIN)
+        for values in ([domain.name], domain.requirements, domain.types, domain.predicates):
+            assert type(values) is list and all(type(v) is str for v in values)
+        todo = [a.effect for a in domain.actions]
+        for action in domain.actions:
+            assert type(action.name) is str and type(action.precondition) is list
+            assert all(type(p) is str for p in action.precondition)
         while todo:
             node = todo.pop()
-            assert type(node) is list
-            for item in node:
-                assert type(item) in (list, str)
-                if type(item) is list:
-                    todo.append(item)
+            if isinstance(node, (EffAdd, EffNot)):
+                assert type(node.pred) is str
+            else:
+                items = node.items if isinstance(node, EffAnd) else node.outcomes
+                assert type(items) is list
+                todo.extend(items)
 
     def test_comments(self):
-        assert fond_checker._read("(a;b\nc)") == ["a", "c"]
-        assert fond_checker._read("(a (b)) ; last line, no newline") == ["a", ["b"]]
-        assert fond_checker._read("(a\r\n;b\r\n c)") == ["a", "c"]
+        assert fond_checker._tokens("(a;b\nc)") == ["(", "a", "c", ")"]
+        assert fond_checker._tokens("(a (b)) ; last line, no newline") == ["(", "a", "(", "b", ")", ")"]
+        assert fond_checker._tokens("(a\r\n;b\r\n c)") == ["(", "a", "c", ")"]
         cases = [
             ("(define (domain d) ; (a) ) comment\n  (:predicates ((p))))",
              "expected a predicate name (line 2, column 17)"),
@@ -395,6 +424,27 @@ class TestParsePddl:
         with pytest.raises(PddlSyntaxError) as exc:
             parse_pddl(text)
         assert str(exc.value) == f"expected an effect (line 2, column {len(frame) + 5 * depth + 1})"
+
+    @given(
+        st.sampled_from(SOUP_FRAMES),
+        st.lists(st.sampled_from(DOMAIN_WORDS + SECTION_WORDS), max_size=30),
+        st.booleans(),
+        st.lists(st.sampled_from(READER_PIECES), max_size=40).map("".join),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_parse_matches_reference(self, frame, words, balance, pieces):
+        """On word soups under a domain, action or problem head, balanced or
+        left as drawn, and on strings of reader pieces, `parse_pddl` returns
+        a record equal to the list-tree reader's or raises the same
+        exception type and message (line and column included)."""
+        for text in (_balanced(frame, words) if balance else frame + " ".join(words), pieces):
+            assert _parse_outcome(parse_pddl, text) == _parse_outcome(reference_solver.reference_parse_pddl, text)
+
+    def test_parse_matches_reference_on_emitted_files(self):
+        for path in [*CORPUS_FILES, *sorted(Path(fixture("")).glob("*.bpmn"))]:
+            result = translate(path)
+            for text in (result.domain_text, *result.problem_texts.values()):
+                assert parse_pddl(text) == reference_solver.reference_parse_pddl(text), path.name
 
     @given(st.sampled_from(["", ACTION_FRAME]), st.lists(st.sampled_from(DOMAIN_WORDS), max_size=30))
     @settings(max_examples=300, deadline=None)
@@ -509,7 +559,7 @@ class TestParsePddl:
                 text = file.read_text(encoding="utf-8")
                 parsed = parse_pddl(text)
                 assert render_pddl(parsed) == text
-                assert parse_pddl(text) == parsed
+                assert reference_solver.reference_parse_pddl(text) == parsed
 
 
 class TestApply:

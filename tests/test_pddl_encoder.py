@@ -241,6 +241,21 @@ class TestTaskEncoding:
         graph = _graph(xml)
         assert _actions(graph)["t1"].precondition == ["S1"]
 
+    def test_repeated_task_names_take_the_next_free_suffix(self):
+        """3000 tasks named x: each repeat goes on from the suffix the last
+        one took, not from _2, and x_5, taken first by a task's id, is still
+        skipped."""
+        n = 3000
+        ids = ["S1", "x_5", *(f"T{i}" for i in range(n)), "E1"]
+        tasks = ['<bpmn:task id="x_5"/>', *(f'<bpmn:task id="T{i}" name="x"/>' for i in range(n))]
+        flows = "".join(f'<bpmn:sequenceFlow id="F{i}" sourceRef="{a}" targetRef="{b}"/>'
+                        for i, (a, b) in enumerate(zip(ids, ids[1:])))
+        xml = LINEAR.replace('<bpmn:task id="T1" name="work"/>', "".join(tasks)).replace(
+            '<bpmn:sequenceFlow id="F1" sourceRef="S1" targetRef="T1"/>\n'
+            '    <bpmn:sequenceFlow id="F2" sourceRef="T1" targetRef="E1"/>', flows)
+        names = [a.name for a in emit_domain(_graph(xml)).actions if a.name.startswith("x")]
+        assert names == ["x_5", "x", *(f"x_{k}" for k in range(2, n + 2) if k != 5)]
+
 
 class TestEventEncoding:
     def test_start_event_has_no_action(self):
