@@ -382,13 +382,14 @@ class TestParsePddl:
         assert fond_checker._tokens(text) == [t for t in fond_checker._TOKEN.findall(text) if t[0] != ";"]
 
     def test_reader_builds_plain_lists_and_strings(self):
+        """The records hold plain lists and strings, whatever the tokens were sliced from."""
         domain = parse_pddl("; header\n" + FIG_DOMAIN)
-        for values in ([domain.name], domain.requirements, domain.types, domain.predicates):
+        assert type(domain.name) is str
+        lists = [domain.requirements, domain.types, domain.predicates, *(a.precondition for a in domain.actions)]
+        for values in lists:
             assert type(values) is list and all(type(v) is str for v in values)
+        assert all(type(a.name) is str for a in domain.actions)
         todo = [a.effect for a in domain.actions]
-        for action in domain.actions:
-            assert type(action.name) is str and type(action.precondition) is list
-            assert all(type(p) is str for p in action.precondition)
         while todo:
             node = todo.pop()
             if isinstance(node, (EffAdd, EffNot)):
