@@ -214,7 +214,7 @@ def parse_pddl(text: str) -> PddlDomain | PddlProblem:
 
 def _parse_define(t: list[str]) -> tuple[PddlDomain | PddlProblem, int]:
     """The ``(define (domain|problem NAME) ...)`` form at token 0 and the index past it."""
-    if t[1] != "define":  # if t[0] is not "(", _structure names the error
+    if t[0] != "(" or t[1] != "define":  # if t[0] is not "(", _structure names the error
         raise _Misplaced("expected define", 1) if t[1] == "(" else _Misplaced("expected (define ...)", 0)
     if t[2] != "(" or t[3] == ")":
         raise _Misplaced("expected (domain NAME) or (problem NAME)", 0)

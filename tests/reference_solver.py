@@ -39,6 +39,8 @@ but for its form class, here :class:`SExpr`: a character loop builds a list
 of ``(token, line, col)`` tuples, then an explicit-stack pass over that list
 builds a tree of forms that carry their line and column. The original
 ``parse_pddl`` raised ``empty input`` when the token list was empty.
+Where ``reference_read`` finds no single form, ``fond_checker.parse_pddl``
+must raise the same ``PddlSyntaxError`` text, line and column included.
 
 ``reference_parse_pddl`` is the list-tree reader that came next, verbatim
 but for the names ``read_lists`` (its ``_read``) and
@@ -47,12 +49,9 @@ action by its form), and ``fond_checker._position`` and ``_COMMENT``,
 imported: ``read_lists`` scans the text once into plain lists and strings
 that keep no positions, the ``_parse_*`` readers walk that tree, and a
 node's token index is found from the tree by ``_token_index`` only for an
-error. ``read_lists`` with ``_token_index`` and ``_position`` must give the
-same tree (items, line and column) as ``reference_read`` or raise the same
-``PddlSyntaxError`` text. ``fond_checker.parse_pddl`` reads the tokens
-straight into records, in one pass with no tree, and must return an equal
-record or raise the same exception type and message as
-``reference_parse_pddl``.
+error. ``fond_checker.parse_pddl`` reads the tokens straight into records,
+in one pass with no tree, and must return an equal record or raise the same
+exception type and message as ``reference_parse_pddl``.
 
 ``validate_graph`` is the original structural check, verbatim: one forward
 walk for unreachable nodes, then one backward walk per parallel join and a

@@ -130,45 +130,6 @@ def _pipeline(xml: str, strategy=MessageStrategy.IGNORE):
 GEN = bench_module("gen")
 
 
-def _tree(form, text):
-    """A form `reference_solver.read_lists` read from `text` as nested
-    tuples: items, line and column of every node, each node located as item
-    `i` of its parent by `_token_index`, its line and column found by
-    `fond_checker._position`."""
-    top = [form]
-
-    def node(parent, i):
-        item = parent[i]
-        at = fond_checker._position(text, reference_solver._token_index(top, parent, i))
-        return (item, *at) if isinstance(item, str) else ([node(item, k) for k in range(len(item))], *at)
-
-    return node(top, 0)
-
-
-def _reference_tree(expr):
-    """A form `reference_read` read, as the same nested tuples."""
-    if isinstance(expr, tuple):
-        return expr
-    return ([_reference_tree(item) for item in expr.items], expr.line, expr.col)
-
-
-def _read_outcome(text):
-    try:
-        return _tree(reference_solver.read_lists(text), text)
-    except reference_solver._Misplaced as exc:
-        message, at = exc.args
-        return str(PddlSyntaxError(message, *fond_checker._position(text, at)))
-    except PddlSyntaxError as exc:
-        return str(exc)
-
-
-def _reference_outcome(text):
-    try:
-        return _reference_tree(reference_read(text))
-    except PddlSyntaxError as exc:
-        return str(exc)
-
-
 # the unicode characters are whitespace to str.isspace(), and only "\n" ends a line
 READER_PIECES = ["(", ")", ";", "a", "b", "Z", ":", "\n", "\r\n", "\t", " ", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 
@@ -289,6 +250,9 @@ class TestParsePddl:
             ("(define (domain d)) x", "trailing input 'x' (line 1, column 21)"),
             (")", "unexpected ) (line 1, column 1)"),
             ("\n  define", "expected a parenthesized form (line 2, column 3)"),
+            ("x define (domain d))", "trailing input 'define' (line 1, column 3)"),
+            (") define (domain d))", "unexpected ) (line 1, column 1)"),
+            (") define (problem p) (:goal (p)))", "unexpected ) (line 1, column 1)"),
         ]
         for text, message in cases:
             with pytest.raises(PddlSyntaxError) as exc:
@@ -371,7 +335,14 @@ class TestParsePddl:
     @given(st.lists(st.sampled_from(READER_PIECES), max_size=60).map("".join))
     @settings(max_examples=400, deadline=None)
     def test_reader_matches_reference(self, text):
-        assert _read_outcome(text) == _reference_outcome(text)
+        """Where the original character-loop reader finds no single form,
+        `parse_pddl` raises the same error at the same line and column."""
+        try:
+            reference_read(text)
+        except PddlSyntaxError as exc:
+            with pytest.raises(PddlSyntaxError) as got:
+                parse_pddl(text)
+            assert str(got.value) == str(exc)
 
     def test_tokens_match_the_token_pattern(self):
         """Cutting comments and splitting at whitespace gives the tokens of
@@ -435,10 +406,12 @@ class TestParsePddl:
     @settings(max_examples=600, deadline=None)
     def test_parse_matches_reference(self, frame, words, balance, pieces):
         """On word soups under a domain, action or problem head, balanced or
-        left as drawn, and on strings of reader pieces, `parse_pddl` returns
-        a record equal to the list-tree reader's or raises the same
-        exception type and message (line and column included)."""
-        for text in (_balanced(frame, words) if balance else frame + " ".join(words), pieces):
+        left as drawn, the same with their first "(" made an atom or a ")",
+        and on strings of reader pieces, `parse_pddl` returns a record equal
+        to the list-tree reader's or raises the same exception type and
+        message (line and column included)."""
+        soup = _balanced(frame, words) if balance else frame + " ".join(words)
+        for text in (soup, soup.replace("(", "x ", 1), soup.replace("(", ") ", 1), pieces):
             assert _parse_outcome(parse_pddl, text) == _parse_outcome(reference_solver.reference_parse_pddl, text)
 
     def test_parse_matches_reference_on_emitted_files(self):
