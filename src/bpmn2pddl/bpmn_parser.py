@@ -208,6 +208,16 @@ def _xml_root(xml_text: str | bytes) -> ET.Element:
         return ET.fromstring(xml_text.decode(declared.group(1).decode("ascii")))
 
 
+def _flow_ends(elem: ET.Element, what: str) -> tuple[str, str, str]:
+    """A flow element's id, sourceRef and targetRef; `what` names the flow kind when one is missing."""
+    fid, src, tgt = elem.get("id"), elem.get("sourceRef"), elem.get("targetRef")
+    if fid is None:
+        raise InvalidStructure(f"{what} without id")
+    if src is None or tgt is None:
+        raise InvalidStructure(f"{what} {fid!r} missing sourceRef/targetRef")
+    return fid, src, tgt
+
+
 def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> BpmnModel:
     """Parse BPMN 2.0 XML text into a :class:`BpmnModel`.
 
@@ -303,13 +313,7 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
                 nodes[nid] = FlowNode(nid, _clean_name(elem.get("name")), kind, pool_id)
                 node_ids.append(nid)
             elif tag == _SEQUENCE_FLOW_TAG:
-                fid = elem.get("id")
-                src = elem.get("sourceRef")
-                tgt = elem.get("targetRef")
-                if fid is None:
-                    raise InvalidStructure("sequence flow without id")
-                if src is None or tgt is None:
-                    raise InvalidStructure(f"sequence flow {fid!r} missing sourceRef/targetRef")
+                fid, src, tgt = _flow_ends(elem, "sequence flow")
                 if fid in seen_ids:
                     raise DuplicateId(fid)
                 seen_ids.add(fid)
@@ -337,13 +341,7 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
 
     message_flows: list[MessageFlow] = []
     for elem in message_elems:
-        fid = elem.get("id")
-        src = elem.get("sourceRef")
-        tgt = elem.get("targetRef")
-        if fid is None:
-            raise InvalidStructure("message flow without id")
-        if src is None or tgt is None:
-            raise InvalidStructure(f"message flow {fid!r} missing sourceRef/targetRef")
+        fid, src, tgt = _flow_ends(elem, "message flow")
         if src in pool_by_id or tgt in pool_by_id or src in participant_refs or tgt in participant_refs:
             # pool-level message flow: not a task/event interaction, skipped
             continue

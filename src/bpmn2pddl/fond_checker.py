@@ -460,7 +460,7 @@ def ground_domain(domain: PddlDomain) -> list[GroundAction]:
 
 
 def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
-    """Validate `domain` and compile each action into the record
+    """Compile each action of `domain` into the record
     ``(index, pre, name, add, keep, outs)`` over the bit table `power`
     (predicate -> its power of two).
 
@@ -472,39 +472,51 @@ def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
     one outcome has it in ``add`` and ``keep`` and ``outs`` None; any other
     has the tuple of its ``(add, keep)`` pairs in ``outs``. A ``oneof``
     inside a ``oneof`` is :class:`UnsupportedFeature`.
+
+    The same walk notices the domain's defects: an atom that is not a
+    declared predicate, a ``oneof`` with no outcomes, an action named
+    twice. Only then does :func:`_validate_domain` walk the domain, to
+    raise the first; a defect outranks a nested ``oneof``.
     """
-    _validate_domain(domain)
+    declared = {p: power[p] for p in domain.predicates}  # an atom not in it is a KeyError
     records = []
-    for a, action in enumerate(domain.actions):
-        pre = 0
-        for p in action.precondition:
-            pre |= power[p]
-        parts = [[0, 0]]  # [add, delete] of the common part, then of each oneof outcome
-        groups = []  # per oneof, in tree order: its outcomes' parts
-        todo = [(action.effect, 0)]  # an explicit stack of (node, its part); children reversed: tree order
-        while todo:
-            node, k = todo.pop()
-            if isinstance(node, EffAdd):
-                parts[k][0] |= power[node.pred]
-            elif isinstance(node, EffNot):
-                parts[k][1] |= power[node.pred]
-            elif isinstance(node, EffAnd):
-                todo.extend((item, k) for item in reversed(node.items))
-            elif k:
-                raise UnsupportedFeature("nested oneof effects are outside the supported subset")
-            else:
-                todo.extend((o, len(parts) + j) for j, o in enumerate(node.outcomes))
-                groups.append(group := [[0, 0] for _ in node.outcomes])
-                parts += group
-        outs = []
-        for combo in product(*groups):
-            add, dele = parts[0]
-            for x, d in combo:
-                add |= x
-                dele |= d
-            outs.append((add, ~dele))
-        one = len(outs) == 1  # its (add, keep) in the record, else the outcomes' pairs
-        records.append((a, pre, action.name, *outs[0], None) if one else (a, pre, action.name, 0, -1, tuple(outs)))
+    try:
+        for a, action in enumerate(domain.actions):
+            pre = 0
+            for p in action.precondition:
+                pre |= declared[p]
+            parts = [[0, 0]]  # [add, delete] of the common part, then of each oneof outcome
+            groups = []  # per oneof, in tree order: its outcomes' parts
+            todo = [(action.effect, 0)]  # an explicit stack of (node, its part); children reversed: tree order
+            while todo:
+                node, k = todo.pop()
+                if isinstance(node, EffAdd):
+                    parts[k][0] |= declared[node.pred]
+                elif isinstance(node, EffNot):
+                    parts[k][1] |= declared[node.pred]
+                elif isinstance(node, EffAnd):
+                    todo.extend((item, k) for item in reversed(node.items))
+                elif k or not node.outcomes:
+                    _validate_domain(domain)  # an empty oneof is a defect, and any defect outranks a nested oneof
+                    raise UnsupportedFeature("nested oneof effects are outside the supported subset")
+                else:
+                    todo.extend((o, len(parts) + j) for j, o in enumerate(node.outcomes))
+                    groups.append(group := [[0, 0] for _ in node.outcomes])
+                    parts += group
+            outs = []
+            for combo in product(*groups):
+                add, dele = parts[0]
+                for x, d in combo:
+                    add |= x
+                    dele |= d
+                outs.append((add, ~dele))
+            one = len(outs) == 1  # its (add, keep) in the record, else the outcomes' pairs
+            records.append((a, pre, action.name, *outs[0], None) if one else (a, pre, action.name, 0, -1, tuple(outs)))
+    except KeyError:  # an undeclared atom
+        _validate_domain(domain)
+        raise
+    if len({action.name for action in domain.actions}) < len(records):
+        _validate_domain(domain)
     return records
 
 

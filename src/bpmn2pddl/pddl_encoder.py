@@ -13,7 +13,8 @@ incoming flow; message interactions synthesized into the graph carry
 predicate name; building the domain then resolves each flow's marker once,
 into ``_Encoder.markers``, for the node encodings to look up.
 ``emit_problems`` claims the names only, since no problem reads a flow's
-marker.
+marker. Every action is built by ``_Encoder._action``, which claims its
+name and decides its effect's shape.
 """
 
 from __future__ import annotations
@@ -294,24 +295,26 @@ class _Encoder:
             return [action] if action else []
         return self._encode_gateway(node)
 
+    def _action(self, name: str, pre: list[str], outcomes: list[list[str]], dels: list[str]) -> PddlAction:
+        """Claim `name` and build its action: the adds of one outcome inline
+        (of none, no adds), of several a ``oneof``, then the deletes."""
+        if len(outcomes) > 1:
+            oneof = [EffAdd(adds[0]) if len(adds) == 1 else EffAnd([EffAdd(p) for p in adds]) for adds in outcomes]
+            items = [EffOneOf(oneof)]
+        else:
+            items = [EffAdd(p) for adds in outcomes for p in adds]
+        items += [EffNot(p) for p in dels]
+        return PddlAction(self.action_names.claim(name), pre, EffAnd(items))
+
     def _encode_task(self, node: FlowNode) -> PddlAction:
         pre = self.entry_markers(node.id)
         if not pre:
             raise EncodingError(f"task {node.id!r} has no incoming flow")
-        base_adds = self.out_markers(node.id)
-        name = self.action_names.claim(sanitize_id(node.name or node.id, lower=True))
-
-        outcomes: list[list[str]] = [base_adds]
+        adds = self.out_markers(node.id)
+        outcomes = [adds]
         if self.graph.msg_strategy is MessageStrategy.EXCLUSIVE_EMULATION:
-            for target in self.messages_from.get(node.id, ()):
-                outcomes.append(base_adds + [self._emulation_trigger(target)])
-
-        dels = [EffNot(p) for p in pre]
-        if len(outcomes) == 1:
-            effect = EffAnd([*(EffAdd(p) for p in base_adds), *dels])
-        else:
-            effect = EffAnd([EffOneOf([_outcome(adds) for adds in outcomes]), *dels])
-        return PddlAction(name=name, precondition=pre, effect=effect)
+            outcomes += [[*adds, self._emulation_trigger(target)] for target in self.messages_from.get(node.id, ())]
+        return self._action(sanitize_id(node.name or node.id, lower=True), pre, outcomes, pre)
 
     def _emulation_trigger(self, task_id: str) -> str:
         """Entry marker forced true when a task-task message is emulated."""
@@ -323,109 +326,64 @@ class _Encoder:
     def _encode_event(self, node: FlowNode) -> PddlAction | None:
         if node.kind is NodeKind.START_EVENT:
             if self.options.allow_spontaneous_start:
-                name = self.action_names.claim(f"start_{sanitize_id(node.id)}")
-                return PddlAction(
-                    name=name,
-                    precondition=[],
-                    effect=EffAnd([EffAdd(self.node_pred[node.id])]),
-                )
+                return self._action(f"start_{sanitize_id(node.id)}", [], [[self.node_pred[node.id]]], [])
             return None
         pre = self.entry_markers(node.id)
-        name = self.action_names.claim(f"event_{sanitize_id(node.id)}")
-        dels = [EffNot(p) for p in pre]
         if node.kind is NodeKind.END_EVENT:
-            if self.options.done_mode is DoneMode.ALL_POOLS:
-                adds = [EffAdd(self.pool_done[node.pool])]
-            else:
-                adds = [EffAdd(self.done)]
-            return PddlAction(name=name, precondition=pre, effect=EffAnd([*adds, *dels]))
-        adds = [EffAdd(p) for p in self.out_markers(node.id)]
-        return PddlAction(name=name, precondition=pre, effect=EffAnd([*adds, *dels]))
+            adds = [self.pool_done[node.pool] if self.options.done_mode is DoneMode.ALL_POOLS else self.done]
+        else:
+            adds = self.out_markers(node.id)
+        return self._action(f"event_{sanitize_id(node.id)}", pre, [adds], pre)
 
     def _encode_gateway(self, node: FlowNode) -> list[PddlAction]:
         graph = self.graph
         n_in = len(graph.incoming[node.id])
         n_out = len(graph.outgoing[node.id])
         if n_in >= 2 and n_out >= 2:
-            raise EncodingError(
-                f"gateway {node.id!r} both converges and diverges; split it into two gateways"
-            )
+            raise EncodingError(f"gateway {node.id!r} both converges and diverges; split it into two gateways")
         if n_in >= 2:
             return self._encode_join(node)
         return [self._encode_split(node)]
 
     def _encode_split(self, node: FlowNode) -> PddlAction:
-        graph = self.graph
-        entry = self.markers[graph.incoming[node.id][0]]
+        entry = self.markers[self.graph.incoming[node.id][0]]
         succ = self.out_markers(node.id)
-        name = self.action_names.claim(f"event_{sanitize_id(node.id)}")
-
+        name = f"event_{sanitize_id(node.id)}"
         if node.kind is NodeKind.PARALLEL_GATEWAY:
-            effect = EffAnd([*(EffAdd(p) for p in succ), EffNot(entry)])
-            return PddlAction(name=name, precondition=[entry], effect=effect)
-
+            return self._action(name, [entry], [succ], [entry])
         if node.kind is NodeKind.INCLUSIVE_GATEWAY:
+            # one outcome per non-empty branch subset, which also moves the counter to the subset's size
             count = self.counters[node.id]
-            count0, width = count[0], len(count) - 1
-            subsets = [list(c) for size in range(1, width + 1) for c in combinations(range(width), size)]
-            outcomes = [_outcome([succ[i] for i in subset] + [count[len(subset)]]) for subset in subsets]
-            dels = [EffNot(entry), EffNot(count0)]
-            if len(outcomes) == 0:
-                effect = EffAnd([EffNot(entry)])
-            elif len(outcomes) == 1:
-                effect = EffAnd([*_outcome_items(outcomes[0]), *dels])
-            else:
-                effect = EffAnd([EffOneOf(outcomes), *dels])
-            return PddlAction(name=name, precondition=[entry, count0], effect=effect)
-
-        # ExclusiveGateway and EventBasedGateway share the oneof encoding
-        if len(succ) <= 1:
-            effect = EffAnd([*(EffAdd(p) for p in succ), EffNot(entry)])
-        else:
-            effect = EffAnd([EffOneOf([EffAdd(p) for p in succ]), EffNot(entry)])
-        return PddlAction(name=name, precondition=[entry], effect=effect)
+            width = len(count) - 1
+            outcomes = [[*(succ[i] for i in subset), count[size]]
+                        for size in range(1, width + 1) for subset in combinations(range(width), size)]
+            # with no branch there is no outcome, and the counter is left as it is
+            return self._action(name, [entry, count[0]], outcomes, [entry, count[0]] if width else [entry])
+        # ExclusiveGateway and EventBasedGateway: one outcome per branch
+        return self._action(name, [entry], [[p] for p in succ], [entry])
 
     def _encode_join(self, node: FlowNode) -> list[PddlAction]:
-        graph = self.graph
-        base = sanitize_id(node.id)
+        base = f"event_{sanitize_id(node.id)}"
         markers = self.entry_markers(node.id)
         succ = self.out_markers(node.id)
-        succ_adds = [EffAdd(p) for p in succ]
 
         if node.kind is NodeKind.PARALLEL_GATEWAY:
-            name = self.action_names.claim(f"event_{base}")
-            effect = EffAnd([*succ_adds, *(EffNot(m) for m in markers)])
-            return [PddlAction(name=name, precondition=list(markers), effect=effect)]
+            return [self._action(base, markers, [succ], markers)]
 
         if node.kind is NodeKind.INCLUSIVE_GATEWAY:
+            # an arrival moves the counter down one; the last one also marks the join, which releases it
             count = self.counters[self.join_split[node.id]]
             own = self.node_pred[node.id]
-            actions: list[PddlAction] = []
+            actions = []
             for i, m in enumerate(markers):
                 for k in range(1, len(count)):
-                    name = self.action_names.claim(f"event_{base}_{i}_{k}")
-                    adds: list[EffAdd | EffNot] = [EffAdd(count[k - 1])]
-                    if k == 1:
-                        adds.append(EffAdd(own))
-                    effect = EffAnd([*adds, EffNot(m), EffNot(count[k])])
-                    actions.append(PddlAction(name=name, precondition=[m, count[k]], effect=effect))
-            release = self.action_names.claim(f"event_{base}")
-            actions.append(
-                PddlAction(
-                    name=release,
-                    precondition=[count[0], own],
-                    effect=EffAnd([*succ_adds, EffNot(own)]),
-                )
-            )
+                    adds = [count[0], own] if k == 1 else [count[k - 1]]
+                    actions.append(self._action(f"{base}_{i}_{k}", [m, count[k]], [adds], [m, count[k]]))
+            actions.append(self._action(base, [count[0], own], [succ], [own]))
             return actions
 
         # exclusive / event-based merge: one pass-through action per branch
-        actions = []
-        for i, m in enumerate(markers):
-            name = self.action_names.claim(f"event_{base}_{i}")
-            effect = EffAnd([*succ_adds, EffNot(m)])
-            actions.append(PddlAction(name=name, precondition=[m], effect=effect))
-        return actions
+        return [self._action(f"{base}_{i}", [m], [succ], [m]) for i, m in enumerate(markers)]
 
     # -- assembly ---------------------------------------------------------------
 
@@ -445,14 +403,8 @@ class _Encoder:
         for node in self.graph.nodes.values():
             actions.extend(self.encode_node(node))
         if self.options.done_mode is DoneMode.ALL_POOLS:
-            name = self.action_names.claim("finish_process")
-            actions.append(
-                PddlAction(
-                    name=name,
-                    precondition=[self.pool_done[p] for p in self.graph.pools],
-                    effect=EffAnd([EffAdd(self.done)]),
-                )
-            )
+            pools_done = [self.pool_done[p] for p in self.graph.pools]
+            actions.append(self._action("finish_process", pools_done, [[self.done]], []))
         requirements = [":strips", ":typing"]
         if not self.options.fig4_compat:
             requirements.append(":non-deterministic")
@@ -463,16 +415,6 @@ class _Encoder:
             predicates=self.declared_predicates(),
             actions=actions,
         )
-
-
-def _outcome(adds: list[str]) -> EffAdd | EffAnd:
-    if len(adds) == 1:
-        return EffAdd(adds[0])
-    return EffAnd([EffAdd(p) for p in adds])
-
-
-def _outcome_items(outcome: EffAdd | EffAnd) -> list:
-    return outcome.items if isinstance(outcome, EffAnd) else [outcome]
 
 
 # ---------------------------------------------------------------------------

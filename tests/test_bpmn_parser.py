@@ -132,6 +132,9 @@ _TASK = '<bpmn:task id="T1" name="work"/>'
     [
         (_TASK, '<bpmn:userTask name="work"/>', InvalidStructure, "<userTask> element without id"),
         ('<bpmn:sequenceFlow id="F1" ', "<bpmn:sequenceFlow ", InvalidStructure, "sequence flow without id"),
+        ('id="F1" sourceRef="S1" targetRef="T1"', "", InvalidStructure, "sequence flow without id"),
+        ('sourceRef="S1" ', "", InvalidStructure, "sequence flow 'F1' missing sourceRef/targetRef"),
+        ('targetRef="E1"', "", InvalidStructure, "sequence flow 'F2' missing sourceRef/targetRef"),
         (_TASK, _TASK + '<bpmn:callActivity id="C1"/>', UnsupportedElement, "unsupported BPMN element: callActivity"),
         ('id="T1"', 'id="F2"', DuplicateId, "duplicate id 'F2'"),
     ],
@@ -139,6 +142,24 @@ _TASK = '<bpmn:task id="T1" name="work"/>'
 def test_process_child_errors(old, new, error, message, in_default_namespace):
     xml = MINIMAL.replace(old, new)
     with pytest.raises(error) as exc:
+        parse_bpmn(_default_namespace(xml) if in_default_namespace else xml)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("in_default_namespace", [False, True])
+@pytest.mark.parametrize(
+    "flow, message",
+    [
+        ('<bpmn:messageFlow sourceRef="T1" targetRef="E1"/>', "message flow without id"),
+        ("<bpmn:messageFlow/>", "message flow without id"),
+        ('<bpmn:messageFlow id="M1" targetRef="E1"/>', "message flow 'M1' missing sourceRef/targetRef"),
+        ('<bpmn:messageFlow id="M1" sourceRef="T1"/>', "message flow 'M1' missing sourceRef/targetRef"),
+    ],
+)
+def test_message_flow_errors(flow, message, in_default_namespace):
+    collaboration = f'<bpmn:collaboration id="C"><bpmn:participant id="PA" processRef="P1"/>{flow}</bpmn:collaboration>'
+    xml = MINIMAL.replace("<bpmn:process ", collaboration + "<bpmn:process ")
+    with pytest.raises(InvalidStructure) as exc:
         parse_bpmn(_default_namespace(xml) if in_default_namespace else xml)
     assert str(exc.value) == message
 

@@ -1145,6 +1145,37 @@ class TestCompile:
         for actions, want in cases:
             assert _raised(actions) == [want] * 3, actions
 
+    def test_a_later_defect_outranks_a_nested_oneof(self):
+        """The compile walk stops at a nested oneof, but the defect of a later action is what is raised."""
+        nested = PddlAction("n", ["p"], EffAnd([EffOneOf([EffOneOf([EffAdd("p"), EffAdd("q")]), EffAdd("q")])]))
+        cases = [
+            (PddlAction("a", ["p"], EffAnd([EffAdd("r")])), "action 'a' uses undeclared predicate 'r'"),
+            (PddlAction("a", ["p"], EffAnd([EffOneOf([])])), "action 'a' has a oneof with no outcomes"),
+            (nested, "action 'n' is defined twice"),
+        ]
+        for later, message in cases:
+            assert _raised([nested, later]) == [(PddlSyntaxError, message)] * 3, later
+
+    def test_undeclared_atom_the_problem_names_is_a_defect(self):
+        """An atom of the problem's init or goal has a bit, yet an action that names it still needs it declared."""
+        action = PddlAction("a", ["p"], EffAnd([EffAdd("q"), EffNot("x")]))
+        domain = PddlDomain("d", [":strips"], [], ["p", "q"], [action])
+        for init, goal in [(["p", "x"], ["q"]), (["p"], ["q", "x"])]:
+            with pytest.raises(PddlSyntaxError, match="^action 'a' uses undeclared predicate 'x'$"):
+                explore(domain, PddlProblem("p", "d", init, goal))
+
+    def test_valid_domain_is_never_validated_again(self, monkeypatch):
+        """`explore` and `ground_domain` notice defects in their own walk; a valid domain costs no second one."""
+        calls = []
+        validate = fond_checker._validate_domain
+        monkeypatch.setattr(fond_checker, "_validate_domain", lambda *args: calls.append(1) or validate(*args))
+        for path in [*CORPUS_FILES, *map(fixture, FIXTURES)]:
+            result = translate(path)
+            ground_domain(result.domain)
+            for problem in result.problems:
+                explore(result.domain, problem)
+        assert calls == []
+
     def test_bit_table_and_one_outcome_oneof(self):
         """The bit table is the domain's predicates, then the problem's extra
         init and goal atoms; a one-outcome oneof compiles as one outcome."""

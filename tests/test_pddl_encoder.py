@@ -453,6 +453,31 @@ class TestInclusiveEncoding:
             emit_domain(graph)
 
 
+@pytest.mark.parametrize(
+    "kind, branches, precondition, effect",
+    [
+        # no branch: no outcome, and the counter is left as it is
+        ("inclusiveGateway", 0, ["G1", "count_G1_0"], [EffNot("G1")]),
+        ("exclusiveGateway", 0, ["G1"], [EffNot("G1")]),
+        ("exclusiveGateway", 1, ["G1"], [EffAdd("E2"), EffNot("G1")]),
+        ("eventBasedGateway", 0, ["G1"], [EffNot("G1")]),
+        ("eventBasedGateway", 1, ["G1"], [EffAdd("E2"), EffNot("G1")]),
+    ],
+)
+def test_degenerate_split_effects(kind, branches, precondition, effect):
+    """A split with no or one outgoing flow, behind a parallel split so that its entry marker is its own."""
+    branch = '<bpmn:endEvent id="E2"/><bpmn:sequenceFlow id="F5" sourceRef="G1" targetRef="E2"/>'
+    xml = LINEAR.replace(
+        '<bpmn:sequenceFlow id="F2" sourceRef="T1" targetRef="E1"/>',
+        f'<bpmn:parallelGateway id="P1"/><bpmn:{kind} id="G1"/>'
+        '<bpmn:sequenceFlow id="F2" sourceRef="T1" targetRef="P1"/>'
+        '<bpmn:sequenceFlow id="F3" sourceRef="P1" targetRef="E1"/>'
+        '<bpmn:sequenceFlow id="F4" sourceRef="P1" targetRef="G1"/>' + branch * branches,
+    )
+    (action,) = _actions_of(_graph(xml), "event_G1")
+    assert (action.precondition, action.effect) == (precondition, EffAnd(effect))
+
+
 def _inclusive_blocks(order: list[str], flows: list[tuple[str, str]]) -> str:
     """A one-pool diagram with the given nodes (kind by name prefix) and flows."""
     def kind(n: str) -> str:
