@@ -139,7 +139,10 @@ def _write_outputs(result: TranslationResult, config: RunConfig) -> None:
         )
 
 
-def _translate_or_report(config: RunConfig, path: str) -> TranslationResult | None:
+def _translate_or_report(config: RunConfig, path: str) -> tuple[TranslationResult, int] | None:
+    """Translate the file at `path`, write its files and print its warnings and
+    summary line. Returns the translation and its domain's line count, or None
+    when the file cannot be read, translated or written."""
     try:
         result = translate_file(path, config)
     except OSError as exc:
@@ -162,14 +165,14 @@ def _translate_or_report(config: RunConfig, path: str) -> TranslationResult | No
         f"actions={len(result.domain.actions)} lines={lines} "
         f"problems={len(result.problems)} elapsed_ms={result.elapsed_ms:.1f}"
     )
-    return result
+    return result, lines
 
 
 def cmd_translate(config: RunConfig) -> int:
-    result = _translate_or_report(config, config.input_path)
-    if result is None:
+    translated = _translate_or_report(config, config.input_path)
+    if translated is None:
         return 1
-    return 2 if config.warnings_as_errors and result.diagnostics else 0
+    return 2 if config.warnings_as_errors and translated[0].diagnostics else 0
 
 
 def _traces_text(payload: list[dict]) -> str:
@@ -224,14 +227,18 @@ def _check_variant(
     return report.n_states, report.strong is not None, report.strong_cyclic is not None
 
 
-def _check_file(config: RunConfig, path: str) -> tuple[int, TranslationResult | None, int, bool, bool, float]:
-    """`check` on the file at `path`: its exit code, its translation (None when the
-    file cannot be read, translated or written), the largest variant's state count,
-    whether every variant has a strong and a strong-cyclic policy (no, when
-    a limit was hit), and the milliseconds checking took."""
-    result = _translate_or_report(config, path)
-    if result is None:
-        return 1, None, 0, False, False, 0.0
+def _check_file(config: RunConfig, path: str) -> tuple[int, str]:
+    """`check` on the file at `path`: its exit code and its row of the corpus
+    summary, ``ERROR`` when the file cannot be read, translated or written.
+    The row gives the largest variant's state count, whether every variant
+    has a strong and a strong-cyclic policy (no, when a limit was hit), and
+    the milliseconds checking took."""
+    name = Path(path).name
+    error = 1, f"{name}\tERROR" + "\t" * 8  # the failure row: the name and nine empty fields
+    translated = _translate_or_report(config, path)
+    if translated is None:
+        return error
+    result, lines = translated
 
     check_start = time.perf_counter()
     failed = False
@@ -243,7 +250,7 @@ def _check_file(config: RunConfig, path: str) -> tuple[int, TranslationResult | 
             print(f"limit exceeded on {problem.name}: {_limit_text(exc)}", file=sys.stderr)
             checked = 0, False, False
         if checked is None:
-            return 1, None, 0, False, False, 0.0
+            return error
         states, strong, cyclic = checked
         n_states = max(n_states, states)
         strong_ok &= strong
@@ -252,7 +259,12 @@ def _check_file(config: RunConfig, path: str) -> tuple[int, TranslationResult | 
     check_ms = (time.perf_counter() - check_start) * 1000.0
     print(f"check elapsed_ms={check_ms:.1f}")
     code = 2 if failed or (config.warnings_as_errors and result.diagnostics) else 0
-    return code, result, n_states, strong_ok, cyclic_ok, check_ms
+    wanted = config.solve_modes()
+    row = (name, result.n_nodes, len(result.domain.predicates), len(result.domain.actions), lines,
+           f"{result.elapsed_ms:.1f}", f"{check_ms:.1f}", n_states,
+           _solvable_text(strong_ok, SolveMode.STRONG in wanted),
+           _solvable_text(cyclic_ok, SolveMode.STRONG_CYCLIC in wanted))
+    return code, "\t".join(map(str, row))
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -281,22 +293,11 @@ def cmd_corpus(config: RunConfig) -> int:
     if not directory.is_dir():
         print(f"error: {config.input_path} is not a directory", file=sys.stderr)
         return 1
-    wanted = config.solve_modes()
-    rows: list[str] = []
-    codes = {0}
+    codes, rows = {0}, []
     for path in sorted(directory.glob("*.bpmn")):
-        code, result, n_states, strong_ok, cyclic_ok, check_ms = _check_file(config, str(path))
+        code, row = _check_file(config, str(path))
         codes.add(code)
-        if result is None:
-            rows.append(f"{path.name}\tERROR\t\t\t\t\t\t\t\t")
-            continue
-        lines = result.domain_text.count("\n")
-        rows.append(
-            f"{path.name}\t{result.n_nodes}\t{len(result.domain.predicates)}"
-            f"\t{len(result.domain.actions)}\t{lines}\t{result.elapsed_ms:.1f}"
-            f"\t{check_ms:.1f}\t{n_states}\t{_solvable_text(strong_ok, SolveMode.STRONG in wanted)}"
-            f"\t{_solvable_text(cyclic_ok, SolveMode.STRONG_CYCLIC in wanted)}"
-        )
+        rows.append(row)
 
     header = "file\tnodes\tpredicates\tactions\tlines\tms\tcheck_ms\tstates\tstrong\tstrong_cyclic"
     tsv = header + "\n" + "".join(row + "\n" for row in rows)

@@ -8,13 +8,14 @@ activate every branch; inclusive splits choose a non-empty branch subset
 and track how many branches are still active with a one-hot counter
 family ``count_<g>_0..n`` that the matching join drains back to zero
 before releasing. Converging gateways wait on one arrival predicate per
-incoming flow; message interactions synthesized into the graph carry
-``msg_*`` predicates from sender to receiver. ``_Encoder`` claims every
-predicate name; building the domain then resolves each flow's marker once,
-into ``_Encoder.markers``, for the node encodings to look up.
-``emit_problems`` claims the names only, since no problem reads a flow's
-marker. Every action is built by ``_Encoder._action``, which claims its
-name and decides its effect's shape.
+incoming sequence flow. Message interactions synthesized into the graph,
+an end event's included, carry ``msg_*`` predicates from sender to
+receiver; a join waits on a message through its ``msg_*`` predicate.
+``_Encoder`` claims every predicate name, and ``_Encoder._marker`` alone
+decides the predicate a token on a flow sets: building the domain resolves
+each flow's marker once, into ``_Encoder.markers``; ``emit_problems`` asks
+it for the messages start events send. Every action is built by
+``_Encoder._action``, which claims its name and decides its effect's shape.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ _INVALID_CHARS = re.compile(r"[^A-Za-z0-9_]")
 # words the PDDL reader takes as syntax at the head of an effect; no identifier may be one
 _UNSUPPORTED_EFFECTS = frozenset({"when", "forall", "exists", "increase", "decrease", "assign", "probabilistic"})
 _EFFECT_WORDS = _UNSUPPORTED_EFFECTS | {"and", "not", "oneof"}
-_TASK = NodeKind.TASK  # read per node: a module global is far cheaper than an Enum member lookup
+# read per node or flow: a module global is far cheaper than an Enum member lookup
+_TASK, _START = NodeKind.TASK, NodeKind.START_EVENT
 
 
 def sanitize_id(raw: str, *, lower: bool = False) -> str:
@@ -181,7 +183,7 @@ class _Encoder:
 
         # members and the graph's tables as locals: an Enum member read is a slow class lookup
         nodes, incoming, flows, node_pred = graph.nodes, graph.incoming, graph.flows, self.node_pred
-        claim, inclusive, start = self.preds.claim, NodeKind.INCLUSIVE_GATEWAY, NodeKind.START_EVENT
+        claim, inclusive = self.preds.claim, NodeKind.INCLUSIVE_GATEWAY
         self.counters: dict[str, list[str]] = {}  # inclusive split -> count_<g>_0..width
         for nid, node in nodes.items():
             if node.kind is not inclusive:
@@ -197,46 +199,38 @@ class _Encoder:
             base = node_pred[nid]
             self.counters[nid] = [claim(f"count_{base}_{k}") for k in range(width + 1)]
 
-        self.arr: dict[tuple[str, int], str] = {}
+        self.arr: dict[str, str] = {}  # a join's incoming sequence flow from a non-start node -> its arrival
         for nid, node in nodes.items():
             if node.kind not in _GATEWAYS or len(incoming[nid]) < 2:
                 continue
             for i, fid in enumerate(incoming[nid]):
-                if nodes[flows[fid].source].kind is start:
-                    continue  # the start predicate itself is the arrival marker
-                self.arr[(nid, i)] = claim(f"arr_{node_pred[nid]}_{i}")
+                flow = flows[fid]
+                if not flow.synthetic and nodes[flow.source].kind is not _START:
+                    self.arr[fid] = claim(f"arr_{node_pred[nid]}_{i}")
 
         self.msg: dict[str, str] = {}
         for fid, flow in flows.items():
-            if not flow.synthetic:
-                continue
-            if nodes[flow.target].kind is start:
-                continue  # message-start: the start predicate is the marker
-            self.msg[fid] = claim(f"msg_{node_pred[flow.source]}_to_{node_pred[flow.target]}")
+            if flow.synthetic and nodes[flow.target].kind is not _START:  # a message-start's marker is its start
+                self.msg[fid] = claim(f"msg_{node_pred[flow.source]}_to_{node_pred[flow.target]}")
 
     # -- marker resolution ---------------------------------------------------
 
+    def _marker(self, fid: str) -> str:
+        """The predicate a token on flow `fid` sets: the target's predicate
+        if it is a start event, else the flow's join arrival, else its
+        message, else the source's predicate if it is a start event, else
+        the target's predicate."""
+        flow, nodes, node_pred = self.graph.flows[fid], self.graph.nodes, self.node_pred
+        if nodes[flow.target].kind is _START:
+            return node_pred[flow.target]
+        marker = self.arr.get(fid) or self.msg.get(fid)
+        if marker:
+            return marker
+        return node_pred[flow.source if nodes[flow.source].kind is _START else flow.target]
+
     def _flow_markers(self) -> dict[str, str]:
-        """The predicate a token on each flow sets: the target's start
-        predicate, the message, the source's start predicate, a join's
-        arrival, else the target's predicate."""
-        graph = self.graph
-        markers: dict[str, str] = {}
-        nodes, node_pred, msg, start = graph.nodes, self.node_pred, self.msg, NodeKind.START_EVENT
-        for fid, flow in graph.flows.items():
-            if nodes[flow.target].kind is start:
-                markers[fid] = node_pred[flow.target]
-            elif flow.synthetic:
-                markers[fid] = msg[fid]
-            elif nodes[flow.source].kind is start:
-                markers[fid] = node_pred[flow.source]
-            else:
-                markers[fid] = node_pred[flow.target]
-        for (nid, i), arrival in self.arr.items():  # a join's arrival outranks only the last rule
-            fid = graph.incoming[nid][i]
-            if not graph.flows[fid].synthetic:  # arr already skips flows from start events
-                markers[fid] = arrival
-        return markers
+        """:meth:`_marker` of every flow, for the node encodings to look up."""
+        return {fid: self._marker(fid) for fid in self.graph.flows}
 
     def entry_markers(self, node_id: str) -> list[str]:
         """Markers a node's action consumes, incoming order."""
@@ -324,13 +318,15 @@ class _Encoder:
         return self.node_pred[task_id]
 
     def _encode_event(self, node: FlowNode) -> PddlAction | None:
-        if node.kind is NodeKind.START_EVENT:
+        if node.kind is _START:
             if self.options.allow_spontaneous_start:
                 return self._action(f"start_{sanitize_id(node.id)}", [], [[self.node_pred[node.id]]], [])
             return None
         pre = self.entry_markers(node.id)
-        if node.kind is NodeKind.END_EVENT:
-            adds = [self.pool_done[node.pool] if self.options.done_mode is DoneMode.ALL_POOLS else self.done]
+        if node.kind is NodeKind.END_EVENT:  # the process's or its pool's end, and the messages it sends
+            done = self.pool_done[node.pool] if self.options.done_mode is DoneMode.ALL_POOLS else self.done
+            flows = self.graph.flows
+            adds = [done, *(self.markers[f] for f in self.graph.outgoing[node.id] if flows[f].synthetic)]
         else:
             adds = self.out_markers(node.id)
         return self._action(f"event_{sanitize_id(node.id)}", pre, [adds], pre)
@@ -429,15 +425,13 @@ def emit_problems(graph: ProcessGraph, options: EncodeOptions | None = None) -> 
     """The paper's problem variants: all pools started, one pool started
     (per pool), and optionally the empty bootstrap variant."""
     options = options or EncodeOptions()
-    enc = _Encoder(graph, options)  # the names only: no problem reads a flow's marker
-    node_pred, start = enc.node_pred, NodeKind.START_EVENT
+    enc = _Encoder(graph, options)  # the names, and the markers of the messages start events send
+    node_pred = enc.node_pred
     zeros = [count[0] for count in enc.counters.values()]
-    # (sender's start predicate, marker) of each message a start event sends;
-    # a message-start's marker is its own start predicate
-    start_messages = [
-        (node_pred[flow.source], enc.msg.get(fid) or node_pred[flow.target])
+    start_messages = [  # (sender's start predicate, marker) of each message a start event sends
+        (node_pred[flow.source], enc._marker(fid))
         for fid, flow in graph.flows.items()
-        if flow.synthetic and graph.nodes[flow.source].kind is start
+        if flow.synthetic and graph.nodes[flow.source].kind is _START
     ]
     domain_name = sanitize_id(graph.source_name, lower=True)
     goal = [enc.done]

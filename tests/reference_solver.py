@@ -61,10 +61,10 @@ pairs in one pass over strongly connected components and must return the
 same diagnostics in the same order.
 
 ``marker`` is the encoder's original per-use marker resolution, verbatim
-but for taking the encoder as an argument: a branch chain walked on every
-call, with ``incoming.index`` for a join arrival. ``pddl_encoder._Encoder``
-decides each flow's marker once, into ``markers``, and must give the same
-predicate for every flow.
+but for taking the encoder as an argument and reading a join's arrival by
+flow id: a branch chain walked on every call, in its original order.
+``pddl_encoder._Encoder`` decides each flow's marker once, into
+``markers``, and must give the same predicate for every flow.
 """
 
 from __future__ import annotations
@@ -979,6 +979,5 @@ def marker(enc, flow_id: str) -> str:
     if src.kind is NodeKind.START_EVENT:
         return enc.node_pred[flow.source]
     if tgt.kind in _GATEWAYS and len(enc.graph.incoming[flow.target]) >= 2:
-        idx = enc.graph.incoming[flow.target].index(flow_id)
-        return enc.arr[(flow.target, idx)]
+        return enc.arr[flow_id]
     return enc.node_pred[flow.target]

@@ -888,3 +888,118 @@ _GOLDEN_DIGESTS = {
 def test_golden_output():
     got = {stem: _golden_digest(stem, xml) for stem, xml in _golden_inputs().items()}
     assert got == _GOLDEN_DIGESTS
+
+
+# -- message shapes --------------------------------------------------------------
+
+
+def _two_pools(pool_a: list[str], pool_b: list[str], message: tuple[str, str]) -> str:
+    """Pools A and B, each a chain of ``kind:id`` nodes joined by sequence flows,
+    and one message flow from `message[0]` to `message[1]`."""
+    def process(name: str, chain: list[str]) -> str:
+        nodes = [node.split(":") for node in chain]
+        lines = [f'<bpmn:{kind} id="{nid}"/>' for kind, nid in nodes]
+        lines += [f'<bpmn:sequenceFlow id="F_{a}_{b}" sourceRef="{a}" targetRef="{b}"/>'
+                  for (_, a), (_, b) in zip(nodes, nodes[1:])]
+        return f'<bpmn:process id="Process_{name}">{"".join(lines)}</bpmn:process>'
+
+    return ('<?xml version="1.0"?>\n<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D">'
+            '<bpmn:collaboration id="C">'
+            '<bpmn:participant id="PA" name="A" processRef="Process_a"/>'
+            '<bpmn:participant id="PB" name="B" processRef="Process_b"/>'
+            f'<bpmn:messageFlow id="M1" sourceRef="{message[0]}" targetRef="{message[1]}"/>'
+            f'</bpmn:collaboration>{process("a", pool_a)}{process("b", pool_b)}</bpmn:definitions>')
+
+
+# a task's message into a parallel join: the join waits on msg_TA_to_J, with no arrival for it
+_MESSAGE_INTO_JOIN = _two_pools(["startEvent:SA", "task:TA", "endEvent:EA"],
+                                ["startEvent:SB", "task:TB", "parallelGateway:J", "endEvent:EB"], ("TA", "J"))
+# an end event's message to an intermediate catch event of the other pool
+_END_SENDS = _two_pools(["startEvent:SA", "task:TA", "endEvent:EA"],
+                        ["startEvent:SB", "intermediateCatchEvent:CB", "endEvent:EB"], ("EA", "CB"))
+
+
+class TestMessageShapes:
+    """A message into a join and a message out of an end event: the verdicts
+    of each variant, and the token game's states and edges."""
+
+    # variant -> (states, deadlocks, strong, strong-cyclic, policy size)
+    VERDICTS = {
+        ("join", DoneMode.ANY_END): {"all_starts": (10, 0, True, True, 2), "prestarted_a": (3, 0, True, True, 2),
+                                     "prestarted_b": (2, 1, False, False, 0)},
+        ("join", DoneMode.ALL_POOLS): {"all_starts": (11, 0, True, True, 6), "prestarted_a": (3, 1, False, False, 0),
+                                       "prestarted_b": (2, 1, False, False, 0)},
+        # pool B moves once A's end event sends its message
+        ("end", DoneMode.ANY_END): {"all_starts": (5, 0, True, True, 2), "prestarted_a": (3, 0, True, True, 2),
+                                    "prestarted_b": (1, 1, False, False, 0)},
+        ("end", DoneMode.ALL_POOLS): {"all_starts": (6, 0, True, True, 5), "prestarted_a": (3, 1, False, False, 0),
+                                      "prestarted_b": (1, 1, False, False, 0)},
+    }
+
+    @pytest.mark.parametrize("shape, done_mode", list(VERDICTS))
+    def test_verdicts_and_token_game(self, shape, done_mode):
+        from bpmn2pddl.fond_checker import explore
+        from token_game import TokenGame
+
+        graph = _graph(_MESSAGE_INTO_JOIN if shape == "join" else _END_SENDS)
+        options = EncodeOptions(done_mode=done_mode)
+        domain = parse_pddl(render_pddl(emit_domain(graph, options)))
+        problems = emit_problems(graph, options)
+        got = {}
+        for problem in problems:
+            report = analyze(domain, problem)
+            policy = report.strong_cyclic or report.strong
+            got[problem.variant] = (report.n_states, report.n_deadlocks, report.strong is not None,
+                                    report.strong_cyclic is not None, len(policy.mapping) if policy else 0)
+        assert got == self.VERDICTS[shape, done_mode]
+
+        game = TokenGame(graph, done_mode)
+        starts = [[n for p in graph.pools for n in graph.start_nodes[p]], *graph.start_nodes.values()]
+        for start_ids, problem in zip(starts, problems):
+            init = game.initial(start_ids)
+            assert init == frozenset(problem.init)
+            space = explore(domain, problem)
+            states, edges, _ = game.explore(init)
+            assert set(space.states) == states, problem.variant
+            assert {(space.states[s], space.states[t]) for s, moves in enumerate(space.transitions)
+                    for _a, _o, t in moves} == edges, problem.variant
+
+    def test_a_message_into_a_join_claims_no_arrival(self):
+        domain = emit_domain(_graph(_MESSAGE_INTO_JOIN))
+        assert len(domain.predicates) == 10
+        assert [p for p in domain.predicates if p.startswith(("arr_", "msg_"))] == ["arr_J_0", "msg_TA_to_J"]
+        assert next(a for a in domain.actions if a.name == "event_J").precondition == ["arr_J_0", "msg_TA_to_J"]
+
+    @pytest.mark.parametrize("done_mode, done", [(DoneMode.ANY_END, "done"), (DoneMode.ALL_POOLS, "pool_done_a")])
+    def test_an_end_event_sends_its_message(self, done_mode, done):
+        action = _actions(_graph(_END_SENDS), EncodeOptions(done_mode=done_mode))["event_EA"]
+        assert action.effect == EffAnd([EffAdd(done), EffAdd("msg_EA_to_CB"), EffNot("EA")])
+
+
+def _adds_of(tree) -> set[str]:
+    if isinstance(tree, EffAdd):
+        return {tree.pred}
+    if isinstance(tree, EffNot):
+        return set()
+    return set().union(*map(_adds_of, tree.items if isinstance(tree, EffAnd) else tree.outcomes))
+
+
+def test_every_token_predicate_is_produced_and_consumed():
+    """Each arrival, message, counter and pool-done predicate the encoder
+    claims is read by some precondition or goal, and set by some effect or
+    some problem's init, on every golden input under every option setting."""
+    inputs = _golden_inputs() | {"message_into_join": _MESSAGE_INTO_JOIN, "end_sends": _END_SENDS}
+    for stem, xml in inputs.items():
+        for strategy, done_mode, spontaneous in product(MessageStrategy, DoneMode, (False, True)):
+            graph = build_graph(parse_bpmn(xml, source_name=stem), strategy)
+            options = EncodeOptions(done_mode=done_mode, allow_spontaneous_start=spontaneous)
+            enc = _Encoder(graph, options)
+            tokens = {*enc.arr.values(), *enc.msg.values(), *enc.pool_done.values(),
+                      *(p for count in enc.counters.values() for p in count)}
+            domain, problems = emit_domain(graph, options), emit_problems(graph, options)
+            consumed = {p for a in domain.actions for p in a.precondition} | {p for pr in problems for p in pr.goal}
+            produced = set().union(*(_adds_of(a.effect) for a in domain.actions), *(pr.init for pr in problems))
+            case = f"{stem}/{strategy.value}/{done_mode.value}/{spontaneous}"
+            assert tokens <= set(domain.predicates), case
+            assert tokens - consumed == set(), case
+            assert tokens - produced == set(), case

@@ -63,8 +63,9 @@ class TokenGame:
         for nid, node in graph.nodes.items():
             if node.kind in _GATEWAYS and len(graph.incoming[nid]) >= 2:
                 for i, fid in enumerate(graph.incoming[nid]):
-                    if graph.nodes[graph.flows[fid].source].kind is NodeKind.START_EVENT:
-                        continue
+                    flow = graph.flows[fid]
+                    if flow.synthetic or graph.nodes[flow.source].kind is NodeKind.START_EVENT:
+                        continue  # a message keeps its msg_* marker; a start its own predicate
                     self.arr[(nid, i)] = names.claim(f"arr_{self.pred[nid]}_{i}")
         self.msg: dict[str, str] = {}
         for fid, flow in graph.flows.items():
@@ -200,10 +201,11 @@ class TokenGame:
         if not ins or not set(ins) <= state:
             return []
         out = state - set(ins)
-        if end:
-            if self.done_mode is DoneMode.ALL_POOLS:
-                return [out | {self.pool_done[self.graph.nodes[nid].pool]}]
-            return [out | {self.done}]
+        if end:  # the end marker, and the messages the end event sends
+            pool = self.graph.nodes[nid].pool
+            done = self.pool_done[pool] if self.done_mode is DoneMode.ALL_POOLS else self.done
+            sent = {self.marker(f) for f in self.graph.outgoing[nid] if self.graph.flows[f].synthetic}
+            return [out | {done} | sent]
         return [out | set(self._outs(nid))]
 
     def _fire_gateway(self, state: frozenset, nid: str, kind: NodeKind) -> list[frozenset]:
