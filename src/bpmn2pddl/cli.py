@@ -156,8 +156,8 @@ def _translate_or_report(config: RunConfig, path: str) -> tuple[TranslationResul
     except OSError as exc:
         _cannot_write(exc)
         return None
-    for diag in result.diagnostics:
-        print(f"warning: {diag.code}: {diag.message}", file=sys.stderr)
+    if result.diagnostics:  # one write: on a terminal each print is a system call
+        sys.stderr.write("".join(f"warning: {d.code}: {d.message}\n" for d in result.diagnostics))
     lines = result.domain_text.count("\n")
     print(
         f"{result.stem}: nodes={result.n_nodes} flows={result.n_flows} "

@@ -16,13 +16,14 @@ decides the predicate a token on a flow sets: building the domain resolves
 each flow's marker once, into ``_Encoder.markers``; ``emit_problems`` asks
 it for the messages start events send. Every action is built by
 ``_Encoder._action``, which claims its name and decides its effect's shape.
+Inclusive joins find their splits in one dominator pass per pool, O(pool).
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from .bpmn_parser import _EVENTS, _GATEWAYS, FlowNode, NodeKind, Record
 from .process_graph import MessageStrategy, ProcessGraph
@@ -177,9 +178,8 @@ class _Encoder:
                 label = sanitize_id(graph.pool_names[pool], lower=True)
                 self.pool_done[pool] = self.preds.claim(f"pool_done_{label}")
 
-        self.node_pred: dict[str, str] = {}
-        for nid in graph.nodes:
-            self.node_pred[nid] = self.preds.claim(sanitize_id(nid))
+        self.node_label: dict[str, str] = {nid: sanitize_id(nid) for nid in graph.nodes}  # its actions' name stem
+        self.node_pred: dict[str, str] = {nid: self.preds.claim(label) for nid, label in self.node_label.items()}
 
         # members and the graph's tables as locals: an Enum member read is a slow class lookup
         nodes, incoming, flows, node_pred = graph.nodes, graph.incoming, graph.flows, self.node_pred
@@ -241,13 +241,17 @@ class _Encoder:
         return [self.markers[f] for f in self.graph.outgoing[node_id]]
 
     def _match_inclusive_joins(self) -> dict[str, str]:
-        """Pair each inclusive join with the nearest inclusive split of its
-        pool that dominates it: of the splits that every path from the
-        pool's start events passes, the one of greatest BFS depth. A join
-        that no split dominates is an :class:`EncodingError`. One `_depths`
-        walk per split and per pool holding a join: O((inclusive splits +
-        pools) × pool size)."""
+        """Pair each inclusive join with the nearest inclusive split of its pool
+        that dominates it along the pool's own sequence flows; a join with none,
+        or unreached, is an :class:`EncodingError`. One pass per pool holding a
+        join, O(pool size) but for the few sweeps Cooper, Harvey & Kennedy's
+        iteration ("A simple, fast dominance algorithm", 2001) takes to settle:
+        number the nodes breadth first from a virtual root 0 over the start
+        events (a strict dominator is on every shortest path, so numbered
+        first), iterate from the BFS tree, then give each node its nearest
+        split on its dominator chain."""
         graph = self.graph
+        outgoing, flows = graph.outgoing, graph.flows
         joins: dict[str, list[str]] = {}  # pool -> its inclusive joins, document order
         splits: dict[str, list[str]] = {}
         for nid, node in graph.nodes.items():
@@ -255,28 +259,47 @@ class _Encoder:
                 (joins if len(graph.incoming[nid]) >= 2 else splits).setdefault(node.pool, []).append(nid)
         mapping: dict[str, str] = {}
         for pool, pool_joins in joins.items():
-            depth = self._depths(graph.start_nodes[pool])
-            # a join's dominators nest, so the nearest one that dominates it comes last
-            for split in sorted((s for s in splits.get(pool, ()) if s in depth), key=depth.__getitem__):
-                around = self._depths(graph.start_nodes[pool], split)
-                mapping.update((join, split) for join in pool_joins if join in depth and join not in around)
-        missing = [join for pool_joins in joins.values() for join in pool_joins if join not in mapping]
-        if missing:
-            raise EncodingError(f"inclusive join {missing[0]!r} has no matching diverging inclusive gateway")
+            order = [None, *dict.fromkeys(graph.start_nodes[pool])]  # breadth-first; 0 is the virtual root
+            index = {nid: v for v, nid in enumerate(order)}
+            preds = [[0] for _ in order]  # by number, the BFS parent first; a start event's parent is the root
+            for u, nid in islice(enumerate(order), 1, None):
+                for fid in outgoing[nid]:
+                    flow = flows[fid]
+                    if flow.synthetic:
+                        continue
+                    v = index.get(flow.target)
+                    if v is None:
+                        index[flow.target] = len(order)
+                        order.append(flow.target)
+                        preds.append([u])
+                    else:
+                        preds[v].append(u)
+            idom = [ps[0] for ps in preds]  # the BFS tree, then the immediate dominators
+            merges = [v for v, ps in enumerate(preds) if len(ps) > 1]  # a lone predecessor is the dominator
+            changed = True
+            while changed:
+                changed = False
+                for v in merges:
+                    ps = preds[v]
+                    new = ps[0]  # the BFS parent: the nearest common ancestor is numbered below v
+                    for p in ps:  # the nearest common ancestor in the current tree, found by number
+                        while p != new:
+                            while p > new:
+                                p = idom[p]
+                            while new > p:
+                                new = idom[new]
+                    changed |= idom[v] != new
+                    idom[v] = new
+            pool_splits = set(splits.get(pool, ()))
+            near = [None] * len(order)  # the nearest split on each node's dominator chain, itself included
+            for v in range(1, len(order)):
+                near[v] = order[v] if order[v] in pool_splits else near[idom[v]]
+            for join in pool_joins:
+                split = near[idom[index.get(join, 0)]]  # an unreached join takes the root's: none
+                if split is None:
+                    raise EncodingError(f"inclusive join {join!r} has no matching diverging inclusive gateway")
+                mapping[join] = split
         return mapping
-
-    def _depths(self, roots: list[str], avoid: str | None = None) -> dict[str, int]:
-        """BFS distance from `roots` along the pool's own sequence flows,
-        never entering `avoid`."""
-        depth = dict.fromkeys(roots, 0)
-        queue = list(roots)
-        for nid in queue:
-            for fid in self.graph.normal_outgoing(nid):
-                target = self.graph.flows[fid].target
-                if target != avoid and target not in depth:
-                    depth[target] = depth[nid] + 1
-                    queue.append(target)
-        return depth
 
     # -- node encodings --------------------------------------------------------
 
@@ -306,8 +329,7 @@ class _Encoder:
             raise EncodingError(f"task {node.id!r} has no incoming flow")
         adds = self.out_markers(node.id)
         outcomes = [adds]
-        if self.graph.msg_strategy is MessageStrategy.EXCLUSIVE_EMULATION:
-            outcomes += [[*adds, self._emulation_trigger(target)] for target in self.messages_from.get(node.id, ())]
+        outcomes += [[*adds, self._emulation_trigger(target)] for target in self.messages_from.get(node.id, ())]
         return self._action(sanitize_id(node.name or node.id, lower=True), pre, outcomes, pre)
 
     def _emulation_trigger(self, task_id: str) -> str:
@@ -320,7 +342,7 @@ class _Encoder:
     def _encode_event(self, node: FlowNode) -> PddlAction | None:
         if node.kind is _START:
             if self.options.allow_spontaneous_start:
-                return self._action(f"start_{sanitize_id(node.id)}", [], [[self.node_pred[node.id]]], [])
+                return self._action(f"start_{self.node_label[node.id]}", [], [[self.node_pred[node.id]]], [])
             return None
         pre = self.entry_markers(node.id)
         if node.kind is NodeKind.END_EVENT:  # the process's or its pool's end, and the messages it sends
@@ -329,7 +351,7 @@ class _Encoder:
             adds = [done, *(self.markers[f] for f in self.graph.outgoing[node.id] if flows[f].synthetic)]
         else:
             adds = self.out_markers(node.id)
-        return self._action(f"event_{sanitize_id(node.id)}", pre, [adds], pre)
+        return self._action(f"event_{self.node_label[node.id]}", pre, [adds], pre)
 
     def _encode_gateway(self, node: FlowNode) -> list[PddlAction]:
         graph = self.graph
@@ -344,7 +366,7 @@ class _Encoder:
     def _encode_split(self, node: FlowNode) -> PddlAction:
         entry = self.markers[self.graph.incoming[node.id][0]]
         succ = self.out_markers(node.id)
-        name = f"event_{sanitize_id(node.id)}"
+        name = f"event_{self.node_label[node.id]}"
         if node.kind is NodeKind.PARALLEL_GATEWAY:
             return self._action(name, [entry], [succ], [entry])
         if node.kind is NodeKind.INCLUSIVE_GATEWAY:
@@ -359,7 +381,7 @@ class _Encoder:
         return self._action(name, [entry], [[p] for p in succ], [entry])
 
     def _encode_join(self, node: FlowNode) -> list[PddlAction]:
-        base = f"event_{sanitize_id(node.id)}"
+        base = f"event_{self.node_label[node.id]}"
         markers = self.entry_markers(node.id)
         succ = self.out_markers(node.id)
 
@@ -391,9 +413,10 @@ class _Encoder:
     def domain(self) -> PddlDomain:
         # the tables only actions read
         self.markers = self._flow_markers()
-        self.messages_from: dict[str, list[str]] = {}  # task -> targets of its task-task messages, document order
-        for msg in self.graph.task_task_messages:
-            self.messages_from.setdefault(msg.source, []).append(msg.target)
+        self.messages_from: dict[str, list[str]] = {}  # task -> targets of its emulated messages, document order
+        if self.graph.msg_strategy is MessageStrategy.EXCLUSIVE_EMULATION:
+            for msg in self.graph.task_task_messages:
+                self.messages_from.setdefault(msg.source, []).append(msg.target)
         self.join_split = self._match_inclusive_joins()
         actions: list[PddlAction] = []
         for node in self.graph.nodes.values():

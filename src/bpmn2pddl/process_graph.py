@@ -53,6 +53,12 @@ class MultipleOutgoingNonGateway(GraphError):
         self.node_id = node_id
 
 
+class EndEventWithOutgoing(GraphError):
+    def __init__(self, node_id: str):
+        super().__init__(f"end event {node_id!r} has an outgoing sequence flow")
+        self.node_id = node_id
+
+
 class ProcessGraph(Record):
     __slots__ = __match_args__ = ("nodes", "incoming", "outgoing", "flows", "task_task_messages", "start_nodes",
                                   "end_nodes", "pools", "pool_names", "msg_strategy", "source_name")
@@ -90,8 +96,8 @@ def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrateg
     task-event message interactions.
 
     Raises :class:`GraphError` when a pool lacks a start or end event, a
-    non-start node is unreachable by construction, or a non-gateway node
-    carries more than one (non-synthetic) incoming or outgoing flow.
+    non-start node is unreachable by construction, a non-gateway node carries
+    more than one (non-synthetic) incoming or outgoing flow, or an end event an outgoing one.
     """
     nodes = dict(model.nodes)
     task, start, end = NodeKind.TASK, NodeKind.START_EVENT, NodeKind.END_EVENT  # locals: Enum lookups are slow
@@ -152,12 +158,14 @@ def build_graph(model: BpmnModel, msg_strategy: MessageStrategy = MessageStrateg
         if not incoming[nid]:
             raise IsolatedNode(nid)
 
-    for nid, node in nodes.items():
+    for nid, node in nodes.items():  # a side's synthetic flows are filtered out only when it has two or more
         if node.kind in _GATEWAYS:
             continue
-        if len(graph.normal_incoming(nid)) > 1:
+        if len(incoming[nid]) > 1 and len(graph.normal_incoming(nid)) > 1:
             raise MultipleIncomingNonGateway(nid)
-        if len(graph.normal_outgoing(nid)) > 1:
+        if node.kind is end and outgoing[nid] and graph.normal_outgoing(nid):
+            raise EndEventWithOutgoing(nid)
+        if len(outgoing[nid]) > 1 and len(graph.normal_outgoing(nid)) > 1:
             raise MultipleOutgoingNonGateway(nid)
 
     return graph

@@ -65,6 +65,15 @@ but for taking the encoder as an argument and reading a join's arrival by
 flow id: a branch chain walked on every call, in its original order.
 ``pddl_encoder._Encoder`` decides each flow's marker once, into
 ``markers``, and must give the same predicate for every flow.
+
+``match_inclusive_joins`` is the encoder's original join matching,
+verbatim but for taking the graph as an argument: one ``_depths`` BFS per
+pool holding an inclusive join, then one more per split reachable there,
+each never entering that split, so O((inclusive splits + pools) × pool
+size). A join takes the dominating split of greatest BFS depth.
+``pddl_encoder._Encoder._match_inclusive_joins`` computes the immediate
+dominators once per pool and must return the same mapping, or raise the
+same ``EncodingError`` message.
 """
 
 from __future__ import annotations
@@ -98,6 +107,7 @@ from bpmn2pddl.pddl_encoder import (
     EffAnd,
     EffNot,
     EffOneOf,
+    EncodingError,
     PddlAction,
     PddlDomain,
     PddlProblem,
@@ -981,3 +991,42 @@ def marker(enc, flow_id: str) -> str:
     if tgt.kind in _GATEWAYS and len(enc.graph.incoming[flow.target]) >= 2:
         return enc.arr[flow_id]
     return enc.node_pred[flow.target]
+
+
+def match_inclusive_joins(graph: ProcessGraph) -> dict[str, str]:
+    """Pair each inclusive join with the nearest inclusive split of its
+    pool that dominates it: of the splits that every path from the
+    pool's start events passes, the one of greatest BFS depth. A join
+    that no split dominates is an :class:`EncodingError`. One `_depths`
+    walk per split and per pool holding a join: O((inclusive splits +
+    pools) × pool size)."""
+    joins: dict[str, list[str]] = {}  # pool -> its inclusive joins, document order
+    splits: dict[str, list[str]] = {}
+    for nid, node in graph.nodes.items():
+        if node.kind is NodeKind.INCLUSIVE_GATEWAY:
+            (joins if len(graph.incoming[nid]) >= 2 else splits).setdefault(node.pool, []).append(nid)
+    mapping: dict[str, str] = {}
+    for pool, pool_joins in joins.items():
+        depth = _depths(graph, graph.start_nodes[pool])
+        # a join's dominators nest, so the nearest one that dominates it comes last
+        for split in sorted((s for s in splits.get(pool, ()) if s in depth), key=depth.__getitem__):
+            around = _depths(graph, graph.start_nodes[pool], split)
+            mapping.update((join, split) for join in pool_joins if join in depth and join not in around)
+    missing = [join for pool_joins in joins.values() for join in pool_joins if join not in mapping]
+    if missing:
+        raise EncodingError(f"inclusive join {missing[0]!r} has no matching diverging inclusive gateway")
+    return mapping
+
+
+def _depths(graph: ProcessGraph, roots: list[str], avoid: str | None = None) -> dict[str, int]:
+    """BFS distance from `roots` along the pool's own sequence flows,
+    never entering `avoid`."""
+    depth = dict.fromkeys(roots, 0)
+    queue = list(roots)
+    for nid in queue:
+        for fid in graph.normal_outgoing(nid):
+            target = graph.flows[fid].target
+            if target != avoid and target not in depth:
+                depth[target] = depth[nid] + 1
+                queue.append(target)
+    return depth

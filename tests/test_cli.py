@@ -321,6 +321,28 @@ def test_warnings_as_errors(tmp_path, capsys):
     assert "PotentialDeadlock" in capsys.readouterr().err
 
 
+def test_warnings_are_written_at_once(tmp_path, monkeypatch):
+    # two tasks in a cycle that no start event reaches: two Unreachable warnings
+    text = fixture("loop_retry.bpmn").read_text().replace(
+        "</bpmn:process>",
+        '<bpmn:task id="T9"/><bpmn:task id="T8"/><bpmn:sequenceFlow id="F9" sourceRef="T8" targetRef="T9"/>'
+        '<bpmn:sequenceFlow id="F8" sourceRef="T9" targetRef="T8"/></bpmn:process>',
+    )
+    path = tmp_path / "unreachable.bpmn"
+    path.write_text(text)
+    writes = []
+
+    class Recorded(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stderr", Recorded())
+    assert main(["translate", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert writes == ["warning: Unreachable: node 'T9' is unreachable from every start event\n"
+                      "warning: Unreachable: node 'T8' is unreachable from every start event\n"]
+
+
 def test_fig4_compat_flag(tmp_path):
     code = main(["translate", CREDIT, "--out", str(tmp_path), "--fig4-compat", "--msg-strategy", "ignore"])
     assert code == 0

@@ -8,11 +8,11 @@ import re
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_solver
-from bpmn2pddl.bpmn_parser import parse_bpmn
+from bpmn2pddl.bpmn_parser import BpmnModel, FlowNode, MessageFlow, NodeKind, Pool, SequenceFlow, parse_bpmn
 from bpmn2pddl.fond_checker import analyze, ground_domain, parse_pddl
 from bpmn2pddl.pddl_encoder import (
     _EFFECT_WORDS,
@@ -31,8 +31,8 @@ from bpmn2pddl.pddl_encoder import (
     render_pddl,
     sanitize_id,
 )
-from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_DIR, CORPUS_FILES, FIXTURE_DIR, bench_module, fixture, translate
+from bpmn2pddl.process_graph import EndEventWithOutgoing, MessageStrategy, ProcessGraph, build_graph
+from conftest import CORPUS_DIR, CORPUS_FILES, FIXTURE_DIR, bench_module, digraphs, fixture, translate
 
 GEN = bench_module("gen")
 
@@ -537,6 +537,35 @@ BYPASS = _inclusive_blocks(
 )
 
 
+@st.composite
+def _block_pools(draw):
+    """A pool of placed inclusive blocks between S1 and E1, with extra start
+    events, exclusive gateways, tasks and inclusive gateways, and extra
+    flows between any two nodes, some synthetic: cycles through and around
+    splits, branches around them, joins no start event reaches."""
+    nodes, flows = _placed_blocks(draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)))
+    more = draw(st.lists(st.sampled_from(["S", "X", "T", "Split_x", "Join_x"]), max_size=4))
+    nodes += [f"{prefix}{i}" for i, prefix in enumerate(more, 90)]  # numbered clear of the blocks' names
+    ends = st.sampled_from(nodes)
+    extra = draw(st.lists(st.tuples(ends, ends, st.booleans()), max_size=6))
+
+    def kind(n: str) -> NodeKind:
+        if n.startswith(("Split", "Join")):
+            return NodeKind.INCLUSIVE_GATEWAY
+        return {"S": NodeKind.START_EVENT, "E": NodeKind.END_EVENT, "T": NodeKind.TASK,
+                "X": NodeKind.EXCLUSIVE_GATEWAY}[n[0]]
+
+    graph = ProcessGraph({n: FlowNode(n, None, kind(n), "P1") for n in nodes},
+                         {n: [] for n in nodes}, {n: [] for n in nodes}, {}, [], {}, {}, ["P1"], {},
+                         MessageStrategy.IGNORE, "random")
+    for k, (a, b, synthetic) in enumerate([(a, b, False) for a, b in flows] + extra):
+        graph.flows[f"F{k}"] = SequenceFlow(f"F{k}", a, b, synthetic)
+        graph.outgoing[a].append(f"F{k}")
+        graph.incoming[b].append(f"F{k}")
+    graph.start_nodes["P1"] = [n for n in nodes if graph.nodes[n].kind is NodeKind.START_EVENT]
+    return graph
+
+
 class TestInclusiveJoinMatching:
     """Each inclusive join takes the counter of the nearest split that dominates it."""
 
@@ -592,26 +621,17 @@ class TestInclusiveJoinMatching:
         order = data.draw(st.permutations(nodes), label="order")
         self._check(_inclusive_blocks(order, flows), {f"Join_{i}": f"Split_{i}" for i in range(1, len(places) + 1)})
 
-    def test_200_blocks_in_sequence_walk_once_per_split(self, monkeypatch):
-        from bpmn2pddl import pddl_encoder
-
-        calls = []
-        depths = pddl_encoder._Encoder._depths
-
-        def counted(self, *args):
-            calls.append(args)
-            return depths(self, *args)
-
-        monkeypatch.setattr(pddl_encoder._Encoder, "_depths", counted)
-        k = 200
-        nodes, flows = _placed_blocks([0] * k)
-        graph = _graph(_inclusive_blocks(nodes, flows))
-        domain = emit_domain(graph)
-        emit_problems(graph)  # problems encode no join: no matching
-        assert len(calls) <= k + 1
-        release = {a.name: a.precondition for a in domain.actions}
-        for i in range(1, k + 1):
-            assert release[f"event_Join_{i}"] == [f"count_Split_{i}_0", f"Join_{i}"]
+    @given(_block_pools())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_on_random_pools(self, graph):
+        enc = _Encoder(graph, EncodeOptions(max_inclusive_branches=len(graph.flows)))
+        try:
+            expected = reference_solver.match_inclusive_joins(graph)
+        except EncodingError as exc:
+            with pytest.raises(EncodingError, match=f"^{re.escape(str(exc))}$"):
+                enc._match_inclusive_joins()
+        else:
+            assert enc._match_inclusive_joins() == expected
 
     def test_join_no_split_dominates_rejected(self):
         with pytest.raises(EncodingError, match="^inclusive join 'Join_1' has no matching diverging inclusive gateway$"):
@@ -984,22 +1004,58 @@ def _adds_of(tree) -> set[str]:
     return set().union(*map(_adds_of, tree.items if isinstance(tree, EffAnd) else tree.outcomes))
 
 
-def test_every_token_predicate_is_produced_and_consumed():
-    """Each arrival, message, counter and pool-done predicate the encoder
-    claims is read by some precondition or goal, and set by some effect or
-    some problem's init, on every golden input under every option setting."""
+def _assert_every_flow_is_encoded(graph, options: EncodeOptions, case: str = "") -> None:
+    """Each flow's marker is set by its source's actions (for a start event,
+    by the all-starts problem's init) and read by its target's (a start
+    event's marker is its own predicate). Each arrival, message and
+    pool-done predicate, each counter's zero and every counter of a split
+    that a join matches is declared, read by some precondition or goal and
+    set by some effect or init."""
+    enc = _Encoder(graph, options)
+    domain, problems = enc.domain(), emit_problems(graph, options)
+    start = NodeKind.START_EVENT
+    init = next(p.init for p in problems if p.variant == "all_starts")
+    adds, reads = {}, {}
+    for nid, node in graph.nodes.items():
+        actions = enc.encode_node(node)  # the domain's actions again, under names claimed anew
+        adds[nid] = set().union(*(_adds_of(a.effect) for a in actions))
+        reads[nid] = {p for a in actions for p in a.precondition}
+    for fid, flow in graph.flows.items():
+        marker = enc.markers[fid]
+        assert marker in (init if graph.nodes[flow.source].kind is start else adds[flow.source]), (case, fid)
+        assert graph.nodes[flow.target].kind is start or marker in reads[flow.target], (case, fid)
+    matched = {split: enc.counters[split] for split in enc.join_split.values()}
+    tokens = {*enc.arr.values(), *enc.msg.values(), *enc.pool_done.values(),
+              *(count[0] for count in enc.counters.values()), *(p for count in matched.values() for p in count)}
+    consumed = {p for a in domain.actions for p in a.precondition} | {p for pr in problems for p in pr.goal}
+    produced = set().union(*(_adds_of(a.effect) for a in domain.actions), *(pr.init for pr in problems))
+    assert tokens <= set(domain.predicates), case
+    assert tokens - consumed == set(), case
+    assert tokens - produced == set(), case
+
+
+@given(digraphs(well_formed=True), st.sampled_from(MessageStrategy), st.sampled_from(DoneMode), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_every_token_predicate_is_produced_and_consumed(drawn, strategy, done_mode, spontaneous):
+    """Every flow that `build_graph` keeps is encoded, on random graphs of
+    the shapes it accepts and the encoder encodes, under every option."""
+    flows = drawn.flows.values()
+    model = BpmnModel([Pool("p", "p", list(drawn.nodes))], drawn.nodes, [f for f in flows if not f.synthetic],
+                      [MessageFlow(f.id, f.source, f.target) for f in flows if f.synthetic], "random")
+    try:
+        graph = build_graph(model, strategy)
+    except EndEventWithOutgoing:
+        assume(False)  # rejected: the end event would drop the flow, and its target could never run
+    try:
+        _assert_every_flow_is_encoded(graph, EncodeOptions(done_mode=done_mode, allow_spontaneous_start=spontaneous))
+    except EncodingError:
+        assume(False)  # a join no split dominates, a gateway that converges and diverges, a split too wide
+
+
+def test_every_token_predicate_is_produced_and_consumed_on_golden_inputs():
     inputs = _golden_inputs() | {"message_into_join": _MESSAGE_INTO_JOIN, "end_sends": _END_SENDS}
     for stem, xml in inputs.items():
         for strategy, done_mode, spontaneous in product(MessageStrategy, DoneMode, (False, True)):
             graph = build_graph(parse_bpmn(xml, source_name=stem), strategy)
             options = EncodeOptions(done_mode=done_mode, allow_spontaneous_start=spontaneous)
-            enc = _Encoder(graph, options)
-            tokens = {*enc.arr.values(), *enc.msg.values(), *enc.pool_done.values(),
-                      *(p for count in enc.counters.values() for p in count)}
-            domain, problems = emit_domain(graph, options), emit_problems(graph, options)
-            consumed = {p for a in domain.actions for p in a.precondition} | {p for pr in problems for p in pr.goal}
-            produced = set().union(*(_adds_of(a.effect) for a in domain.actions), *(pr.init for pr in problems))
-            case = f"{stem}/{strategy.value}/{done_mode.value}/{spontaneous}"
-            assert tokens <= set(domain.predicates), case
-            assert tokens - consumed == set(), case
-            assert tokens - produced == set(), case
+            _assert_every_flow_is_encoded(graph, options, f"{stem}/{strategy.value}/{done_mode.value}/{spontaneous}")

@@ -10,20 +10,20 @@ from hypothesis import strategies as st
 
 import reference_solver
 from bpmn2pddl import process_graph
-from bpmn2pddl.bpmn_parser import _EVENTS, FlowNode, NodeKind, SequenceFlow, parse_bpmn
+from bpmn2pddl.bpmn_parser import _EVENTS, parse_bpmn
 from bpmn2pddl.process_graph import (
+    EndEventWithOutgoing,
     IsolatedNode,
     MessageStrategy,
     MultipleIncomingNonGateway,
     MultipleOutgoingNonGateway,
     NoEndEvent,
     NoStartEvent,
-    ProcessGraph,
     build_graph,
     export_graph_dot,
     validate_graph,
 )
-from conftest import CORPUS_FILES, FIXTURE_DIR, bench_module, fixture
+from conftest import CORPUS_FILES, FIXTURE_DIR, bench_module, digraphs, fixture
 
 GEN = bench_module("gen")
 
@@ -106,6 +106,39 @@ def test_multiple_outgoing_on_task_rejected():
     )
     with pytest.raises(MultipleOutgoingNonGateway):
         _graph(xml)
+
+
+# S1 -> E1 -> T1 -> E2: encoded, the end event would drop its outgoing flow and T1 would never run
+END_THEN_TASK = """<?xml version="1.0"?>
+<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D">
+  <bpmn:process id="P1" name="EndThenTask">
+    <bpmn:startEvent id="S1"/>
+    <bpmn:endEvent id="E1"/>
+    <bpmn:task id="T1" name="work"/>
+    <bpmn:endEvent id="E2"/>
+    <bpmn:sequenceFlow id="F1" sourceRef="S1" targetRef="E1"/>
+    <bpmn:sequenceFlow id="F2" sourceRef="E1" targetRef="T1"/>
+    <bpmn:sequenceFlow id="F3" sourceRef="T1" targetRef="E2"/>
+  </bpmn:process>
+</bpmn:definitions>"""
+
+
+def test_end_event_with_outgoing_flow_rejected():
+    with pytest.raises(EndEventWithOutgoing, match="^end event 'E1' has an outgoing sequence flow$") as caught:
+        _graph(END_THEN_TASK)
+    assert caught.value.node_id == "E1"
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+def test_end_event_with_outgoing_flow_exits_1(command, tmp_path, capsys):
+    from bpmn2pddl.cli import main
+
+    path = tmp_path / "end_then_task.bpmn"
+    path.write_text(END_THEN_TASK)
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: end event 'E1' has an outgoing sequence flow\n"
+    assert captured.out == ""
 
 
 def test_flow_conservation():
@@ -259,28 +292,7 @@ def test_validate_matches_reference_on_generated_diagrams(seed, shape_seed, size
     assert validate_graph(graph) == reference_solver.validate_graph(graph)
 
 
-@st.composite
-def _digraphs(draw):
-    """A graph of any shape: any node kinds, flows between any two nodes
-    (back edges, self-loops, two flows into one target), some synthetic."""
-    kinds = draw(st.lists(st.sampled_from(list(NodeKind)), min_size=1, max_size=12))
-    ends = st.integers(0, len(kinds) - 1)
-    edges = draw(st.lists(st.tuples(ends, ends, st.booleans()), max_size=30))
-    starts = draw(st.lists(ends, max_size=3, unique=True))
-    nodes = {f"n{i}": FlowNode(f"n{i}", None, kind, "p") for i, kind in enumerate(kinds)}
-    incoming: dict[str, list[str]] = {nid: [] for nid in nodes}
-    outgoing: dict[str, list[str]] = {nid: [] for nid in nodes}
-    flows = {}
-    for k, (a, b, synthetic) in enumerate(edges):
-        flow = SequenceFlow(f"f{k}", f"n{a}", f"n{b}", synthetic=synthetic)
-        flows[flow.id] = flow
-        outgoing[flow.source].append(flow.id)
-        incoming[flow.target].append(flow.id)
-    return ProcessGraph(nodes, incoming, outgoing, flows, [], {"p": [f"n{i}" for i in starts]}, {}, ["p"], {},
-                        MessageStrategy.IGNORE, "random")
-
-
-@given(_digraphs())
+@given(digraphs())
 @settings(max_examples=300, deadline=None)
 def test_validate_matches_reference_on_random_digraphs(graph):
     assert validate_graph(graph) == reference_solver.validate_graph(graph)
