@@ -316,11 +316,11 @@ class _Encoder:
         """Claim `name` and build its action: the adds of one outcome inline
         (of none, no adds), of several a ``oneof``, then the deletes."""
         if len(outcomes) > 1:
-            oneof = [EffAdd(adds[0]) if len(adds) == 1 else EffAnd([EffAdd(p) for p in adds]) for adds in outcomes]
+            oneof = [EffAdd(adds[0]) if len(adds) == 1 else EffAnd(list(map(EffAdd, adds))) for adds in outcomes]
             items = [EffOneOf(oneof)]
         else:
-            items = [EffAdd(p) for adds in outcomes for p in adds]
-        items += [EffNot(p) for p in dels]
+            items = list(map(EffAdd, outcomes[0])) if outcomes else []
+        items += map(EffNot, dels)
         return PddlAction(self.action_names.claim(name), pre, EffAnd(items))
 
     def _encode_task(self, node: FlowNode) -> PddlAction:
@@ -329,7 +329,8 @@ class _Encoder:
             raise EncodingError(f"task {node.id!r} has no incoming flow")
         adds = self.out_markers(node.id)
         outcomes = [adds]
-        outcomes += [[*adds, self._emulation_trigger(target)] for target in self.messages_from.get(node.id, ())]
+        if node.id in self.messages_from:  # one more outcome per message the task sends
+            outcomes += [[*adds, self._emulation_trigger(target)] for target in self.messages_from[node.id]]
         return self._action(sanitize_id(node.name or node.id, lower=True), pre, outcomes, pre)
 
     def _emulation_trigger(self, task_id: str) -> str:
@@ -525,25 +526,39 @@ def _render_effect(effect: EffAnd) -> list[str]:
     else:
         return [f"    :effect (and {' '.join(parts)})"]
     lines = ["    :effect (and"]
+    last = len(effect.items) - 1
     for idx, item in enumerate(effect.items):
-        last = idx == len(effect.items) - 1
-        suffix = ")" if last else ""
+        suffix = ")" if idx == last else ""
         if isinstance(item, EffOneOf):
             lines.append("      (oneof")
-            for oidx, outcome in enumerate(item.outcomes):
-                close = ")" if oidx == len(item.outcomes) - 1 else ""
-                lines.append(f"        {_inline(outcome)}{close}{suffix if oidx == len(item.outcomes) - 1 else ''}")
+            outcomes = [f"        {_inline(outcome)}" for outcome in item.outcomes]
+            if outcomes:
+                outcomes[-1] += ")" + suffix
+            lines += outcomes
         else:
             lines.append(f"      {_inline(item)}{suffix}")
     return lines
 
 
 def _inline(item: EffectTree) -> str:
-    if isinstance(item, EffAdd):
+    """`item` on one line. A leaf, or an ``(and ...)`` of leaves by exact
+    type, takes one join; only deeper nesting takes an explicit stack."""
+    if type(item) is EffAnd:
+        parts: list[str] = []
+        for x in item.items:
+            if type(x) is EffAdd:
+                parts.append(f"({x.pred})")
+            elif type(x) is EffNot:
+                parts.append(f"(not ({x.pred}))")
+            else:
+                break
+        else:
+            return f"(and {' '.join(parts)})"
+    elif isinstance(item, EffAdd):
         return f"({item.pred})"
-    if isinstance(item, EffNot):
+    elif isinstance(item, EffNot):
         return f"(not ({item.pred}))"
-    parts: list[str] = []
+    parts = []
     todo: list[EffectTree | str] = [item]  # an explicit stack, so deep nesting never recurses
     while todo:
         node = todo.pop()

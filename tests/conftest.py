@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bpmn2pddl.bpmn_parser import _GATEWAYS, FlowNode, NodeKind, SequenceFlow
 from bpmn2pddl.cli import RunConfig, translate_file
-from bpmn2pddl.fond_checker import StateSpace, _bits
+from bpmn2pddl.fond_checker import StateSpace
 from bpmn2pddl.pddl_encoder import DoneMode
 from bpmn2pddl.process_graph import MessageStrategy, ProcessGraph
 
@@ -121,6 +121,14 @@ class DoubleAdd(NamedTuple):
     action: str
     outcome: int
     pred: str
+
+
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def double_adds(space: StateSpace) -> list[DoubleAdd]:

@@ -1063,6 +1063,14 @@ class TestExploreOracle:
             assert got["fond_checker.states"] > 0 and got["applicable_pairs"] > 0
 
 
+class _Add(EffAdd):
+    """A subclass of a leaf, which the compile walk must still read as a leaf."""
+
+
+class _Not(EffNot):
+    """A subclass of a leaf, which the compile walk must still read as a leaf."""
+
+
 def _random_effect(rng, preds, depth=0, inside=False) -> EffAnd:
     """A random effect tree: leaves, nested ands, and at top level oneofs
     of any width whose outcomes may add what the common part deletes."""
@@ -1141,9 +1149,34 @@ class TestCompile:
             ([act([EffNot("p"), EffOneOf([EffAdd("q"), EffOneOf([])])])], empty),
             ([act([EffOneOf([EffOneOf([EffAdd("p"), EffAdd("q")]), EffAdd("q")])])], nested),
             ([act([EffOneOf([EffAdd("q"), EffAnd([EffAnd([EffOneOf([EffAdd("p")])])])])])], nested),
+            # the leaves of a flat effect, a subclass among them, and a oneof or a nested (and ...) after them
+            ([act([EffAdd("q"), EffNot("r")])], undeclared),
+            ([act([EffNot("p"), _Add("r"), EffAdd("q")])], undeclared),
+            ([act([EffAdd("q"), EffOneOf([EffAdd("p")]), EffNot("r")])], undeclared),
+            ([act([EffAdd("r"), EffOneOf([EffOneOf([EffAdd("p")])])])], undeclared),
+            ([act([EffAdd("q"), EffNot("p"), EffOneOf([EffOneOf([EffAdd("p")])])])], nested),
+            ([act([EffAdd("q"), EffAnd([EffOneOf([])])])], empty),
         ]
         for actions, want in cases:
             assert _raised(actions) == [want] * 3, actions
+
+    def test_flat_effects(self):
+        """The leaves of the top-level (and ...) take one loop; a leaf subclass,
+        a nested (and ...) and a oneof, before or after the leaves, take the
+        stack in tree order. The grounding and the space equal the originals."""
+        effects = [
+            [_Add("q"), _Not("p")],
+            [EffAdd("q"), _Not("p"), _Add("r"), EffNot("q")],
+            [EffNot("p"), EffAnd([EffAdd("q"), EffAnd([EffNot("r")])]), EffAdd("r")],
+            [EffAdd("q"), EffNot("p"), EffOneOf([EffAdd("p"), EffAnd([EffAdd("r"), EffNot("q")])])],
+            [EffNot("q"), EffAnd([EffOneOf([EffAdd("q"), _Add("r")])]), EffAdd("p"), EffOneOf([_Not("r"), EffAdd("r")])],
+            [EffOneOf([EffAdd("q"), EffAdd("r")]), EffNot("p"), EffAnd([]), _Add("p")],
+        ]
+        for items in effects:
+            actions = [PddlAction("a", ["p"], EffAnd(items)), PddlAction("b", ["q"], EffAnd([EffAdd("p"), _Not("q")]))]
+            domain = PddlDomain("d", [":strips"], [], ["p", "q", "r"], actions)
+            assert ground_domain(domain) == reference_solver.ground_domain(domain), items
+            _assert_same_space(domain, PddlProblem("p", "d", ["p"], ["r"]), items)
 
     def test_a_later_defect_outranks_a_nested_oneof(self):
         """The compile walk stops at a nested oneof, but the defect of a later action is what is raised."""
