@@ -1457,6 +1457,37 @@ class TestTraceDotOracle:
                             _assert_same_exports(result.domain, problem, space, policy, label)
         assert compared == 80  # the 58 variants' strong and strong-cyclic policies
 
+    def test_random_instances(self):
+        """`TestSolverDifferential`'s seeded random instances: DOT and traces of each mode's policy, then
+        traces only of that policy with one mapped state unmapped or mapped to an action that does not
+        apply there, each mapped state in turn (the reference DOT applies a mapped action without
+        checking that it applies)."""
+        rng, pick = random.Random(0x5EED), random.Random(1)
+        compared = broken = 0
+        for _ in range(220):
+            domain, problem = TestSolverDifferential._random_instance(rng)
+            space = explore(domain, problem)
+            names = {a.name for a in domain.actions}
+            for mode in SolveMode:
+                try:
+                    policy = solve(domain, problem, mode, space=space)
+                except Unsolvable:
+                    continue
+                compared += 1
+                _assert_same_exports(domain, problem, space, policy, f"{mode.value} policy")
+                for state in sorted(policy.mapping, key=sorted):
+                    applies = {a for a, _o, _t in space.moves(space.states.index(state))}
+                    wrong = pick.choice(sorted(names - applies) or ["no_such_action"])
+                    unmapped = {s: a for s, a in policy.mapping.items() if s != state}
+                    for mapping, error in ((unmapped, "unmapped"), (policy.mapping | {state: wrong}, "not applicable")):
+                        hand_made = Policy(mapping=mapping, kind=mode)
+                        with pytest.raises(PolicyVerificationError, match=error):  # the state is reached
+                            verify_policy(space, hand_made)
+                        got = traces_to_json(enumerate_traces(domain, problem, hand_made, space=space))
+                        assert got == traces_to_json(reference_solver.enumerate_traces(domain, problem, hand_made))
+                        broken += 1
+        assert (compared, broken) == (296, 110)  # 42 policies map 55 states
+
     def test_unmapped_or_inapplicable_action_is_a_deadlock(self):
         domain, (problem,) = _pipeline(LINEAR)
         space = explore(domain, problem)
@@ -1693,6 +1724,28 @@ class TestAnalyze:
         assert report.strong is None
         assert report.strong_cyclic is None
         assert report.n_states == 5
+
+    @pytest.mark.parametrize("modes", [(SolveMode.STRONG,), (SolveMode.STRONG_CYCLIC,),
+                                       (SolveMode.STRONG, SolveMode.STRONG_CYCLIC), ()])
+    @pytest.mark.parametrize("name", ["inclusive_pair.bpmn", "loop_retry.bpmn", "xor_and_deadlock.bpmn"])
+    def test_modes_match_separate_solves(self, name, modes):
+        """Both policies, a strong-cyclic one only, and none: each field as `explore` and `solve` give it."""
+        domain, (problem,) = _pipeline(fixture(name).read_text())
+        report = analyze(domain, problem, modes)
+        space = explore(domain, problem)
+        expected = {}
+        for mode in modes:
+            try:
+                expected[mode] = solve(domain, problem, mode, space=space)
+            except Unsolvable:
+                pass
+        assert report.strong == expected.get(SolveMode.STRONG)
+        assert report.strong_cyclic == expected.get(SolveMode.STRONG_CYCLIC)
+        assert (report.problem_name, report.variant) == (problem.name, problem.variant)
+        assert (report.n_states, report.n_deadlocks) == (len(space.masks), len(space.deadlock_states))
+        assert report.space.masks == space.masks and report.space.succs == space.succs
+        solvable = {"inclusive_pair.bpmn": set(SolveMode), "loop_retry.bpmn": {SolveMode.STRONG_CYCLIC}}
+        assert expected.keys() == solvable.get(name, set()) & set(modes)
 
 
 class TestEncodeModes:

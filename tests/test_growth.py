@@ -13,7 +13,9 @@ natural size:
 - ``validate_graph``: nodes plus flows plus the warnings it returns;
 - ``explore`` and ``verify_policy``: states plus transitions;
 - each solve: states plus transitions plus the atoms of the states its
-  policy maps, since a policy maps decoded states.
+  policy maps, since a policy maps decoded states;
+- ``export_policy_dot`` of the strong-cyclic policy: the same, since its
+  labels decode the states that policy maps.
 
 The count ratio, scaled to a doubling of the natural size, must stay under
 :data:`BOUND`. A linear phase reads about 2, a quadratic one about 4.
@@ -31,7 +33,7 @@ import sys
 import pytest
 
 from bpmn2pddl.bpmn_parser import parse_bpmn
-from bpmn2pddl.fond_checker import SolveMode, explore, parse_pddl, solve, verify_policy
+from bpmn2pddl.fond_checker import SolveMode, explore, export_policy_dot, parse_pddl, solve, verify_policy
 from bpmn2pddl.pddl_encoder import emit_domain, emit_problems, render_pddl
 from bpmn2pddl.process_graph import MessageStrategy, build_graph, validate_graph
 from conftest import bench_module
@@ -59,7 +61,7 @@ def _inclusive_blocks(k: int) -> str:
             f'<bpmn:process id="P1" name="Blocks">{"".join(nodes)}{seq}</bpmn:process></bpmn:definitions>')
 
 
-CHECKER = {"explore", "solve_strong", "solve_cyclic", "verify_policy"}
+CHECKER = {"explore", "solve_strong", "solve_cyclic", "verify_policy", "export_policy_dot"}
 
 # family -> (its diagram's XML at size step 1 or 2, the phases not measured on it)
 FAMILIES = {
@@ -115,10 +117,13 @@ def _phases(xml: str, checker: bool, by_forms: bool) -> dict[str, tuple[int, int
         strong, strong_calls = _calls(solve, domain, problem, SolveMode.STRONG, None, space)
         cyclic, cyclic_calls = _calls(solve, domain, problem, SolveMode.STRONG_CYCLIC, None, space)
         _, verify_calls = _calls(verify_policy, space, cyclic)
+        _, dot_calls = _calls(export_policy_dot, domain, problem, cyclic, space)
+        mapped = sum(map(len, cyclic.mapping))
         counts |= {"explore": (explore_calls, states),
                    "solve_strong": (strong_calls, states + sum(map(len, strong.mapping))),
-                   "solve_cyclic": (cyclic_calls, states + sum(map(len, cyclic.mapping))),
-                   "verify_policy": (verify_calls, states)}
+                   "solve_cyclic": (cyclic_calls, states + mapped),
+                   "verify_policy": (verify_calls, states),
+                   "export_policy_dot": (dot_calls, states + mapped)}
     return counts
 
 
