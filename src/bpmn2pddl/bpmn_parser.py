@@ -211,7 +211,7 @@ def _xml_root(xml_text: str | bytes) -> ET.Element:
 def _flow_ends(elem: ET.Element, what: str) -> tuple[str, str, str]:
     """A flow element's id, sourceRef and targetRef; `what` names the flow kind when one is missing."""
     fid, src, tgt = elem.get("id"), elem.get("sourceRef"), elem.get("targetRef")
-    if fid is None:
+    if not fid:
         raise InvalidStructure(f"{what} without id")
     if src is None or tgt is None:
         raise InvalidStructure(f"{what} {fid!r} missing sourceRef/targetRef")
@@ -232,7 +232,10 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
 
     Raises a :class:`ParseError` subclass on malformed XML, unsupported
     elements, dangling flow references, duplicate ids, or structurally
-    invalid flows. Never raises anything else on str or bytes input.
+    invalid flows. A process, participant, flow node or flow whose id is
+    missing or empty is :class:`InvalidStructure` (BPMN types ids as
+    ``xsd:ID``, which cannot be empty). Never raises anything else on str
+    or bytes input.
     """
     try:
         root = _xml_root(xml_text)
@@ -265,7 +268,7 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
                 continue
             if cname == "participant":
                 pid = child.get("id")
-                if pid is None:
+                if not pid:
                     raise InvalidStructure("participant without id")
                 participants.append((pid, _clean_name(child.get("name")), child.get("processRef")))
             elif cname == "messageFlow":
@@ -279,7 +282,7 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
     participant_refs = {ref for _, _, ref in participants if ref}
     for proc in processes:
         proc_id = proc.get("id")
-        if proc_id is None:
+        if not proc_id:
             raise InvalidStructure("process without id")
         process_pool[proc_id] = proc_id  # overridden below when a participant claims it
 
@@ -290,22 +293,21 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
         # participants without a resolvable process carry no nodes; skip them
 
     for proc in processes:
-        proc_id = proc.get("id") or ""
+        proc_id = proc.get("id")
         if proc_id not in participant_refs:
             pools.append(Pool(id=proc_id, name=_clean_name(proc.get("name")) or proc_id))
 
     pool_by_id = {p.id: p for p in pools}
 
     for proc in processes:
-        proc_id = proc.get("id") or ""
-        pool_id = process_pool[proc_id]
+        pool_id = process_pool[proc.get("id")]
         node_ids = pool_by_id[pool_id].node_ids
         for elem in proc:
             tag = elem.tag
             kind = _KIND_BY_TAG.get(tag)
             if kind is not None:
                 nid = elem.get("id")
-                if nid is None:
+                if not nid:
                     raise InvalidStructure(f"<{_local(tag)[1]}> element without id")
                 if nid in seen_ids:
                     raise DuplicateId(nid)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -28,8 +29,9 @@ from .pddl_encoder import (
     EncodingError,
     PddlDomain,
     PddlProblem,
-    emit_domain,
+    emit_domain,  # unused here, but bench/tracing.py wraps both names in this module
     emit_problems,
+    emit_pddl,
     render_pddl,
 )
 from .process_graph import Diagnostic, GraphError, MessageStrategy, build_graph, export_graph_dot, validate_graph
@@ -105,9 +107,7 @@ def translate_file(path: str | Path, config: RunConfig | None = None) -> Transla
     model = parse_bpmn(xml, source_name=stem)
     graph = build_graph(model, config.msg_strategy)
     diagnostics = validate_graph(graph)
-    options = config.encode_options()
-    domain = emit_domain(graph, options)
-    problems = emit_problems(graph, options)
+    domain, problems = emit_pddl(graph, config.encode_options())  # the encoder is freed before rendering
     domain_text = render_pddl(domain)
     problem_texts = {p.variant: render_pddl(p) for p in problems}
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -373,6 +373,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. The cyclic garbage collector is paused while it runs:
+    a command leaves no reference cycles, so its collections would find
+    nothing. It is switched back on at exit if it was on at entry."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         config = config_from_args(args)

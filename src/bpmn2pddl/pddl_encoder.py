@@ -13,8 +13,9 @@ an end event's included, carry ``msg_*`` predicates from sender to
 receiver; a join waits on a message through its ``msg_*`` predicate.
 ``_Encoder`` claims every predicate name, and ``_Encoder._marker`` alone
 decides the predicate a token on a flow sets: building the domain resolves
-each flow's marker once, into ``_Encoder.markers``; ``emit_problems`` asks
-it for the messages start events send. Every action is built by
+each flow's marker once, into ``_Encoder.markers``; building the problems
+asks it for the messages start events send. One encoder serves both
+(``emit_pddl``), and sanitizes each name text once. Every action is built by
 ``_Encoder._action``, which claims its name and decides its effect's shape.
 Inclusive joins find their splits in one dominator pass per pool, O(pool).
 """
@@ -130,6 +131,7 @@ def sanitize_id(raw: str, *, lower: bool = False) -> str:
         raise ValueError("cannot sanitize an empty identifier")
     if lower:
         raw = raw.lower()
+    raw = raw.replace(" ", "_")  # task names hold spaces: replaced here, they need no regex pass
     # most ids are valid already; isalnum alone would accept non-ASCII letters
     out = raw if raw.isascii() and raw.replace("_", "a").isalnum() else _INVALID_CHARS.sub("_", raw)
     if out[0].isdigit():
@@ -171,12 +173,12 @@ class _Encoder:
         self.preds = _NameAllocator()
         self.action_names = _NameAllocator()
 
+        self.stems: dict[str, str] = {}  # text -> its lowercased identifier (_stem)
         self.done = self.preds.claim("done")
         self.pool_done: dict[str, str] = {}
         if options.done_mode is DoneMode.ALL_POOLS:
             for pool in graph.pools:
-                label = sanitize_id(graph.pool_names[pool], lower=True)
-                self.pool_done[pool] = self.preds.claim(f"pool_done_{label}")
+                self.pool_done[pool] = self.preds.claim(f"pool_done_{self._stem(graph.pool_names[pool])}")
 
         self.node_label: dict[str, str] = {nid: sanitize_id(nid) for nid in graph.nodes}  # its actions' name stem
         self.node_pred: dict[str, str] = {nid: self.preds.claim(label) for nid, label in self.node_label.items()}
@@ -212,6 +214,14 @@ class _Encoder:
         for fid, flow in flows.items():
             if flow.synthetic and nodes[flow.target].kind is not _START:  # a message-start's marker is its start
                 self.msg[fid] = claim(f"msg_{node_pred[flow.source]}_to_{node_pred[flow.target]}")
+
+    def _stem(self, raw: str) -> str:
+        """``sanitize_id(raw, lower=True)``, computed once per text: task
+        names repeat, and pool and diagram names serve domain and problems."""
+        stem = self.stems.get(raw)
+        if stem is None:
+            stem = self.stems[raw] = sanitize_id(raw, lower=True)
+        return stem
 
     # -- marker resolution ---------------------------------------------------
 
@@ -331,7 +341,7 @@ class _Encoder:
         outcomes = [adds]
         if node.id in self.messages_from:  # one more outcome per message the task sends
             outcomes += [[*adds, self._emulation_trigger(target)] for target in self.messages_from[node.id]]
-        return self._action(sanitize_id(node.name or node.id, lower=True), pre, outcomes, pre)
+        return self._action(self._stem(node.name or node.id), pre, outcomes, pre)
 
     def _emulation_trigger(self, task_id: str) -> str:
         """Entry marker forced true when a task-task message is emulated."""
@@ -429,16 +439,60 @@ class _Encoder:
         if not self.options.fig4_compat:
             requirements.append(":non-deterministic")
         return PddlDomain(
-            name=sanitize_id(self.graph.source_name, lower=True),
+            name=self._stem(self.graph.source_name),
             requirements=requirements,
             types=["task", "event", "gateway"],
             predicates=self.declared_predicates(),
             actions=actions,
         )
 
+    def problems(self) -> list[PddlProblem]:
+        """The paper's problem variants: all pools started, one pool started
+        (per pool), and optionally the empty bootstrap variant. They read
+        the names, and the markers of the messages start events send."""
+        graph, node_pred = self.graph, self.node_pred
+        zeros = [count[0] for count in self.counters.values()]
+        start_messages = [  # (sender's start predicate, marker) of each message a start event sends
+            (node_pred[flow.source], self._marker(fid))
+            for fid, flow in graph.flows.items()
+            if flow.synthetic and graph.nodes[flow.source].kind is _START
+        ]
+        domain_name = self._stem(graph.source_name)
+        goal = [self.done]
+
+        def make(variant: str, start_preds: list[str]) -> PddlProblem:
+            init = [*start_preds, *zeros]
+            for sender, marker in start_messages:  # available whenever its sender starts
+                if sender in init and marker not in init:
+                    init.append(marker)
+            return PddlProblem(f"{domain_name}_{variant}", domain_name, init, goal, variant)
+
+        problems: list[PddlProblem] = []
+        if self.options.allow_spontaneous_start:
+            problems.append(make("empty", []))
+
+        all_problem = make("all_starts", [node_pred[nid] for pool in graph.pools for nid in graph.start_nodes[pool]])
+        problems.append(all_problem)
+
+        labels = _NameAllocator()
+        for pool in graph.pools:
+            label = labels.claim(self._stem(graph.pool_names[pool]))
+            prob = make(f"prestarted_{label}", [node_pred[nid] for nid in graph.start_nodes[pool]])
+            if set(prob.init) == set(all_problem.init):
+                continue  # single-pool case collapses onto all_starts
+            problems.append(prob)
+        return problems
+
 
 # ---------------------------------------------------------------------------
 # Public operations
+
+
+def emit_pddl(graph: ProcessGraph, options: EncodeOptions | None = None) -> tuple[PddlDomain, list[PddlProblem]]:
+    """:func:`emit_domain` and :func:`emit_problems` from one encoder, which
+    claims the names and sanitizes each text once for both."""
+    enc = _Encoder(graph, options or EncodeOptions())
+    return enc.domain(), enc.problems()
 
 
 def emit_domain(graph: ProcessGraph, options: EncodeOptions | None = None) -> PddlDomain:
@@ -446,42 +500,8 @@ def emit_domain(graph: ProcessGraph, options: EncodeOptions | None = None) -> Pd
 
 
 def emit_problems(graph: ProcessGraph, options: EncodeOptions | None = None) -> list[PddlProblem]:
-    """The paper's problem variants: all pools started, one pool started
-    (per pool), and optionally the empty bootstrap variant."""
-    options = options or EncodeOptions()
-    enc = _Encoder(graph, options)  # the names, and the markers of the messages start events send
-    node_pred = enc.node_pred
-    zeros = [count[0] for count in enc.counters.values()]
-    start_messages = [  # (sender's start predicate, marker) of each message a start event sends
-        (node_pred[flow.source], enc._marker(fid))
-        for fid, flow in graph.flows.items()
-        if flow.synthetic and graph.nodes[flow.source].kind is _START
-    ]
-    domain_name = sanitize_id(graph.source_name, lower=True)
-    goal = [enc.done]
-
-    def make(variant: str, start_preds: list[str]) -> PddlProblem:
-        init = [*start_preds, *zeros]
-        for sender, marker in start_messages:  # available whenever its sender starts
-            if sender in init and marker not in init:
-                init.append(marker)
-        return PddlProblem(f"{domain_name}_{variant}", domain_name, init, goal, variant)
-
-    problems: list[PddlProblem] = []
-    if options.allow_spontaneous_start:
-        problems.append(make("empty", []))
-
-    all_problem = make("all_starts", [node_pred[nid] for pool in graph.pools for nid in graph.start_nodes[pool]])
-    problems.append(all_problem)
-
-    labels = _NameAllocator()
-    for pool in graph.pools:
-        label = labels.claim(sanitize_id(graph.pool_names[pool], lower=True))
-        prob = make(f"prestarted_{label}", [node_pred[nid] for nid in graph.start_nodes[pool]])
-        if set(prob.init) == set(all_problem.init):
-            continue  # single-pool case collapses onto all_starts
-        problems.append(prob)
-    return problems
+    """The paper's problem variants (:meth:`_Encoder.problems`)."""
+    return _Encoder(graph, options or EncodeOptions()).problems()
 
 
 # ---------------------------------------------------------------------------

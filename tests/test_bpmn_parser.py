@@ -124,6 +124,7 @@ def test_default_namespace_document():
 
 
 _TASK = '<bpmn:task id="T1" name="work"/>'
+_COLLABORATION = '<bpmn:collaboration id="C"><bpmn:participant id="PA" processRef="P1"/>{}</bpmn:collaboration>'
 
 
 @pytest.mark.parametrize("in_default_namespace", [False, True])
@@ -157,10 +158,29 @@ def test_process_child_errors(old, new, error, message, in_default_namespace):
     ],
 )
 def test_message_flow_errors(flow, message, in_default_namespace):
-    collaboration = f'<bpmn:collaboration id="C"><bpmn:participant id="PA" processRef="P1"/>{flow}</bpmn:collaboration>'
-    xml = MINIMAL.replace("<bpmn:process ", collaboration + "<bpmn:process ")
+    xml = MINIMAL.replace("<bpmn:process ", _COLLABORATION.format(flow) + "<bpmn:process ")
     with pytest.raises(InvalidStructure) as exc:
         parse_bpmn(_default_namespace(xml) if in_default_namespace else xml)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "xml, message",
+    [
+        (MINIMAL.replace('"T1"', '""'), "<task> element without id"),
+        (MINIMAL.replace('"F1"', '""'), "sequence flow without id"),
+        (MINIMAL.replace("<bpmn:process ", _COLLABORATION.format(
+            '<bpmn:messageFlow id="" sourceRef="T1" targetRef="E1"/>') + "<bpmn:process "), "message flow without id"),
+        (MINIMAL.replace("<bpmn:process ", _COLLABORATION.format("").replace('"PA"', '""') + "<bpmn:process "),
+         "participant without id"),
+        (MINIMAL.replace('id="P1" name="Tiny"', 'id=""'), "process without id"),
+    ],
+    ids=["flow node", "sequence flow", "message flow", "participant", "process"],
+)
+def test_empty_id_is_a_missing_id(xml, message):
+    """BPMN types ids as xsd:ID, which cannot be empty."""
+    with pytest.raises(InvalidStructure) as exc:
+        parse_bpmn(xml)
     assert str(exc.value) == message
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpmn2pddl import fond_checker
+from bpmn2pddl import cli, fond_checker
 from bpmn2pddl.cli import RunConfig, _traces_text, build_arg_parser, cmd_check, main, translate_file
 from bpmn2pddl.fond_checker import Limits
-from conftest import CORPUS_DIR, FIXTURE_DIR, fixture
+from conftest import CORPUS_DIR, CORPUS_FILES, FIXTURE_DIR, fixture
 
 CREDIT = str(CORPUS_DIR / "credit_scoring.bpmn")
 
@@ -439,3 +440,84 @@ def test_main_builds_one_parser(capsys):
         assert capsys.readouterr().out.startswith(f"usage: bpmn2pddl {command} ")
     info = build_arg_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+_EMPTY_IDS = {  # loop_retry.bpmn with one id emptied, and the done mode to run it in
+    "task": ('"Task_try"', '""', "any"),
+    "process": ('<bpmn:process id="Process_loop" name="Retry loop">', '<bpmn:process id="">', "any"),
+    "participant": ("<bpmn:process ", '<bpmn:collaboration id="C"><bpmn:participant id="" name="" '
+                    'processRef="Process_loop"/></bpmn:collaboration><bpmn:process ', "all"),
+}
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+@pytest.mark.parametrize("case", sorted(_EMPTY_IDS))
+def test_empty_id_exits_1_with_an_error_line(tmp_path, capsys, case, command):
+    old, new, done_mode = _EMPTY_IDS[case]
+    text = fixture("loop_retry.bpmn").read_text()
+    assert old in text
+    path = tmp_path / f"empty_{case}.bpmn"
+    path.write_text(text.replace(old, new))
+    assert main([command, str(path), "--done-mode", done_mode, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {path}: ") and err.endswith(" without id\n") and err.count("\n") == 1
+    assert out == ""
+
+
+# -- the cyclic collector is paused while a command runs
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    """No command leaves reference cycles, so pausing the collector while
+    one runs loses nothing. The first call in a process builds the argument
+    parser, and drops argparse's shared parent once; a warm-up call pays it."""
+    not_xml = tmp_path / "not_xml.bpmn"
+    not_xml.write_text("not xml")
+    runs = [["check", str(path), "--solve", "both", "--dot", "--traces"]
+            for path in [*CORPUS_FILES, *sorted(FIXTURE_DIR.glob("*.bpmn"))]]
+    runs += [["translate", CREDIT], ["corpus", str(FIXTURE_DIR)], ["check", CREDIT, "--max-states", "3"],
+             ["check", str(not_xml)]]
+    main(["translate", CREDIT, "--out", str(tmp_path / "warm")])
+    codes = []
+    for argv in runs:
+        gc.collect()
+        codes.append(main([*argv, "--out", str(tmp_path / "out")]))
+        assert gc.collect() == 0, argv
+    assert codes[-4:] == [0, 2, 2, 1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["exit 0", "exit 1", "exit 2", "closed stdout", "usage error"])
+def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch, enabled, case):
+    inside = []
+    translate = cli.translate_file
+
+    def recorded(*args):
+        inside.append(gc.isenabled())
+        return translate(*args)
+
+    monkeypatch.setattr(cli, "translate_file", recorded)
+    argv, want = {
+        "exit 0": (["translate", CREDIT], 0),
+        "exit 1": (["translate", str(tmp_path / "missing.bpmn")], 1),
+        "exit 2": (["check", str(fixture("xor_and_deadlock.bpmn"))], 2),
+        "closed stdout": (["corpus", str(FIXTURE_DIR)], 1),
+        "usage error": (["translate"], SystemExit),
+    }[case]
+    if case == "closed stdout":
+        monkeypatch.setattr(sys, "stdout", _ClosedAfterOneLine())
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if want is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == want
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+        if case == "closed stdout":
+            sys.stdout.close()
+    assert inside == ([] if want is SystemExit else [False])  # paused while the command ran
+    capsys.readouterr()

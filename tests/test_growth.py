@@ -6,8 +6,8 @@ diagram and on one of about twice its size. The count does not depend on
 host load, so the ratio is exact. Each phase is measured against its
 natural size:
 
-- the front end (``parse_bpmn``, ``build_graph``, ``emit_domain`` with
-  ``emit_problems``, ``render_pddl`` and ``parse_pddl``): nodes plus flows,
+- the front end (``parse_bpmn``, ``build_graph``, ``emit_pddl``,
+  ``render_pddl`` and ``parse_pddl``): nodes plus flows,
   but ``render_pddl`` and ``parse_pddl`` on a family whose PDDL grows
   faster than its diagram: the rendered forms (the texts' ``(`` count);
 - ``validate_graph``: nodes plus flows plus the warnings it returns;
@@ -34,7 +34,7 @@ import pytest
 
 from bpmn2pddl.bpmn_parser import parse_bpmn
 from bpmn2pddl.fond_checker import SolveMode, explore, export_policy_dot, parse_pddl, solve, verify_policy
-from bpmn2pddl.pddl_encoder import emit_domain, emit_problems, render_pddl
+from bpmn2pddl.pddl_encoder import emit_pddl, render_pddl
 from bpmn2pddl.process_graph import MessageStrategy, build_graph, validate_graph
 from conftest import bench_module
 
@@ -103,7 +103,7 @@ def _phases(xml: str, checker: bool, by_forms: bool) -> dict[str, tuple[int, int
     graph, build_calls = _calls(build_graph, model, MessageStrategy.EXCLUSIVE_EMULATION)
     size = len(graph.nodes) + len(graph.flows)
     warnings, validate_calls = _calls(validate_graph, graph)
-    (domain, problems), encode_calls = _calls(lambda: (emit_domain(graph), emit_problems(graph)))
+    (domain, problems), encode_calls = _calls(emit_pddl, graph)
     texts, render_calls = _calls(lambda: [render_pddl(x) for x in [domain, *problems]])
     _, read_calls = _calls(lambda: [parse_pddl(text) for text in texts])
     pddl_size = sum(text.count("(") for text in texts) if by_forms else size

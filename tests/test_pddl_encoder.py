@@ -27,6 +27,7 @@ from bpmn2pddl.pddl_encoder import (
     PddlDomain,
     _Encoder,
     emit_domain,
+    emit_pddl,
     emit_problems,
     render_pddl,
     sanitize_id,
@@ -106,6 +107,40 @@ class TestSanitizeId:
         want = ["n" + w if w[0].isdigit() else w for w in want]
         assert [sanitize_id(c, lower=lower) for c in chars] == want
 
+    # spaces, underscores, digits, punctuation and non-ASCII letters; the Kelvin sign lowercases to ASCII "k"
+    @given(st.text(st.sampled_from("aZ_ 09-.éßİΣ\u212a"), min_size=1, max_size=20), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_regex_only_rule(self, raw, lower):
+        text = raw.lower() if lower else raw
+        want = re.sub(r"[^A-Za-z0-9_]", "_", text)
+        want = "n" + want if want[0].isdigit() else want + "_" if want in _EFFECT_WORDS else want
+        assert sanitize_id(raw, lower=lower) == want
+
+    @pytest.mark.parametrize("done_mode", list(DoneMode))
+    def test_one_translation_sanitizes_each_text_once(self, monkeypatch, done_mode):
+        from bpmn2pddl import pddl_encoder
+
+        calls = []
+
+        def counted(raw, *, lower=False):
+            calls.append((raw, lower))
+            return sanitize_id(raw, lower=lower)
+
+        monkeypatch.setattr(pddl_encoder, "sanitize_id", counted)
+        diagram = GEN.block_structured(random.Random(3), "gen", 300, 3, shape_seed=3)
+        inputs = [p.read_bytes() for p in [*CORPUS_FILES, *sorted(FIXTURE_DIR.glob("*.bpmn"))]] + [diagram.xml]
+        for xml in inputs:
+            graph = _graph(xml, MessageStrategy.EXCLUSIVE_EMULATION)
+            calls.clear()
+            emit_pddl(graph, EncodeOptions(done_mode=done_mode))
+            texts = {node.name or node.id for node in graph.nodes.values() if node.kind is NodeKind.TASK}
+            lowered = [raw for raw, lower in calls if lower]
+            assert sorted(raw for raw, lower in calls if not lower) == sorted(graph.nodes)
+            assert len(lowered) == len(set(lowered))
+            assert set(lowered) <= texts | set(graph.pool_names.values()) | {graph.source_name}
+        # the generated diagram, the last input, repeats task names
+        assert len(texts) < sum(node.kind is NodeKind.TASK for node in graph.nodes.values())
+
 
 # a task whose id is `word`: s -> T1 -> word -> e
 WORD_TASK = """<?xml version="1.0"?>
@@ -179,10 +214,10 @@ class TestMarkers:
 
         monkeypatch.setattr(pddl_encoder._Encoder, "__init__", recorded)
         monkeypatch.setattr(pddl_encoder._Encoder, "_flow_markers", counted)
-        translate(fixture("msg_task_task.bpmn"))  # emit_domain, then emit_problems
-        assert len(encoders) == 2
-        assert calls == encoders[:1]
-        assert [hasattr(enc, "messages_from") for enc in encoders] == [True, False]
+        translate(fixture("msg_task_task.bpmn"))  # the domain and the problems from one encoder
+        assert len(encoders) == 1
+        assert calls == encoders
+        assert hasattr(encoders[0], "messages_from")
 
 
 class TestTaskEncoding:
@@ -908,6 +943,15 @@ _GOLDEN_DIGESTS = {
 def test_golden_output():
     got = {stem: _golden_digest(stem, xml) for stem, xml in _golden_inputs().items()}
     assert got == _GOLDEN_DIGESTS
+
+
+def test_emit_pddl_equals_its_two_wrappers():
+    """One encoder for the domain and the problems gives what two give."""
+    for stem, xml in _golden_inputs().items():
+        for strategy, done_mode, spontaneous in product(MessageStrategy, DoneMode, (False, True)):
+            graph = build_graph(parse_bpmn(xml, source_name=stem), strategy)
+            options = EncodeOptions(done_mode=done_mode, allow_spontaneous_start=spontaneous)
+            assert emit_pddl(graph, options) == (emit_domain(graph, options), emit_problems(graph, options))
 
 
 # -- message shapes --------------------------------------------------------------
