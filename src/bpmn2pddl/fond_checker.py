@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import chain, count, islice, product, repeat
-from operator import itemgetter, sub
+from operator import itemgetter, or_, sub
 
 from .bpmn_parser import Record
 from .pddl_encoder import (
@@ -553,7 +553,8 @@ class StateSpace(Record):
     per state the space holds a mask, a ``rev`` list and that tuple, per
     pair list entries and, for a multi-outcome pair, its own tuple, so its
     size is O(states + transitions). ``actions`` maps each action name to
-    its outcomes' add masks, in outcome order. :meth:`state` decodes one
+    its outcomes' add masks, in outcome order; the applicable-action sets
+    :func:`explore` searches with are not kept. :meth:`state` decodes one
     state from its set bits, once, so the solvers, traces and DOT export
     decode only the states they touch; ``states`` and ``transitions`` decode
     the whole space, once, on first use.
@@ -609,111 +610,128 @@ def _decode(preds: list[str], mask: int) -> frozenset:
 def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = None) -> StateSpace:
     """BFS over every state reachable from init via every outcome.
 
-    The domain is compiled once, straight from its effect trees
-    (:func:`_compile`), into int bitmasks over a bit per declared
-    predicate, then per init or goal atom the domain lacks. Each action's
-    record is filed under its marker, the precondition bit the fewest
-    actions need (ties to the lowest bit), keyed by that bit's power of
-    two, so a state peels its marked bits off with ``m & -m``; counting
-    the bits and picking the markers are two flat loops over the records
-    that peel each precondition's bits off the same way. Each state copies
-    the list of records with no precondition, appends the buckets of its
-    marked bits and sorts the merge by action index, so it tests only those
-    records, in domain order, and states, transitions and the solvers'
-    (state, action) pairs come out in the order a scan over every action
-    gives.
+    The domain is compiled once (:func:`_compile`) into int bitmasks over a
+    bit per declared predicate, then per init or goal atom the domain
+    lacks, and one loop files each action under its precondition bits. A
+    state's applicable actions are an int, bit ``a`` for action ``a``, set
+    when the state is found and read lowest bit first, so its pairs come
+    in domain order with no precondition test. A found state inherits the
+    set of the state that found it, less the users of the bits the outcome
+    clears, plus the users of the bits it adds whose preconditions hold:
+    exact, as preconditions are positive, and O(cleared bits + woken
+    actions) per new state, read off the outcome's table (:func:`_changes`),
+    built when first needed. A state a one-outcome pair finds with at most
+    one true bit, as in a sequence of tasks, takes no table: its set is the
+    actions that need nothing and the users of that bit it satisfies.
 
-    Successors are immutable tuples. A state's ``(t,)`` is made when the
-    state is found and shared by every one-outcome pair that leads to it;
-    only a multi-outcome pair gets a tuple of its own. So each state
-    allocates its mask, its ``rev`` list and that tuple, and each pair
-    only entries of flat lists, and ``owner`` is expanded from ``first``
-    after the search. O(states + transitions) steps, each a mask operation
-    or a hash of a state. A state is a Python int with one bit per
-    predicate, so each such step costs O(predicates / 30) machine words: a
-    chain of n tasks, n + 2 states over n + 3 predicates, explores in
-    O(n² / 30) word operations: 1.9, 4.3, 12.1 and 44 ms at 600, 1200,
-    2400 and 4800 tasks (best of 30, GC off, Python 3.11 on a 2-vCPU Xeon VM).
+    Successors are immutable tuples; a state's ``(t,)`` is shared by every
+    one-outcome pair into it, so each state allocates a mask, a ``rev`` list
+    and that tuple, each pair only flat-list entries, and ``owner`` comes
+    from ``first`` after the search. O(states + transitions) steps, each a
+    mask operation or a hash of a state of O(predicates / 30) machine words:
+    a chain of n tasks, n + 2 states over n + 3 predicates, explores in
+    O(n² / 30) word operations: 1.8, 4.4, 12.6 and 46 ms at 600, 1200, 2400
+    and 4800 tasks (best of 30, GC off, Python 3.11 on a 2-vCPU Xeon VM).
     """
     limits = limits or Limits()
     power = {p: 1 << i for i, p in enumerate(dict.fromkeys([*domain.predicates, *problem.init, *problem.goal]))}
     records = _compile(domain, power)
-    need: dict[int, int] = {}  # precondition bit (a small int, cheap to hash) -> how many actions need it
-    for record in records:
-        m = record[1]
-        while m:
-            low = m & -m
-            b = low.bit_length()
-            need[b] = need[b] + 1 if b in need else 1
-            m ^= low
-    filed: dict[int, list[tuple]] = {}  # marker power of two (0: no precondition) -> records, in domain order
-    for record in records:
-        m, marker, fewest = record[1], 0, 0
-        while m:  # the least-needed bit, ties to the lowest
-            low = m & -m
-            needed = need[low.bit_length()]
-            if not marker or needed < fewest:
-                marker, fewest = low, needed
-            m ^= low
-        filed.setdefault(marker, []).append(record)
-    always = filed.pop(0, [])
-    markers = sum(filed)
     init, goal = sum({power[p] for p in problem.init}), sum({power[p] for p in problem.goal})
+    users = [[] for _ in range(len(power) + 1)]  # i + 1 -> (pre, 1 << a) of each action a whose pre has bit i
+    table, adds, always = {}, {}, 0  # 1 << a -> [name, add, keep, row, outs]; name -> add masks; pre-less actions
+    for a, pre, nm, add, keep, outs in records:
+        bit, m = 1 << a, pre
+        if not m:
+            always |= bit
+        while m:
+            i = m.bit_length()
+            users[i] += (pre, bit),
+            m ^= 1 << i - 1
+        table[bit] = [nm, add, keep, None, None if outs is None else [[add, keep, None] for add, keep in outs]]
+        adds[nm] = (add,) if outs is None else tuple(map(itemgetter(0), outs))
 
     masks, index, rev, alone = [init], {init: 0}, [[]], [(0,)]  # alone[t] is the tuple (t,)
+    woken = (bit for p, bit in _changes(init, -1, users)[1] if init & p == p)  # the users of init's bits that apply
+    en = [reduce(or_, woken, always)]  # en[s]: bit a set if action a applies in state s
     name, succs, first = [], [], []
     goal_states, deadlock_states = set(), set()
     n, pairs, max_states = 1, 0, limits.max_states  # len(masks), len(name)
     for s, state in enumerate(masks):  # grows while it is read: the BFS queue
         first.append(pairs)
-        candidates, m = always[:], state & markers
-        while m:
-            low = m & -m
-            candidates += filed[low]
-            m ^= low
-        candidates.sort()  # by action index: domain order
-        for _a, pre, nm, add, keep, outs in candidates:
-            if state & pre != pre:
-                continue
+        e = mine = en[s]
+        while e:  # lowest bit first: domain order
+            low = e & -e
+            e ^= low
+            nm, add, keep, row, outs = entry = table[low]
             name.append(nm)
             if outs is None:
                 succ = state & keep | add
-                t = index.get(succ)
-                if t is None:
+                t = index.setdefault(succ, n)
+                if t == n:
                     if n >= max_states:
                         raise _state_limit(limits, n, s, first, rev)
-                    t = index[succ] = n
                     n += 1
                     masks.append(succ)
                     rev.append([])
                     alone.append((t,))
+                    if not succ & succ - 1:  # one true bit at most, as one token down a sequence: no table
+                        new, wake = always, users[succ.bit_length()]
+                    else:
+                        if row is None:
+                            row = entry[3] = _changes(add, keep, users)
+                        new, wake = mine ^ (mine & row[0]), row[1]
+                    for p, bit in wake:
+                        if succ & p == p:
+                            new |= bit
+                    en.append(new)
                 rev[t].append(pairs)
                 succs.append(alone[t])
             else:
                 out = []
-                for add, keep in outs:
+                for entry in outs:
+                    add, keep, row = entry
                     succ = state & keep | add
-                    t = index.get(succ)
-                    if t is None:
+                    t = index.setdefault(succ, n)
+                    if t == n:
                         if n >= max_states:
                             raise _state_limit(limits, n, s, first, rev)
-                        t = index[succ] = n
                         n += 1
                         masks.append(succ)
                         rev.append([])
                         alone.append((t,))
+                        if row is None:
+                            row = entry[2] = _changes(add, keep, users)
+                        new = mine ^ (mine & row[0])
+                        for p, bit in row[1]:
+                            if succ & p == p:
+                                new |= bit
+                        en.append(new)
                     rev[t].append(pairs)
                     out.append(t)
                 succs.append(tuple(out))
             pairs += 1
         if state & goal == goal:
             goal_states.add(s)
-        elif first[s] == pairs:
+        elif not mine:
             deadlock_states.add(s)
     first.append(pairs)
     owner = list(chain.from_iterable(map(repeat, range(n), map(sub, first[1:], first))))
-    adds = {nm: (add,) if outs is None else tuple(map(itemgetter(0), outs)) for _a, _p, nm, add, _k, outs in records}
     return StateSpace(masks, list(power), owner, name, succs, first, rev, goal_states, deadlock_states, adds)
+
+
+def _changes(add: int, keep: int, users: list[list[tuple[int, int]]]) -> tuple[int, list]:
+    """How an outcome changes the applicable actions: the users of the bits it clears, as bits, and the
+    ``(pre, 1 << a)`` of the users of the bits it adds. A bit it deletes and adds is added."""
+    off, wake, m = 0, [], add | ~keep
+    while m:
+        i = m.bit_length()
+        m ^= (low := 1 << i - 1)
+        if add & low:
+            wake += users[i]
+        else:
+            for _p, bit in users[i]:
+                off |= bit
+    return off, wake
 
 
 def _state_limit(limits: Limits, states: int, s: int, first: list[int], rev: list[list[int]]) -> LimitExceeded:

@@ -167,6 +167,8 @@ class _Encoder:
     """Claims the predicate names of a graph and encodes its nodes."""
 
     def __init__(self, graph: ProcessGraph, options: EncodeOptions):
+        if not graph.source_name:  # the domain and its problems are named after it
+            raise EncodingError("the diagram name is empty ('')")
         # each table is filled in graph order, the order the domain declares it in
         self.graph = graph
         self.options = options

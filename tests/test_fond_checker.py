@@ -1006,10 +1006,10 @@ def test_review_chain_is_one_backward_pass(n, monkeypatch):
     assert len(calls) == 1
 
 
-def _assert_same_space(domain, problem, label):
-    """The bitmask explorer's views equal the seed's frozenset explorer's."""
+def _assert_same_space(domain, problem, label, want=None):
+    """The bitmask explorer's views equal the seed's frozenset explorer's, `want` if given."""
     got = explore(domain, problem)
-    want = reference_solver.explore(domain, problem)
+    want = want or reference_solver.explore(domain, problem)
     assert got.states == want.states, label
     assert got.transitions == want.transitions, label
     assert got.goal_states == want.goal_states, label
@@ -1022,7 +1022,7 @@ def _assert_same_space(domain, problem, label):
 
 
 class TestExploreOracle:
-    """Bitmask exploration through the marker index builds the seed's state space."""
+    """Bitmask exploration through inherited applicable-action sets builds the seed's state space."""
 
     def test_random_instances(self):
         rng = random.Random(0x5EED)
@@ -1050,6 +1050,38 @@ class TestExploreOracle:
                         label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
                         _assert_same_space(result.domain, problem, label)
         assert compared == 58
+
+    def test_corpus_variants_of_1000_states_or_more(self):
+        """The corpus variants the test above leaves out, credit_scoring's large ones."""
+        compared = 0
+        for path in CORPUS_FILES:
+            for strategy in MessageStrategy:
+                for done_mode in DoneMode:
+                    result = translate(path, strategy, done_mode=done_mode)
+                    for problem in result.problems:
+                        want = reference_solver.explore(result.domain, problem)
+                        if len(want.states) < 1000:
+                            continue
+                        compared += 1
+                        label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
+                        _assert_same_space(result.domain, problem, label, want)
+        assert compared == 2
+
+    @pytest.mark.parametrize("strategy", MessageStrategy)
+    def test_state_space_workload_shapes(self, strategy):
+        """The shapes of the benchmark's state_space workload (``STATE_SPACE`` in bench/run.py)."""
+        shapes = [
+            (GEN.chain, 1200), (GEN.chain, 600), (GEN.chain, 300),
+            (GEN.parallel, 8, 2), (GEN.parallel, 6, 2), (GEN.parallel, 5, 3), (GEN.parallel, 4, 4),
+            (GEN.parallel, 3, 6), (GEN.inclusive, 6), (GEN.inclusive, 5), (GEN.inclusive, 4), (GEN.inclusive, 3),
+            (GEN.message_pools, [4, 4, 4], [(0, 1, 1, 0), (1, 2, 2, 1), (0, 3, 2, 0)]),
+            (GEN.message_pools, [6, 6], [(0, 2, 1, 0), (0, 4, 1, 2)]),
+            (GEN.message_pools, [3, 3, 3, 3], [(0, 1, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0)]),
+        ]
+        for make, *params in shapes:
+            domain, problems = _pipeline(make(random.Random(1), "shape", *params).xml, strategy)
+            for problem in problems:
+                _assert_same_space(domain, problem, f"{make.__name__}{params} {problem.variant}")
 
     def test_bench_explore_counters(self):
         """The traced benchmark's explore counters read the same numbers from both spaces."""
@@ -1308,8 +1340,100 @@ def test_bench_tracing_wraps_and_restores_the_program():
         assert getattr(module, attr) is original is before[id(module)][attr]
 
 
+def _moves_of(space, atoms):
+    """The action names applicable in the state whose true atoms are `atoms`."""
+    return {name for name, _o, _t in space.transitions[space.states.index(frozenset(atoms))]}
+
+
 class TestMarkerIndex:
-    """Edge cases of the precondition-marker successor index."""
+    """Edge cases of the applicable-action sets: each state inherits the set
+    of the state that found it, less the users of the bits the outcome
+    clears, plus the users of the bits it adds whose preconditions hold."""
+
+    @staticmethod
+    def _space(preds, actions, init, goal, label):
+        domain = PddlDomain("d", [":strips"], [], preds, [PddlAction(n, pre, EffAnd(eff)) for n, pre, eff in actions])
+        return _assert_same_space(domain, PddlProblem("p", "d", init, goal), label)
+
+    def test_two_actions_racing_for_one_bit(self):
+        """`take` and `grab` both need x; whichever fires clears it, and the other leaves the set."""
+        space = self._space(["x", "z", "y", "w", "g"], [
+            ("take", ["x"], [EffNot("x"), EffAdd("y")]),
+            ("grab", ["x", "z"], [EffNot("x"), EffNot("z"), EffAdd("w")]),
+            ("end", ["y"], [EffNot("y"), EffAdd("g")]),
+        ], ["x", "z"], ["g"], "race")
+        assert _moves_of(space, ["x", "z"]) == {"take", "grab"}
+        assert _moves_of(space, ["y", "z"]) == {"end"}
+        assert _moves_of(space, ["w"]) == set()
+
+    def test_a_bit_deleted_and_added_stays_true(self):
+        """`renew` deletes and adds x: the add wins, so x's users keep their place."""
+        space = self._space(["x", "y", "g"], [
+            ("renew", ["x"], [EffNot("x"), EffAdd("x"), EffAdd("y")]),
+            ("use", ["x"], [EffNot("x"), EffAdd("g")]),
+            ("both", ["x", "y"], [EffNot("y"), EffAdd("g")]),
+        ], ["x"], ["g"], "re-add")
+        assert _moves_of(space, ["x", "y"]) == {"renew", "use", "both"}
+
+    def test_woken_by_a_bit_that_was_already_true(self):
+        """`again` adds q, already true, and r: `both` needs the two and joins; `stay` needs q and stays;
+        `never` needs q and n, which no state holds, so waking it finds it inapplicable."""
+        space = self._space(["p", "q", "r", "n", "g"], [
+            ("again", ["p"], [EffNot("p"), EffAdd("q"), EffAdd("r")]),
+            ("stay", ["q"], [EffAdd("q")]),
+            ("both", ["q", "r"], [EffNot("q"), EffNot("r"), EffAdd("g")]),
+            ("poke", ["p"], [EffAdd("q")]),
+            ("never", ["q", "n"], [EffAdd("g")]),
+        ], ["p", "q"], ["g"], "already true")
+        assert _moves_of(space, ["p", "q"]) == {"again", "stay", "poke"}
+        assert _moves_of(space, ["q", "r"]) == {"stay", "both"}
+
+    def test_no_precondition_action_is_in_every_set(self):
+        """`tick` needs nothing: it is in every state's set, also in a state holding only the bits
+        the outcome that found it adds (`step`'s), which takes no table."""
+        space = self._space(["a", "b", "t", "g"], [
+            ("step", ["a"], [EffNot("a"), EffAdd("b")]),
+            ("tick", [], [EffAdd("t")]),
+            ("end", ["b", "t"], [EffNot("b"), EffNot("t"), EffAdd("g")]),
+        ], ["a"], ["g"], "no precondition")
+        assert all("tick" in {name for name, _o, _t in moves} for moves in space.transitions)
+        assert _moves_of(space, ["b"]) == {"tick"}
+
+    def test_oneof_outcomes_disable_different_actions(self):
+        """`split`'s first outcome clears u and its second v, so each successor loses a different user."""
+        space = self._space(["s", "u", "v", "g"], [
+            ("split", ["s"], [EffNot("s"), EffOneOf([EffNot("u"), EffNot("v")])]),
+            ("useu", ["u"], [EffNot("u"), EffAdd("g")]),
+            ("usev", ["v"], [EffNot("v"), EffAdd("g")]),
+        ], ["s", "u", "v"], ["g"], "oneof")
+        assert _moves_of(space, ["v"]) == {"usev"}
+        assert _moves_of(space, ["u"]) == {"useu"}
+
+    def test_state_limit_sweep_on_a_parallel_space(self):
+        """Every limit from 1 to n + 1 on a many-token space trips where the reference does, or not at
+        all, and reports the state whose expansion found state k and its depth, read off the full space."""
+        domain, (problem,) = _pipeline(GEN.parallel(random.Random(0), "par", 3, 2).xml)
+        space = explore(domain, problem)
+        n = len(space.masks)
+        found = [0] + [space.owner[space.rev[t][0]] for t in range(1, n)]  # who expanded into t
+        depth = [0] * n
+        for t in range(1, n):
+            depth[t] = depth[found[t]] + 1
+        for k in range(1, n + 2):
+            outcomes = []
+            for explorer in (explore, reference_solver.explore):
+                try:
+                    outcomes.append(explorer(domain, problem, Limits(max_states=k)).transitions)
+                except LimitExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], k
+            assert isinstance(outcomes[0], str) == (k < n), k
+            if k < n:
+                with pytest.raises(LimitExceeded) as exc:
+                    explore(domain, problem, Limits(max_states=k))
+                got = exc.value
+                assert (got.states, got.expanded, got.frontier, got.depth) == (
+                    k, found[k], k - found[k], depth[found[k]]), k
 
     def test_empty_precondition_action_fires_in_every_state(self):
         from bpmn2pddl.pddl_encoder import EncodeOptions

@@ -67,6 +67,8 @@ CHECKER = {"explore", "solve_strong", "solve_cyclic", "verify_policy", "export_p
 FAMILIES = {
     "chain": (lambda n: GEN.chain(random.Random(0), "chain", 100 * n).xml, set()),
     "parallel": (lambda n: GEN.parallel(random.Random(0), "parallel", 2, 8 * n).xml, set()),
+    # many tokens per state: 3 and 6 branches of 2 tasks in parallel, 30 and 732 states
+    "wide": (lambda n: GEN.parallel(random.Random(0), "wide", 3 * n, 2).xml, set()),
     # the split's oneof has 2^k - 1 outcomes by design; inclusive_blocks doubles its PDDL linearly
     "inclusive": (lambda n: GEN.inclusive(random.Random(0), "inclusive", 3 * n).xml, {"encode"}),
     "message_pools": (lambda n: GEN.message_pools(random.Random(0), "msgs", [8 * n, 8 * n], [(0, 0, 1, 0)]).xml,

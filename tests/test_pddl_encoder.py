@@ -739,6 +739,15 @@ class TestDomainAssembly:
         ]
         assert finisher.effect == EffAnd([EffAdd("done")])
 
+    @pytest.mark.parametrize("emit", [emit_pddl, emit_domain, emit_problems])
+    def test_empty_diagram_name_is_an_encoding_error(self, emit):
+        """A library caller may pass ``source_name=""``; the domain and problems are named after it,
+        so each entry point raises the documented EncodingError, not sanitize_id's ValueError."""
+        graph = build_graph(parse_bpmn(fixture("loop_retry.bpmn").read_text(), source_name=""), MessageStrategy.IGNORE)
+        for done_mode in DoneMode:
+            with pytest.raises(EncodingError, match=r"^the diagram name is empty \(''\)$"):
+                emit(graph, EncodeOptions(done_mode=done_mode))
+
 
 class TestProblems:
     def test_three_pool_variants(self):
