@@ -451,17 +451,16 @@ def ground_domain(domain: PddlDomain) -> list[GroundAction]:
     and never calls this."""
     preds = list(dict.fromkeys(domain.predicates))
     grounded = []
-    for _a, pre, name, add, keep, outs in _compile(domain, {p: 1 << i for i, p in enumerate(preds)}):
-        pairs = outs or [(add, keep)]
-        outcomes = tuple(Outcome(_decode(preds, a), _decode(preds, ~k & ~a)) for a, k in pairs)
+    for pre, name, outs in _compile(domain, {p: 1 << i for i, p in enumerate(preds)}):
+        outcomes = tuple(Outcome(_decode(preds, a), _decode(preds, ~k & ~a)) for a, k in outs)
         grounded.append(GroundAction(name, _decode(preds, pre), outcomes))
     return grounded
 
 
 def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
-    """Compile each action of `domain` into the record
-    ``(index, pre, name, add, keep, outs)`` over the bit table `power`
-    (predicate -> its power of two).
+    """Compile each action of `domain` into the record ``(pre, name, outs)``
+    over the bit table `power` (predicate -> its power of two): ``outs`` is
+    the tuple of its outcomes' ``(add, keep)`` pairs.
 
     One loop over the items of each action's top-level ``(and ...)`` ORs
     each leaf (by exact type) into the common part and sets the other
@@ -470,10 +469,8 @@ def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
     common part or into the outcome of the ``oneof`` it sits in. The
     outcomes are the ``product`` of the ``oneof`` groups in tree order,
     each an add mask and a keep mask (the complement of its deletes), so a
-    successor is ``state & keep | add`` and an add wins over a delete. An
-    action with one outcome has it in ``add`` and ``keep`` and ``outs``
-    None; any other has the tuple of its ``(add, keep)`` pairs in
-    ``outs``. A ``oneof`` inside a ``oneof`` is :class:`UnsupportedFeature`.
+    successor is ``state & keep | add`` and an add wins over a delete. A
+    ``oneof`` inside a ``oneof`` is :class:`UnsupportedFeature`.
 
     The same walk notices the domain's defects: an atom that is not a
     declared predicate, a ``oneof`` with no outcomes, an action named
@@ -483,7 +480,7 @@ def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
     declared = {p: power[p] for p in domain.predicates}  # an atom not in it is a KeyError
     records = []
     try:
-        for a, action in enumerate(domain.actions):
+        for action in domain.actions:
             pre = add = dele = 0
             for p in action.precondition:
                 pre |= declared[p]
@@ -497,7 +494,7 @@ def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
                 else:
                     nested.append(item)
             if not nested:
-                records.append((a, pre, action.name, add, ~dele, None))
+                records.append((pre, action.name, ((add, ~dele),)))
                 continue
             parts = [[add, dele]]  # [add, delete] of the common part, then of each oneof outcome
             groups = []  # per oneof, in tree order: its outcomes' parts
@@ -527,8 +524,7 @@ def _compile(domain: PddlDomain, power: dict[str, int]) -> list[tuple]:
                     add |= x
                     dele |= d
                 outs.append((add, ~dele))
-            one = len(outs) == 1  # its (add, keep) in the record, else the outcomes' pairs
-            records.append((a, pre, action.name, *outs[0], None) if one else (a, pre, action.name, 0, -1, tuple(outs)))
+            records.append((pre, action.name, tuple(outs)))
     except KeyError:  # an undeclared atom
         _validate_domain(domain)
         raise
@@ -639,7 +635,7 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     init, goal = sum({power[p] for p in problem.init}), sum({power[p] for p in problem.goal})
     users = [[] for _ in range(len(power) + 1)]  # i + 1 -> (pre, 1 << a) of each action a whose pre has bit i
     table, adds, always = {}, {}, 0  # 1 << a -> [name, add, keep, row, outs]; name -> add masks; pre-less actions
-    for a, pre, nm, add, keep, outs in records:
+    for a, (pre, nm, outs) in enumerate(records):
         bit, m = 1 << a, pre
         if not m:
             always |= bit
@@ -647,8 +643,8 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
             i = m.bit_length()
             users[i] += (pre, bit),
             m ^= 1 << i - 1
-        table[bit] = [nm, add, keep, None, None if outs is None else [[add, keep, None] for add, keep in outs]]
-        adds[nm] = (add,) if outs is None else tuple(map(itemgetter(0), outs))
+        table[bit] = [nm, *outs[0], None, None if len(outs) == 1 else [[add, keep, None] for add, keep in outs]]
+        adds[nm] = tuple(map(itemgetter(0), outs))
 
     masks, index, rev, alone = [init], {init: 0}, [[]], [(0,)]  # alone[t] is the tuple (t,)
     woken = (bit for p, bit in _changes(init, -1, users)[1] if init & p == p)  # the users of init's bits that apply
@@ -997,59 +993,57 @@ def enumerate_traces(
     (policy=None) both the action and the outcome branch. A trace ends at
     the goal, in a deadlock (including a state the policy leaves unmapped
     or maps to an inapplicable action), or at the first state it revisits
-    (cycle cutoff). Without `space` the problem is explored first, so
-    ``limits.max_states`` applies as well as the trace limits.
+    (cycle cutoff), whose closing step counts. One explicit stack holds the
+    states to enter, each with the step into it, and a leave marker for
+    each state a step entered; moves are taken last first. Both trace
+    limits apply to each trace recorded: a trace longer than
+    ``limits.max_trace_len`` steps, or more than ``limits.max_traces``
+    traces, is :class:`LimitExceeded`. Without `space` the problem is
+    explored first, so ``limits.max_states`` applies as well.
     """
     limits = limits or Limits()
     if space is None:
         space = explore(domain, problem, limits)
     chosen = None if policy is None else _policy_pairs(space, policy)[1]
-    result = TraceSet()
+    first, name, succs, goals = space.first, space.name, space.succs, space.goal_states
+    max_len, max_traces = limits.max_trace_len, limits.max_traces
+    traces: list[Trace] = []
 
     def record(terminal: str, steps: list[tuple[int, str, int]]) -> None:
-        if len(result.traces) >= limits.max_traces:
-            raise LimitExceeded(f"more than {limits.max_traces} traces")
-        result.traces.append(Trace([(space.state(s), a, o) for s, a, o in steps], terminal))
-
-    def visit(s: int) -> list[tuple[str, int, int]]:
-        """Record the traces that end at or right after `s`; return the moves to descend into."""
-        if len(steps) > limits.max_trace_len:
-            raise LimitExceeded(f"trace longer than {limits.max_trace_len} steps")
-        if s in space.goal_states:
-            record("goal", steps)
-            return []
-        if chosen is None:
-            moves = space.moves(s)
-        else:
-            p = chosen[s]
-            moves = [(space.name[p], o, t) for o, t in enumerate(space.succs[p])] if p >= 0 else []
-        if not moves:
-            record("deadlock", steps)
-            return []
-        descend = []
-        for name, oidx, t in moves:
-            if t in on_path:
-                record("cycle", [*steps, (s, name, oidx)])
-            else:
-                descend.append((name, oidx, t))
-        return descend  # popped from the end, so the last move is explored first
+        """Keep the trace `steps`: the one place either limit is checked, length first."""
+        if len(steps) > max_len:
+            raise LimitExceeded(f"trace longer than {max_len} steps")
+        if len(traces) >= max_traces:
+            raise LimitExceeded(f"more than {max_traces} traces")
+        traces.append(Trace([(space.state(s), a, o) for s, a, o in steps], terminal))
 
     steps: list[tuple[int, str, int]] = []  # (state index, action, outcome) from the initial state
-    on_path = {0}
-    todo = [(0, visit(0))]  # per state on the path: the moves not yet descended into
+    on_path: set[int] = set()
+    todo: list = [(0, None)]  # (a state to enter, the step into it), or the index of a state to leave
     while todo:
-        s, moves = todo[-1]
-        if not moves:
-            todo.pop()
-            on_path.discard(s)
-            if steps:
-                steps.pop()
+        entry = todo.pop()
+        if type(entry) is int:  # all pushed after it is done
+            on_path.remove(entry)
+            steps.pop()
             continue
-        name, oidx, t = moves.pop()
-        steps.append((s, name, oidx))
-        on_path.add(t)
-        todo.append((t, visit(t)))
-    return result
+        s, step = entry
+        on_path.add(s)
+        if step:  # the initial state is entered by no step, and never left
+            steps.append(step)
+            todo.append(s)
+        if s in goals:
+            record("goal", steps)
+            continue
+        pairs = range(first[s], first[s + 1]) if chosen is None else () if chosen[s] < 0 else (chosen[s],)
+        if not pairs:
+            record("deadlock", steps)
+        for p in pairs:
+            for o, t in enumerate(succs[p]):
+                if t in on_path:
+                    record("cycle", [*steps, (s, name[p], o)])
+                else:
+                    todo.append((t, (s, name[p], o)))
+    return TraceSet(traces)
 
 
 def traces_to_json(traces: TraceSet) -> list[dict]:

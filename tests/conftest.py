@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from bpmn2pddl.bpmn_parser import _GATEWAYS, FlowNode, NodeKind, SequenceFlow
@@ -19,6 +20,9 @@ FIXTURE_DIR = TESTS_DIR / "fixtures"
 CORPUS_DIR = TESTS_DIR.parent / "corpus"
 
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.bpmn"))
+
+# The contract fuzzer's larger budget (tests/test_contract.py), for `pytest --hypothesis-profile=contract`.
+settings.register_profile("contract", max_examples=3000, deadline=None)
 
 
 def fixture(name: str) -> Path:

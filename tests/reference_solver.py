@@ -11,6 +11,10 @@ input; ``tests/test_fond_checker.py`` compares the two.
 re-simulating versions, also verbatim: each grounds the domain again and
 applies actions to states instead of walking an explored ``StateSpace``.
 The ``fond_checker`` versions must produce the same traces and DOT text.
+The one change is the trace-length check ``_record`` makes before its
+count check: the original checked length only on entering a state, so a
+cycle trace, recorded with its closing step, could be one step longer than
+``max_trace_len``.
 
 ``applicable`` and ``apply`` are the frozenset state helpers these
 reference versions step with.
@@ -333,6 +337,9 @@ def enumerate_traces(
     Under a policy only the outcome branches; in all mode (policy=None)
     both the action and the outcome branch. A trace ends at the goal, in
     a deadlock, or at the first state it revisits (cycle cutoff).
+
+    Verbatim but for the length check in :func:`_record`, which makes a
+    cycle trace's closing step count against ``max_trace_len``.
     """
     limits = limits or Limits()
     actions = ground_domain(domain)
@@ -369,6 +376,8 @@ def enumerate_traces(
 
 
 def _record(result: TraceSet, trace: Trace, limits: Limits) -> None:
+    if len(trace.steps) > limits.max_trace_len:  # a cycle trace's closing step counts
+        raise LimitExceeded(f"trace longer than {limits.max_trace_len} steps")
     if len(result.traces) >= limits.max_traces:
         raise LimitExceeded(f"more than {limits.max_traces} traces")
     result.traces.append(trace)

@@ -1802,6 +1802,125 @@ class TestTraces:
             enumerate_traces(domain, problem, None, Limits(max_traces=1))
 
 
+def _run_of(n: int, end: str) -> tuple[PddlDomain, PddlProblem, Policy]:
+    """A domain whose one trace takes `n` steps p0 -> p1 -> ... and ends by `end`: at the goal, in a deadlock,
+    or back at p0 (a cycle, whose closing step counts); and the policy that maps each state on the way."""
+    last = {"goal": "g", "deadlock": "x", "cycle": "p0"}[end]
+    succ = [*(f"p{i + 1}" for i in range(n - 1)), last]
+    actions = [PddlAction(f"a{i}", [f"p{i}"], EffAnd([EffAdd(t), EffNot(f"p{i}")])) for i, t in enumerate(succ)]
+    domain = PddlDomain("run", [":strips"], [], [*(f"p{i}" for i in range(n)), "g", "x"], actions)
+    problem = PddlProblem(name="run", domain_name="run", init=["p0"], goal=["g"])
+    return domain, problem, Policy({frozenset({f"p{i}"}): f"a{i}" for i in range(n)}, SolveMode.STRONG_CYCLIC)
+
+
+def _fan(n: int) -> tuple[PddlDomain, PddlProblem, Policy]:
+    """A domain with one action whose `n` outcomes each reach a goal state: `n` one-step traces."""
+    outcomes = [EffAnd([EffAdd("g"), EffAdd(f"m{i}")]) for i in range(n)]
+    domain = PddlDomain("fan", [":strips"], [], ["s", "g", *(f"m{i}" for i in range(n))],
+                        [PddlAction("split", ["s"], EffAnd([EffNot("s"), EffOneOf(outcomes)]))])
+    problem = PddlProblem(name="fan", domain_name="fan", init=["s"], goal=["g"])
+    return domain, problem, Policy({frozenset({"s"}): "split"}, SolveMode.STRONG)
+
+
+def _traces_or_error(enumerate_, *args) -> list[dict] | str:
+    """The traces `enumerate_` returns, as JSON, or the message of its :class:`LimitExceeded`."""
+    try:
+        return traces_to_json(enumerate_(*args))
+    except LimitExceeded as exc:
+        return str(exc)
+
+
+TIGHT_LIMITS = [Limits(max_traces=k, max_trace_len=n) for k in range(1, 4) for n in range(1, 7)]
+
+
+def _assert_same_under_tight_limits(domain, problem, space, policy, label):
+    """Traces or limit message from `space` equal the reference's, under each of `TIGHT_LIMITS`."""
+    for limits in TIGHT_LIMITS:
+        got = _traces_or_error(enumerate_traces, domain, problem, policy, limits, space)
+        assert got == _traces_or_error(reference_solver.enumerate_traces, domain, problem, policy, limits), \
+            (label, limits)
+
+
+class TestTraceLimits:
+    """Both trace limits hold for each trace recorded, under a policy and in all mode."""
+
+    @pytest.mark.parametrize("end", ["goal", "deadlock", "cycle"])
+    @pytest.mark.parametrize("all_mode", [False, True], ids=["policy", "all"])
+    def test_trace_of_n_steps_passes_and_of_n_plus_1_raises(self, end, all_mode):
+        for n in (1, 2, 5):
+            domain, problem, policy = _run_of(n, end)
+            limits = Limits(max_trace_len=n)
+            traces = enumerate_traces(domain, problem, None if all_mode else policy, limits)
+            assert [(len(t.steps), t.terminal) for t in traces.traces] == [(n, end)]
+            domain, problem, policy = _run_of(n + 1, end)
+            with pytest.raises(LimitExceeded, match=rf"^trace longer than {n} steps$"):
+                enumerate_traces(domain, problem, None if all_mode else policy, limits)
+            for size in (n, n + 1):
+                domain, problem, policy = _run_of(size, end)
+                for chosen in (None, policy):
+                    assert _traces_or_error(enumerate_traces, domain, problem, chosen, limits) == \
+                        _traces_or_error(reference_solver.enumerate_traces, domain, problem, chosen, limits)
+
+    @pytest.mark.parametrize("all_mode", [False, True], ids=["policy", "all"])
+    def test_n_traces_pass_and_n_plus_1_raise(self, all_mode):
+        for n in (1, 2, 5):
+            domain, problem, policy = _fan(n)
+            limits = Limits(max_traces=n)
+            traces = enumerate_traces(domain, problem, None if all_mode else policy, limits)
+            assert [(len(t.steps), t.terminal) for t in traces.traces] == [(1, "goal")] * n
+            domain, problem, policy = _fan(n + 1)
+            with pytest.raises(LimitExceeded, match=rf"^more than {n} traces$"):
+                enumerate_traces(domain, problem, None if all_mode else policy, limits)
+
+    def test_cycle_closing_step_counts(self):
+        """`a` and `b` cycle between s and t, `c` reaches the goal: with one step allowed, the two-step
+        cycle trace is a limit error, as a two-step goal trace would be."""
+        domain = PddlDomain("d", [":strips"], [], ["s", "t", "g"], [
+            PddlAction("a", ["s"], EffAnd([EffAdd("t"), EffNot("s")])),
+            PddlAction("b", ["t"], EffAnd([EffAdd("s"), EffNot("t")])),
+            PddlAction("c", ["s"], EffAnd([EffAdd("g"), EffNot("s")])),
+        ])
+        problem = PddlProblem(name="p", domain_name="d", init=["s"], goal=["g"])
+        with pytest.raises(LimitExceeded, match=r"^trace longer than 1 steps$"):
+            enumerate_traces(domain, problem, None, Limits(max_trace_len=1))
+        traces = enumerate_traces(domain, problem, None, Limits(max_trace_len=2))
+        assert [(len(t.steps), t.terminal) for t in traces.traces] == [(1, "goal"), (2, "cycle")]
+
+    def test_random_instances_match_the_reference(self):
+        """`TestSolverDifferential`'s seeded random instances, in all mode and under each mode's policy."""
+        rng = random.Random(0x5EED)
+        compared = 0
+        for _ in range(220):
+            domain, problem = TestSolverDifferential._random_instance(rng)
+            space = explore(domain, problem)
+            policies = [None]
+            for mode in SolveMode:
+                with contextlib.suppress(Unsolvable):
+                    policies.append(solve(domain, problem, mode, space=space))
+            for policy in policies:
+                _assert_same_under_tight_limits(domain, problem, space, policy, "random")
+                compared += 1
+        assert compared == 516  # 220 all-mode runs and 296 policies
+
+    def test_corpus_variants_match_the_reference(self):
+        """Each corpus variant under each mode's policy, and in all mode where it has under 1000 states."""
+        compared = 0
+        for path in CORPUS_FILES:
+            for strategy, done_mode in product(MessageStrategy, DoneMode):
+                result = translate(path, strategy, done_mode=done_mode)
+                for problem in result.problems:
+                    space = explore(result.domain, problem)
+                    policies = [None] if len(space.masks) < 1000 else []
+                    for mode in SolveMode:
+                        with contextlib.suppress(Unsolvable):
+                            policies.append(solve(result.domain, problem, mode, space=space))
+                    label = f"{path.stem} {strategy.value} {done_mode.value} {problem.variant}"
+                    for policy in policies:
+                        _assert_same_under_tight_limits(result.domain, problem, space, policy, label)
+                        compared += 1
+        assert compared == 142  # 58 of the 60 variants in all mode, and 84 policies
+
+
 class TestPolicyDot:
     def test_chain_policy(self):
         domain, (problem,) = _pipeline(LINEAR)
