@@ -207,7 +207,7 @@ def _check_variant(
     strong_txt = _solvable_text(report.strong, SolveMode.STRONG in wanted)
     cyclic_txt = _solvable_text(report.strong_cyclic, SolveMode.STRONG_CYCLIC in wanted)
     policy = report.strong_cyclic or report.strong
-    size = len(policy.mapping) if policy else 0
+    size = len(fond_checker._policy_pairs(report.space, policy)[1]) if policy else 0  # its mapped states
     print(
         f"{report.problem_name}: states={report.n_states} deadlocks={report.n_deadlocks} "
         f"strong={strong_txt} strong_cyclic={cyclic_txt} policy_size={size}"

@@ -635,6 +635,7 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     init, goal = sum({power[p] for p in problem.init}), sum({power[p] for p in problem.goal})
     users = [[] for _ in range(len(power) + 1)]  # i + 1 -> (pre, 1 << a) of each action a whose pre has bit i
     table, adds, always = {}, {}, 0  # 1 << a -> [name, add, keep, row, outs]; name -> add masks; pre-less actions
+    add_of = itemgetter(0)
     for a, (pre, nm, outs) in enumerate(records):
         bit, m = 1 << a, pre
         if not m:
@@ -644,7 +645,7 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
             users[i] += (pre, bit),
             m ^= 1 << i - 1
         table[bit] = [nm, *outs[0], None, None if len(outs) == 1 else [[add, keep, None] for add, keep in outs]]
-        adds[nm] = tuple(map(itemgetter(0), outs))
+        adds[nm] = tuple(map(add_of, outs))
 
     masks, index, rev, alone = [init], {init: 0}, [[]], [(0,)]  # alone[t] is the tuple (t,)
     woken = (bit for p, bit in _changes(init, -1, users)[1] if init & p == p)  # the users of init's bits that apply
@@ -746,10 +747,26 @@ def _state_limit(limits: Limits, states: int, s: int, first: list[int], rev: lis
 
 
 class Policy(Record):
-    __slots__ = __match_args__ = ("mapping", "kind")
+    """`mapping` sends a state, the frozenset of its true predicates, to the action taken there. A policy
+    from :func:`solve` keeps the solver's :func:`_walk` instead, with its space, and decodes `mapping` on
+    first read; from then on, or once `mapping` is assigned, the dict is the policy, edits included."""
+
+    __slots__ = ("_mapping", "kind", "_solved")
+    __match_args__ = ("mapping", "kind")
     def __init__(self, mapping, kind):
         self.mapping: dict[frozenset, str] = mapping
         self.kind: SolveMode = kind
+
+    @property
+    def mapping(self) -> dict[frozenset, str]:
+        if self._solved is not None:
+            space, _order, chosen = self._solved
+            self.mapping = {space.state(s): space.name[p] for s, p in chosen.items()}
+        return self._mapping
+
+    @mapping.setter
+    def mapping(self, mapping: dict[frozenset, str]) -> None:
+        self._mapping, self._solved = mapping, None
 
 
 def _backward(owner: list[int], rev: list[list[int]], pending: list[int], goals) -> list[int]:
@@ -797,8 +814,9 @@ def solve(
     (:func:`_cyclic_levels`): the same plus each wave's region. A state
     takes the first action by name whose outcomes all win with a lower
     level (strong), or that stays winning with some outcome of lower level
-    (strong-cyclic). Raises :class:`Unsolvable` when the initial state is
-    not winning.
+    (strong-cyclic); the policy keeps those pairs, one :func:`_walk` from
+    the initial state, and decodes no state. Raises :class:`Unsolvable`
+    when the initial state is not winning.
     """
     if space is None:
         space = explore(domain, problem, limits)
@@ -808,7 +826,25 @@ def solve(
         else _cyclic_levels(space)
     if level[0] < 0:
         raise Unsolvable(mode)
-    policy = Policy(mapping=_extract(space, level, strong), kind=mode)
+    first, name, succs = space.first, space.name, space.succs
+
+    def choose(s: int) -> int:
+        """The fitting pair of winning state `s` whose action name is least: every outcome wins with a
+        lower level (`strong`), or every outcome wins and some has a lower level (strong-cyclic)."""
+        mine, best = level[s], None
+        for p in range(first[s], first[s + 1]):
+            if best is None or name[p] < name[best]:
+                lower = strong  # strong: no outcome may be at or above `mine`; else some must be below
+                for t in succs[p]:
+                    if level[t] < 0 or strong and level[t] >= mine:
+                        break
+                    lower = lower or level[t] < mine
+                else:
+                    best = p if lower else best
+        return best
+
+    policy = Policy(None, mode)
+    policy._solved = space, *_walk(space, choose)
     verify_policy(space, policy)
     return policy
 
@@ -872,56 +908,40 @@ def _cyclic_levels(space: StateSpace) -> list[int]:
     return level
 
 
-def _extract(space: StateSpace, level: list[int], strong: bool) -> dict[frozenset, str]:
-    """Choose an action for each winning state the policy reaches from init.
-    A pair fits if every outcome wins with a lower level (`strong`), or if
-    every outcome wins and some has a lower level (strong-cyclic)."""
-    first, name, succs, goals = space.first, space.name, space.succs, space.goal_states
-    mapping: dict[frozenset, str] = {}
-    seen = {0}
-    queue = [0]
-    for s in queue:
-        if s in goals:
-            continue
-        mine, best = level[s], None
-        for p in range(first[s], first[s + 1]):  # the fitting pair whose action name is least
-            if best is None or name[p] < name[best]:
-                lower = strong  # strong: no outcome may be at or above `mine`; else some must be below
-                for t in succs[p]:
-                    if level[t] < 0 or strong and level[t] >= mine:
-                        break
-                    lower = lower or level[t] < mine
-                else:
-                    best = p if lower else best
-        mapping[space.state(s)] = name[best]
-        for t in succs[best]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return mapping
-
-
-def _policy_pairs(space: StateSpace, policy: Policy) -> tuple[list[int], dict[int, int]]:
-    """The states `policy` reaches from the initial state, in breadth-first
-    order, and the pair it takes in each non-goal one: -1 where the state is
-    unmapped, -2 where its action does not apply there. Only a taken pair's
-    outcomes are followed. O(reached states + their pairs)."""
-    first, name, succs, goals, mapping = space.first, space.name, space.succs, space.goal_states, policy.mapping
+def _walk(space: StateSpace, choose) -> tuple[list[int], dict[int, int]]:
+    """The states a policy reaches from the initial state, in breadth-first
+    order, and the pair ``choose(s)`` takes in each non-goal one, negative
+    where none. Only a taken pair's outcomes are followed. O(reached states
+    + their chosen outcomes), plus the work of `choose`."""
+    succs, goals = space.succs, space.goal_states
     order, seen, chosen = [0], {0}, {}
     for s in order:  # grows while it is read: the BFS queue
         if s in goals:
             continue
+        p = chosen[s] = choose(s)
+        if p >= 0:
+            for t in succs[p]:
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    return order, chosen
+
+
+def _policy_pairs(space: StateSpace, policy: Policy) -> tuple[list[int], dict[int, int]]:
+    """:func:`_walk` of `policy` in `space`: the solver's own walk when `space` is the one it solved,
+    else the pair named by `mapping` in each reached state, -1 where the state is unmapped and -2 where
+    its action does not apply there. O(reached states + their pairs)."""
+    if policy._solved is not None and policy._solved[0] is space:
+        return policy._solved[1:]
+    first, name, mapping = space.first, space.name, policy.mapping
+
+    def choose(s: int) -> int:
         action = mapping.get(space.state(s))
         try:
-            p = chosen[s] = name.index(action, first[s], first[s + 1])
+            return name.index(action, first[s], first[s + 1])
         except ValueError:  # no pair of the state's is named `action`, or it is None
-            chosen[s] = -1 if action is None else -2
-            continue
-        for t in succs[p]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    return order, chosen
+            return -1 if action is None else -2
+    return _walk(space, choose)
 
 
 class PolicyVerificationError(Exception):

@@ -178,7 +178,8 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
     exclusive split two of whose branches reach one parallel join. Each join
     gets a bit, each node the bits of the joins it reaches (one pass over the
     strongly connected components, :func:`_join_reach`), and each split folds
-    its branches' bits: O((nodes + flows) × ⌈parallel joins / 30⌉ + warnings)."""
+    its branches' bits: O((nodes + flows) × ⌈parallel joins / 30⌉ + warnings).
+    Then come the message flows into a start event, then its sequence flows in."""
     diagnostics: list[Diagnostic] = []
 
     reachable = _reachable_from(graph, [n for starts in graph.start_nodes.values() for n in starts])
@@ -226,8 +227,9 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
                 )
             )
 
-    for fid, flow in graph.flows.items():
-        if flow.synthetic and graph.nodes[flow.target].kind is NodeKind.START_EVENT:
+    into_start = [(fid, f) for fid, f in graph.flows.items() if graph.nodes[f.target].kind is NodeKind.START_EVENT]
+    for fid, flow in into_start:
+        if flow.synthetic:
             diagnostics.append(
                 Diagnostic(
                     "MessageIntoStart",
@@ -235,6 +237,10 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
                     f"message flow {fid!r} targets start event {flow.target!r}",
                 )
             )
+    for fid, flow in into_start:  # BPMN forbids the shape; it is encoded as drawn, as a loop
+        if not flow.synthetic:
+            message = f"sequence flow {fid!r} enters start event {flow.target!r}"
+            diagnostics.append(Diagnostic("SequenceFlowIntoStart", (flow.source, flow.target), message))
 
     return diagnostics
 

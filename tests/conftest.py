@@ -23,6 +23,8 @@ CORPUS_FILES = sorted(CORPUS_DIR.glob("*.bpmn"))
 
 # The contract fuzzer's larger budget (tests/test_contract.py), for `pytest --hypothesis-profile=contract`.
 settings.register_profile("contract", max_examples=3000, deadline=None)
+# The token-game agreement on fresh draws (tests/test_fond_checker.py), for `--hypothesis-profile=token_game`.
+settings.register_profile("token_game", max_examples=400, deadline=None)
 
 
 def fixture(name: str) -> Path:

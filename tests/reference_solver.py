@@ -983,6 +983,16 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
                 )
             )
 
+    for fid, flow in graph.flows.items():
+        if not flow.synthetic and graph.nodes[flow.target].kind is NodeKind.START_EVENT:
+            diagnostics.append(
+                Diagnostic(
+                    "SequenceFlowIntoStart",
+                    (flow.source, flow.target),
+                    f"sequence flow {fid!r} enters start event {flow.target!r}",
+                )
+            )
+
     return diagnostics
 
 

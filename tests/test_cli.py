@@ -322,6 +322,27 @@ def test_warnings_as_errors(tmp_path, capsys):
     assert "PotentialDeadlock" in capsys.readouterr().err
 
 
+def test_sequence_flow_into_a_start_event_is_a_warning(tmp_path, capsys):
+    """A start event inside a loop (S1 -> T1 -> X1 -> S1, X1 -> E1): BPMN forbids the shape, so translate
+    warns, last, and exits 2 under --warnings-as-errors; the loop is still encoded as drawn."""
+    path = tmp_path / "loop_into_start.bpmn"
+    path.write_text(
+        '<?xml version="1.0"?>\n<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="D">'
+        '<bpmn:process id="P1" name="Loop"><bpmn:startEvent id="S1"/><bpmn:task id="T1"/>'
+        '<bpmn:exclusiveGateway id="X1"/><bpmn:endEvent id="E1"/>'
+        '<bpmn:sequenceFlow id="F1" sourceRef="S1" targetRef="T1"/>'
+        '<bpmn:sequenceFlow id="F2" sourceRef="T1" targetRef="X1"/>'
+        '<bpmn:sequenceFlow id="F3" sourceRef="X1" targetRef="E1"/>'
+        '<bpmn:sequenceFlow id="F4" sourceRef="X1" targetRef="S1"/></bpmn:process></bpmn:definitions>'
+    )
+    warning = "warning: SequenceFlowIntoStart: sequence flow 'F4' enters start event 'S1'\n"
+    assert main(["translate", str(path), "--out", str(tmp_path / "out"), "--warnings-as-errors"]) == 2
+    assert capsys.readouterr().err == warning
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert err == warning and "strong_cyclic=yes" in out
+
+
 def test_warnings_are_written_at_once(tmp_path, monkeypatch):
     # two tasks in a cycle that no start event reaches: two Unreachable warnings
     text = fixture("loop_retry.bpmn").read_text().replace(

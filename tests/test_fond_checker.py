@@ -1296,8 +1296,15 @@ def test_generated_diagrams_match_the_oracles(diagram, strategy):
                 assert got == expected, (problem.variant, mode.value)
 
 
+# Tier-1 draws the same 40 diagrams on every run: a two-pool block_structured draw with parallel blocks
+# explores up to the 3000-state limit per start variant, and the token game, which scans every node per
+# state, takes 0.5-1.7 s on each, so fresh draws swing the test's time. Under
+# --hypothesis-profile=token_game the profile's budget is drawn afresh.
+TOKEN_GAME = settings.get_current_profile_name() == "token_game"
+
+
 @given(_generated(), st.sampled_from(MessageStrategy))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples if TOKEN_GAME else 40, deadline=None, derandomize=not TOKEN_GAME)
 def test_generated_diagrams_match_the_token_game(diagram, strategy):
     """On every emitted problem of a generated diagram, the rendered and
     parsed domain explores to the token game's states and (state, successor)
@@ -1630,6 +1637,45 @@ class TestTraceDotOracle:
             enumerate_traces(domain, problem, policy, Limits(max_states=2))
 
 
+class TestSolverPolicy:
+    """A solver policy keeps the pair it chose per reached state; its mapping is decoded only when read."""
+
+    def test_another_space_resolves_the_policy_through_its_mapping(self):
+        """DOT and traces of a solver policy are the same from the space it was solved in (its pairs),
+        from a space explored again (its mapping, decoded) and as a hand-made policy of that mapping."""
+        compared = 0
+        for name in ("loop_retry.bpmn", "inclusive_pair.bpmn", "msg_task_task.bpmn"):
+            domain, problems = _pipeline(fixture(name).read_text())
+            for problem, mode in product(problems, SolveMode):
+                space = explore(domain, problem)
+                try:
+                    policy = solve(domain, problem, mode, space=space)
+                except Unsolvable:
+                    continue
+                dot = export_policy_dot(domain, problem, policy, space)
+                traces = traces_to_json(enumerate_traces(domain, problem, policy, space=space))
+                for other, hand_made in ((explore(domain, problem), policy), (space, Policy(policy.mapping, mode))):
+                    assert export_policy_dot(domain, problem, hand_made, other) == dot, name
+                    assert traces_to_json(enumerate_traces(domain, problem, hand_made, space=other)) == traces, name
+                assert export_policy_dot(domain, problem, policy) == dot  # explored anew
+                compared += 1
+        assert compared == 9
+
+    def test_check_decodes_only_the_states_it_prints(self, tmp_path, monkeypatch, capsys):
+        """`check` without --dot or --traces decodes no state: verification and policy_size read the
+        solver's pairs. With both, it decodes the states a DOT label or a trace step prints."""
+        decoded = []
+        real = fond_checker._decode
+        monkeypatch.setattr(fond_checker, "_decode", lambda preds, mask: decoded.append(mask) or real(preds, mask))
+        path = str(CORPUS_FILES[0])
+        assert cli.main(["check", path, "--out", str(tmp_path / "plain")]) == 0
+        assert decoded == []
+        plain = [line for line in capsys.readouterr().out.splitlines() if "policy_size=" in line]
+        assert plain and not any(line.endswith("policy_size=0") for line in plain)
+        assert cli.main(["check", path, "--dot", "--traces", "--out", str(tmp_path / "both")]) == 0
+        assert decoded and [line for line in capsys.readouterr().out.splitlines() if "policy_size=" in line] == plain
+
+
 def _chain(n: int) -> str:
     ids = ["S1", *(f"T{i}" for i in range(n)), "E1"]
     nodes = ['<bpmn:startEvent id="S1"/>', *(f'<bpmn:task id="T{i}"/>' for i in range(n))]
@@ -1710,6 +1756,25 @@ class TestVerifyPolicy:
         policy = solve(domain, problem, SolveMode.STRONG_CYCLIC, space=space)
         with pytest.raises(PolicyVerificationError, match="strong policy revisits a state"):
             verify_policy(space, Policy(policy.mapping, SolveMode.STRONG))
+
+    def test_an_edit_to_a_solver_policy_is_the_policy(self):
+        """A solver policy's mapping, once read, is what verification checks: an edit in place or an
+        assignment is rejected as the same hand-made policy would be."""
+        space = explore(self.DOMAIN, self.PROBLEM)
+        for kind in SolveMode:
+            policy = solve(self.DOMAIN, self.PROBLEM, kind, space=space)
+            assert policy.mapping == {self.S: "go", self.A: "fin"}
+            policy.mapping[self.S] = "fin"  # applies in a, not in s
+            with pytest.raises(PolicyVerificationError, match="policy action 'fin' not applicable"):
+                verify_policy(space, policy)
+            policy = solve(self.DOMAIN, self.PROBLEM, kind, space=space)
+            del policy.mapping[self.A]
+            with pytest.raises(PolicyVerificationError, match=r"not closed: state \['a'\] unmapped"):
+                verify_policy(space, policy)
+            policy = solve(self.DOMAIN, self.PROBLEM, kind, space=space)
+            policy.mapping = {self.S: "dead"}
+            with pytest.raises(PolicyVerificationError, match="non-goal leaf|stuck away from the goal"):
+                verify_policy(space, policy)
 
     def test_long_chain_solves_without_recursion(self):
         n = 3000

@@ -331,6 +331,22 @@ def test_validate_flags_message_into_start():
     assert "MessageIntoStart" in codes
 
 
+def test_validate_flags_sequence_flow_into_start_after_message_into_start():
+    xml = fixture("msg_task_event.bpmn").read_text().replace(
+        'targetRef="Catch_notice"/>', 'targetRef="Start_b"/>', 1
+    ).replace(  # Task_send -> X -> End_a or back to Start_a
+        '<bpmn:sequenceFlow id="Flow_a2" sourceRef="Task_send" targetRef="End_a"/>',
+        '<bpmn:exclusiveGateway id="X"/><bpmn:sequenceFlow id="Flow_a2" sourceRef="Task_send" targetRef="X"/>'
+        '<bpmn:sequenceFlow id="Flow_a3" sourceRef="X" targetRef="End_a"/>'
+        '<bpmn:sequenceFlow id="Back" sourceRef="X" targetRef="Start_a"/>',
+    )
+    graph = _graph(xml, MessageStrategy.EXCLUSIVE_EMULATION)
+    got = validate_graph(graph)
+    assert [(d.code, d.node_ids) for d in got] == [("MessageIntoStart", ("Task_send", "Start_b")),
+                                                   ("SequenceFlowIntoStart", ("X", "Start_a"))]
+    assert got == reference_solver.validate_graph(graph)
+
+
 def test_dot_export():
     graph = _graph(fixture("msg_task_event.bpmn").read_text())
     dot = export_graph_dot(graph)

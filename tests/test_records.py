@@ -30,6 +30,7 @@ from bpmn2pddl.fond_checker import (
     StateSpace,
     Trace,
     TraceSet,
+    solve,
 )
 from bpmn2pddl.pddl_encoder import (
     DoneMode,
@@ -238,6 +239,24 @@ def test_state_space_equality_ignores_its_decoded_states():
     assert space == other
     assert repr(space) == repr(other)
     assert other._decoded == {} and other._decoded is not space._decoded
+
+
+def test_a_solver_policy_is_the_record_of_its_mapping():
+    """A policy from `solve` keeps its pairs and decodes `mapping` on first read, which `repr`, `==`,
+    copies and pickles each do: each sees the record a caller would build from that mapping."""
+    # p -a-> q -b-> r
+    actions = [PddlAction("a", ["p"], EffAnd([EffAdd("q"), EffNot("p")])),
+               PddlAction("b", ["q"], EffAnd([EffAdd("r"), EffNot("q")]))]
+    domain, problem = PddlDomain("d", [":strips"], [], ["p", "q", "r"], actions), PddlProblem("x", "d", ["p"], ["r"])
+    hand_made = Policy({_FLAG: "a", frozenset({"q"}): "b"}, SolveMode.STRONG)
+    views = [repr, lambda policy: policy == hand_made, lambda policy: hand_made == policy, pickle.dumps, copy.copy,
+             copy.deepcopy, lambda policy: pickle.loads(pickle.dumps(policy))]
+    for view in views:
+        policy = solve(domain, problem, SolveMode.STRONG)
+        assert view(policy) == view(hand_made)
+    policy = solve(domain, problem, SolveMode.STRONG)
+    assert policy.mapping is policy.mapping  # decoded once
+    assert policy.mapping == hand_made.mapping and policy.kind is hand_made.kind
 
 
 def _modules_after(code: str) -> set[str]:
