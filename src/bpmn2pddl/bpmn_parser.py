@@ -159,7 +159,11 @@ _NODE_TAGS = dict.fromkeys(
 }
 # The same, keyed by ElementTree tag, so a process child is classified by one lookup.
 _KIND_BY_TAG = {f"{{{BPMN_NS}}}{name}": kind for name, kind in _NODE_TAGS.items()}
-_SEQUENCE_FLOW_TAG = f"{{{BPMN_NS}}}sequenceFlow"
+# The tags of the other elements read, each selected by ElementTree under its parent.
+_SEQUENCE_FLOW_TAG, _CONDITION_TAG, _PROCESS_TAG, _COLLABORATION_TAG, _PARTICIPANT_TAG, _MESSAGE_FLOW_TAG = (
+    f"{{{BPMN_NS}}}{name}"
+    for name in ("sequenceFlow", "conditionExpression", "process", "collaboration", "participant", "messageFlow")
+)
 
 # Non-control-flow elements that are legal to skip silently.
 _IGNORED_TAGS = {
@@ -224,18 +228,26 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
     Bytes are decoded by the encoding the XML declaration names (UTF-8
     when it names none); a str is taken as already decoded.
 
-    Each child of a process is classified by its ElementTree tag: a flow
-    node by one lookup in ``_KIND_BY_TAG``, a sequence flow by
-    ``_SEQUENCE_FLOW_TAG``. Any other element is skipped when it lies in a
-    foreign namespace or is one of ``_IGNORED_TAGS``, and is otherwise
-    rejected as :class:`UnsupportedElement` naming its local name.
+    ElementTree selects the BPMN-namespace elements read: the ``process``
+    children of ``definitions``, the first ``collaboration`` child, and its
+    ``participant`` and ``messageFlow`` children. Each participant whose
+    ``processRef`` names a process is that process's pool, in participant
+    order; each process no participant claims is a pool of its own, named
+    by the process. Each child of a process is classified by its
+    ElementTree tag: a flow node by one lookup in ``_KIND_BY_TAG``, a
+    sequence flow by ``_SEQUENCE_FLOW_TAG``. Any other element is skipped
+    when it lies in a foreign namespace or is one of ``_IGNORED_TAGS``, and
+    is otherwise rejected as :class:`UnsupportedElement` naming its local
+    name.
 
     Raises a :class:`ParseError` subclass on malformed XML, unsupported
     elements, dangling flow references, duplicate ids, or structurally
     invalid flows. A process, participant, flow node or flow whose id is
     missing or empty is :class:`InvalidStructure` (BPMN types ids as
-    ``xsd:ID``, which cannot be empty). Never raises anything else on str
-    or bytes input.
+    ``xsd:ID``, which cannot be empty), and so is a process claimed by two
+    participants. Two processes or two pools with one id are
+    :class:`DuplicateId`; pool ids may equal node ids. Never raises
+    anything else on str or bytes input.
     """
     try:
         root = _xml_root(xml_text)
@@ -248,60 +260,41 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
             f"root element is <{local}> in namespace {uri!r}, expected BPMN definitions"
         )
 
-    processes: list[ET.Element] = []
-    collaboration: ET.Element | None = None
-    for child in root:
-        curi, cname = _local(child.tag)
-        if curi != BPMN_NS:
-            continue
-        if cname == "process":
-            processes.append(child)
-        elif cname == "collaboration" and collaboration is None:
-            collaboration = child
+    processes = root.findall(_PROCESS_TAG)
+    collaboration = root.find(_COLLABORATION_TAG)
+    participants = [] if collaboration is None else collaboration.findall(_PARTICIPANT_TAG)
+    message_elems = [] if collaboration is None else collaboration.findall(_MESSAGE_FLOW_TAG)
 
-    participants: list[tuple[str, str | None, str | None]] = []
-    message_elems: list[ET.Element] = []
-    if collaboration is not None:
-        for child in collaboration:
-            curi, cname = _local(child.tag)
-            if curi != BPMN_NS:
-                continue
-            if cname == "participant":
-                pid = child.get("id")
-                if not pid:
-                    raise InvalidStructure("participant without id")
-                participants.append((pid, _clean_name(child.get("name")), child.get("processRef")))
-            elif cname == "messageFlow":
-                message_elems.append(child)
-
-    pools: list[Pool] = []
-    nodes: dict[str, FlowNode] = {}
-    sequence_flows: list[SequenceFlow] = []
-    seen_ids: set[str] = set()
-    process_pool: dict[str, str] = {}  # process id -> pool id
-    participant_refs = {ref for _, _, ref in participants if ref}
+    # One table from process id to pool: the participants' claims first, then each unclaimed process.
+    process_by_id = {proc.get("id"): proc for proc in processes}
+    pool_of: dict[str, Pool] = {}
+    for part in participants:
+        pid, ref = part.get("id"), part.get("processRef")
+        if not pid:
+            raise InvalidStructure("participant without id")
+        if ref in pool_of:
+            raise InvalidStructure(f"process {ref!r} is claimed by participants {pool_of[ref].id!r} and {pid!r}")
+        if ref and ref in process_by_id:
+            pool_of[ref] = Pool(pid, _clean_name(part.get("name")))
     for proc in processes:
         proc_id = proc.get("id")
         if not proc_id:
             raise InvalidStructure("process without id")
-        process_pool[proc_id] = proc_id  # overridden below when a participant claims it
+        if process_by_id[proc_id] is not proc:
+            raise DuplicateId(proc_id)
+        if proc_id not in pool_of:
+            pool_of[proc_id] = Pool(proc_id, _clean_name(proc.get("name")) or proc_id)
+    pools = list(pool_of.values())
+    pool_by_id = {pool.id: pool for pool in pools}
+    if len(pool_by_id) < len(pools):
+        raise DuplicateId(next(pool.id for pool in pools if pool_by_id[pool.id] is not pool))
 
-    for pid, pname, ref in participants:
-        if ref is not None and ref in process_pool:
-            process_pool[ref] = pid
-            pools.append(Pool(id=pid, name=pname))
-        # participants without a resolvable process carry no nodes; skip them
-
+    nodes: dict[str, FlowNode] = {}
+    sequence_flows: list[SequenceFlow] = []
+    seen_ids: set[str] = set()
     for proc in processes:
-        proc_id = proc.get("id")
-        if proc_id not in participant_refs:
-            pools.append(Pool(id=proc_id, name=_clean_name(proc.get("name")) or proc_id))
-
-    pool_by_id = {p.id: p for p in pools}
-
-    for proc in processes:
-        pool_id = process_pool[proc.get("id")]
-        node_ids = pool_by_id[pool_id].node_ids
+        pool = pool_of[proc.get("id")]
+        pool_id, node_ids = pool.id, pool.node_ids
         for elem in proc:
             tag = elem.tag
             kind = _KIND_BY_TAG.get(tag)
@@ -319,12 +312,7 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
                 if fid in seen_ids:
                     raise DuplicateId(fid)
                 seen_ids.add(fid)
-                label = _clean_name(elem.get("name"))
-                if label is None:
-                    for sub in elem:
-                        if _local(sub.tag) == (BPMN_NS, "conditionExpression"):
-                            label = _clean_name(sub.text)
-                            break
+                label = _clean_name(elem.get("name")) or _clean_name(elem.findtext(_CONDITION_TAG))
                 sequence_flows.append(SequenceFlow(fid, src, tgt, condition_label=label))
             else:
                 uri, name = _local(tag)
@@ -341,10 +329,11 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
                 f"({nodes[flow.source].pool!r} -> {nodes[flow.target].pool!r})"
             )
 
+    pool_ends = pool_by_id.keys() | ({part.get("processRef") for part in participants} - {None, ""})
     message_flows: list[MessageFlow] = []
     for elem in message_elems:
         fid, src, tgt = _flow_ends(elem, "message flow")
-        if src in pool_by_id or tgt in pool_by_id or src in participant_refs or tgt in participant_refs:
+        if src in pool_ends or tgt in pool_ends:
             # pool-level message flow: not a task/event interaction, skipped
             continue
         if fid in seen_ids:
@@ -357,8 +346,12 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
             raise InvalidStructure(f"message flow {fid!r} connects nodes of the same pool")
         message_flows.append(MessageFlow(id=fid, source=src, target=tgt))
 
-    if source_name is None:
-        source_name = _derive_source_name(collaboration, processes)
+    if source_name is None:  # the collaboration's name, else the first process name, else the first process id
+        source_name = processes[0].get("id") if processes else "process"
+        for elem in processes if collaboration is None else [collaboration, *processes]:
+            if name := _clean_name(elem.get("name")):
+                source_name = name
+                break
 
     return BpmnModel(
         pools=pools,
@@ -367,19 +360,3 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
         message_flows=message_flows,
         source_name=source_name,
     )
-
-
-def _derive_source_name(collaboration: ET.Element | None, processes: list[ET.Element]) -> str:
-    if collaboration is not None:
-        name = _clean_name(collaboration.get("name"))
-        if name:
-            return name
-    for proc in processes:
-        name = _clean_name(proc.get("name"))
-        if name:
-            return name
-    for proc in processes:
-        pid = proc.get("id")
-        if pid:
-            return pid
-    return "process"

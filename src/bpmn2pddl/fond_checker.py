@@ -901,10 +901,8 @@ def _cyclic_levels(space: StateSpace) -> list[int]:
                     if live[p] and level[owner[p]] < 0 and owner[p] in moved:
                         heappush(heap, (d + 1, owner[p]))
         wave = [r for r in region if level[r] < 0]
-        for r in moved.difference(wave):
+        for r in moved.difference(wave):  # re-levelled strictly higher, so no outside state leans on r
             support[r] = ends(r).count(level[r] - 1)
-            for s in leaning(r):
-                support[s] += 1
     return level
 
 

@@ -89,6 +89,13 @@ def test_check_linear_solvable(tmp_path, capsys):
     assert "deadlocks=0" in out
 
 
+def test_check_solve_strong_skips_the_strong_cyclic_solve(tmp_path, capsys):
+    code = main(["check", str(fixture("inclusive_pair.bpmn")), "--solve", "strong", "--out", str(tmp_path)])
+    assert code == 0
+    assert "inclusive_pair_all_starts: states=12 deadlocks=0 strong=yes strong_cyclic=- policy_size=9\n" \
+        in capsys.readouterr().out
+
+
 def test_check_pathology_reports_deadlocks(tmp_path, capsys):
     code = main(["check", str(fixture("xor_and_deadlock.bpmn")), "--out", str(tmp_path)])
     assert code == 2
@@ -263,6 +270,13 @@ def test_corpus_empty_dir(tmp_path):
     assert code == 0
     tsv = (tmp_path / "out" / "corpus_summary.tsv").read_text().splitlines()
     assert len(tsv) == 1
+
+
+def test_corpus_of_a_file_is_an_input_error(tmp_path, capsys):
+    code = main(["corpus", CREDIT, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {CREDIT} is not a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_corpus_unwritable_out(tmp_path, capsys):

@@ -201,6 +201,18 @@ class TestParsePddl:
         with pytest.raises(UnsupportedFeature):
             parse_pddl(text)
 
+    @pytest.mark.parametrize("precondition", ["(and (p) (not (q)))", "(not (q))"])
+    def test_negative_precondition_rejected(self, precondition):
+        text = f"(define (domain d) (:predicates (p) (q)) (:action a :precondition {precondition} :effect (q)))"
+        with pytest.raises(UnsupportedFeature, match="^negative preconditions are outside the supported subset$"):
+            parse_pddl(text)
+
+    def test_bare_delete_effect(self):
+        domain = parse_pddl("(define (domain d) (:predicates (p)) (:action a :precondition (p) :effect (not (p))))")
+        assert domain.actions[0].effect == EffAnd([EffNot("p")])
+        (action,) = ground_domain(domain)
+        assert [(set(o.adds), set(o.dels)) for o in action.outcomes] == [(set(), {"p"})]
+
     def test_predicate_arguments_rejected(self):
         with pytest.raises(UnsupportedFeature):
             parse_pddl("(define (domain d) (:predicates (at ?x)))")

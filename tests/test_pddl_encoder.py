@@ -830,6 +830,14 @@ class TestRendering:
         assert f"      (oneof\n        {inner}\n        (and ))\n      (not (p)))\n" in text
         assert ground_domain(parse_pddl(text)) == ground_domain(domain)
 
+    def test_oneof_outcome_with_a_delete_renders_on_one_line_and_reads_back(self):
+        effect = EffAnd([EffOneOf([EffAnd([EffAdd("p"), EffNot("q")]), EffAdd("q")]), EffNot("r")])
+        text = render_pddl(PddlDomain("d", [":strips"], [], ["p", "q", "r"], [PddlAction("x", ["r"], effect)]))
+        assert "      (oneof\n        (and (p) (not (q)))\n        (q))\n      (not (r)))\n" in text
+        domain = parse_pddl(text)
+        assert domain.actions[0].effect == effect
+        assert render_pddl(domain) == text
+
     def test_leaf_subclass_renders_as_its_base(self):
         class Marked(EffAdd):
             pass
@@ -1042,6 +1050,33 @@ class TestMessageShapes:
         assert len(domain.predicates) == 10
         assert [p for p in domain.predicates if p.startswith(("arr_", "msg_"))] == ["arr_J_0", "msg_TA_to_J"]
         assert next(a for a in domain.actions if a.name == "event_J").precondition == ["arr_J_0", "msg_TA_to_J"]
+
+    def test_task_message_into_a_task_entered_only_by_messages(self):
+        """Task TB has no sequence flow in; XA's message is its only control flow. TA's emulated message then
+        forces TB's own marker, and the explored space is the token game's."""
+        from bpmn2pddl.fond_checker import explore
+        from token_game import TokenGame
+
+        xml = _two_pools(["startEvent:SA", "task:TA", "intermediateThrowEvent:XA", "endEvent:EA"],
+                         ["startEvent:SB", "endEvent:EB"], ("TA", "TB"))
+        flows = '<bpmn:messageFlow id="M2" sourceRef="XA" targetRef="TB"/>'
+        tail = ('<bpmn:task id="TB"/><bpmn:endEvent id="EB2"/>'
+                '<bpmn:sequenceFlow id="F_TB_EB2" sourceRef="TB" targetRef="EB2"/></bpmn:process>')
+        xml = xml.replace("</bpmn:collaboration>", flows + "</bpmn:collaboration>").replace(
+            '<bpmn:sequenceFlow id="F_SB_EB" sourceRef="SB" targetRef="EB"/></bpmn:process>',
+            '<bpmn:sequenceFlow id="F_SB_EB" sourceRef="SB" targetRef="EB"/>' + tail)
+        graph = _graph(xml, MessageStrategy.EXCLUSIVE_EMULATION)
+        assert graph.normal_incoming("TB") == [] and [m.id for m in graph.task_task_messages] == ["M1"]
+        domain = parse_pddl(render_pddl(emit_domain(graph)))
+        actions = {action.name: action for action in domain.actions}
+        assert [sorted(_adds_of(outcome)) for outcome in actions["ta"].effect.items[0].outcomes] == [["XA"], ["TB", "XA"]]
+        game = TokenGame(graph)
+        for problem in emit_problems(graph):
+            space = explore(domain, problem)
+            states, edges, _ = game.explore(frozenset(problem.init))
+            assert set(space.states) == states, problem.variant
+            assert {(space.states[s], space.states[t]) for s, moves in enumerate(space.transitions)
+                    for _a, _o, t in moves} == edges, problem.variant
 
     @pytest.mark.parametrize("done_mode, done", [(DoneMode.ANY_END, "done"), (DoneMode.ALL_POOLS, "pool_done_a")])
     def test_an_end_event_sends_its_message(self, done_mode, done):
