@@ -233,12 +233,13 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
     ``participant`` and ``messageFlow`` children. Each participant whose
     ``processRef`` names a process is that process's pool, in participant
     order; each process no participant claims is a pool of its own, named
-    by the process. Each child of a process is classified by its
-    ElementTree tag: a flow node by one lookup in ``_KIND_BY_TAG``, a
-    sequence flow by ``_SEQUENCE_FLOW_TAG``. Any other element is skipped
-    when it lies in a foreign namespace or is one of ``_IGNORED_TAGS``, and
-    is otherwise rejected as :class:`UnsupportedElement` naming its local
-    name.
+    by the process. A message flow from or to a pool, a process or any
+    participant (a black box, without a process, too) is skipped. Each child
+    of a process is classified by its ElementTree tag: a flow node by one
+    lookup in ``_KIND_BY_TAG``, a sequence flow by ``_SEQUENCE_FLOW_TAG``.
+    Any other element is skipped when it lies in a foreign namespace or is
+    one of ``_IGNORED_TAGS``, and is otherwise rejected as
+    :class:`UnsupportedElement` naming its local name.
 
     Raises a :class:`ParseError` subclass on malformed XML, unsupported
     elements, dangling flow references, duplicate ids, or structurally
@@ -329,7 +330,8 @@ def parse_bpmn(xml_text: str | bytes, *, source_name: str | None = None) -> Bpmn
                 f"({nodes[flow.source].pool!r} -> {nodes[flow.target].pool!r})"
             )
 
-    pool_ends = pool_by_id.keys() | ({part.get("processRef") for part in participants} - {None, ""})
+    refs = {ref for part in participants for ref in (part.get("id"), part.get("processRef"))}
+    pool_ends = pool_by_id.keys() | (refs - {None, ""})
     message_flows: list[MessageFlow] = []
     for elem in message_elems:
         fid, src, tgt = _flow_ends(elem, "message flow")

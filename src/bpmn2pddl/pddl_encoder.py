@@ -11,13 +11,15 @@ before releasing. Converging gateways wait on one arrival predicate per
 incoming sequence flow. Message interactions synthesized into the graph,
 an end event's included, carry ``msg_*`` predicates from sender to
 receiver; a join waits on a message through its ``msg_*`` predicate.
-``_Encoder`` claims every predicate name, and ``_Encoder._marker`` alone
-decides the predicate a token on a flow sets: building the domain resolves
-each flow's marker once, into ``_Encoder.markers``; building the problems
-asks it for the messages start events send. One encoder serves both
-(``emit_pddl``), and sanitizes each name text once. Every action is built by
-``_Encoder._action``, which claims its name and decides its effect's shape.
-Inclusive joins find their splits in one dominator pass per pool, O(pool).
+``_Encoder.__init__`` claims every predicate name and builds every table
+the encodings read, each once: ``markers``, the predicate a token on each
+flow sets, which the node encodings, the problems and message emulation
+all read; ``messages_from``, the markers each emulated message adds; and
+``join_split``, each inclusive join's split, found in one dominator pass
+per pool, O(pool). One encoder serves the domain and its problems
+(``emit_pddl``), and sanitizes each name text once. Every action is built
+by ``_Encoder._action``, which claims its name and decides its effect's
+shape.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ class _NameAllocator:
 
 
 class _Encoder:
-    """Claims the predicate names of a graph and encodes its nodes."""
+    """Claims the predicate names of a graph, builds the tables its
+    encodings read, and encodes its nodes."""
 
     def __init__(self, graph: ProcessGraph, options: EncodeOptions):
         if not graph.source_name:  # the domain and its problems are named after it
@@ -189,11 +192,13 @@ class _Encoder:
         nodes, incoming, flows, node_pred = graph.nodes, graph.incoming, graph.flows, self.node_pred
         claim, inclusive = self.preds.claim, NodeKind.INCLUSIVE_GATEWAY
         self.counters: dict[str, list[str]] = {}  # inclusive split -> count_<g>_0..width
+        joins: dict[str, list[str]] = {}  # pool -> its inclusive joins, document order
         for nid, node in nodes.items():
             if node.kind is not inclusive:
                 continue
-            if len(incoming[nid]) >= 2:
-                continue  # converging side uses the matched split's counter
+            if len(incoming[nid]) >= 2:  # converging side uses the matched split's counter
+                joins.setdefault(node.pool, []).append(nid)
+                continue
             width = len(graph.outgoing[nid])
             if width > options.max_inclusive_branches:
                 raise EncodingError(
@@ -212,10 +217,27 @@ class _Encoder:
                 if not flow.synthetic and nodes[flow.source].kind is not _START:
                     self.arr[fid] = claim(f"arr_{node_pred[nid]}_{i}")
 
+        # flow -> the predicate a token on it sets: a start event target's own predicate, else the
+        # flow's message, else its join arrival, else a start event source's predicate, else the target's
         self.msg: dict[str, str] = {}
+        self.markers: dict[str, str] = {}
         for fid, flow in flows.items():
-            if flow.synthetic and nodes[flow.target].kind is not _START:  # a message-start's marker is its start
-                self.msg[fid] = claim(f"msg_{node_pred[flow.source]}_to_{node_pred[flow.target]}")
+            source, target = flow.source, flow.target
+            if nodes[target].kind is _START:  # a message-start's marker is its start
+                self.markers[fid] = node_pred[target]
+            elif flow.synthetic:
+                self.markers[fid] = self.msg[fid] = claim(f"msg_{node_pred[source]}_to_{node_pred[target]}")
+            else:
+                self.markers[fid] = self.arr.get(fid) or node_pred[source if nodes[source].kind is _START else target]
+
+        # task -> what each of its emulated messages adds, document order: the marker of the receiving
+        # task's first incoming flow, a sequence flow first
+        self.messages_from: dict[str, list[str]] = {}
+        if graph.msg_strategy is MessageStrategy.EXCLUSIVE_EMULATION:
+            for msg in graph.task_task_messages:
+                entry = (graph.normal_incoming(msg.target) or incoming[msg.target])[0]
+                self.messages_from.setdefault(msg.source, []).append(self.markers[entry])
+        self.join_split = self._match_inclusive_joins(joins)  # inclusive join -> its split
 
     def _stem(self, raw: str) -> str:
         """``sanitize_id(raw, lower=True)``, computed once per text: task
@@ -225,24 +247,7 @@ class _Encoder:
             stem = self.stems[raw] = sanitize_id(raw, lower=True)
         return stem
 
-    # -- marker resolution ---------------------------------------------------
-
-    def _marker(self, fid: str) -> str:
-        """The predicate a token on flow `fid` sets: the target's predicate
-        if it is a start event, else the flow's join arrival, else its
-        message, else the source's predicate if it is a start event, else
-        the target's predicate."""
-        flow, nodes, node_pred = self.graph.flows[fid], self.graph.nodes, self.node_pred
-        if nodes[flow.target].kind is _START:
-            return node_pred[flow.target]
-        marker = self.arr.get(fid) or self.msg.get(fid)
-        if marker:
-            return marker
-        return node_pred[flow.source if nodes[flow.source].kind is _START else flow.target]
-
-    def _flow_markers(self) -> dict[str, str]:
-        """:meth:`_marker` of every flow, for the node encodings to look up."""
-        return {fid: self._marker(fid) for fid in self.graph.flows}
+    # -- marker lookup ----------------------------------------------------------
 
     def entry_markers(self, node_id: str) -> list[str]:
         """Markers a node's action consumes, incoming order."""
@@ -252,23 +257,20 @@ class _Encoder:
         """Markers a node's action produces, outgoing order."""
         return [self.markers[f] for f in self.graph.outgoing[node_id]]
 
-    def _match_inclusive_joins(self) -> dict[str, str]:
-        """Pair each inclusive join with the nearest inclusive split of its pool
-        that dominates it along the pool's own sequence flows; a join with none,
-        or unreached, is an :class:`EncodingError`. One pass per pool holding a
-        join, O(pool size) but for the few sweeps Cooper, Harvey & Kennedy's
-        iteration ("A simple, fast dominance algorithm", 2001) takes to settle:
-        number the nodes breadth first from a virtual root 0 over the start
-        events (a strict dominator is on every shortest path, so numbered
-        first), iterate from the BFS tree, then give each node its nearest
-        split on its dominator chain."""
-        graph = self.graph
+    def _match_inclusive_joins(self, joins: dict[str, list[str]]) -> dict[str, str]:
+        """Pair each inclusive join of `joins` (pool -> its joins) with the
+        nearest inclusive split, a key of ``counters``, that dominates it along
+        its pool's own sequence flows (none leaves the pool, so the splits
+        reached are the pool's); a join with none, or unreached, is an
+        :class:`EncodingError`. One pass per pool holding a join, O(pool size)
+        but for the few sweeps Cooper, Harvey & Kennedy's iteration ("A simple,
+        fast dominance algorithm", 2001) takes to settle: number the nodes
+        breadth first from a virtual root 0 over the start events (a strict
+        dominator is on every shortest path, so numbered first), iterate from
+        the BFS tree, then give each node its nearest split on its dominator
+        chain."""
+        graph, splits = self.graph, self.counters
         outgoing, flows = graph.outgoing, graph.flows
-        joins: dict[str, list[str]] = {}  # pool -> its inclusive joins, document order
-        splits: dict[str, list[str]] = {}
-        for nid, node in graph.nodes.items():
-            if node.kind is NodeKind.INCLUSIVE_GATEWAY:
-                (joins if len(graph.incoming[nid]) >= 2 else splits).setdefault(node.pool, []).append(nid)
         mapping: dict[str, str] = {}
         for pool, pool_joins in joins.items():
             order = [None, *dict.fromkeys(graph.start_nodes[pool])]  # breadth-first; 0 is the virtual root
@@ -302,10 +304,9 @@ class _Encoder:
                                 new = idom[new]
                     changed |= idom[v] != new
                     idom[v] = new
-            pool_splits = set(splits.get(pool, ()))
             near = [None] * len(order)  # the nearest split on each node's dominator chain, itself included
             for v in range(1, len(order)):
-                near[v] = order[v] if order[v] in pool_splits else near[idom[v]]
+                near[v] = order[v] if order[v] in splits else near[idom[v]]
             for join in pool_joins:
                 split = near[idom[index.get(join, 0)]]  # an unreached join takes the root's: none
                 if split is None:
@@ -342,15 +343,8 @@ class _Encoder:
         adds = self.out_markers(node.id)
         outcomes = [adds]
         if node.id in self.messages_from:  # one more outcome per message the task sends
-            outcomes += [[*adds, self._emulation_trigger(target)] for target in self.messages_from[node.id]]
+            outcomes += [[*adds, sent] for sent in self.messages_from[node.id]]
         return self._action(self._stem(node.name or node.id), pre, outcomes, pre)
-
-    def _emulation_trigger(self, task_id: str) -> str:
-        """Entry marker forced true when a task-task message is emulated."""
-        normal_in = self.graph.normal_incoming(task_id)
-        if normal_in:
-            return self.markers[normal_in[0]]
-        return self.node_pred[task_id]
 
     def _encode_event(self, node: FlowNode) -> PddlAction | None:
         if node.kind is _START:
@@ -424,13 +418,6 @@ class _Encoder:
                 *self.msg.values()]
 
     def domain(self) -> PddlDomain:
-        # the tables only actions read
-        self.markers = self._flow_markers()
-        self.messages_from: dict[str, list[str]] = {}  # task -> targets of its emulated messages, document order
-        if self.graph.msg_strategy is MessageStrategy.EXCLUSIVE_EMULATION:
-            for msg in self.graph.task_task_messages:
-                self.messages_from.setdefault(msg.source, []).append(msg.target)
-        self.join_split = self._match_inclusive_joins()
         actions: list[PddlAction] = []
         for node in self.graph.nodes.values():
             actions.extend(self.encode_node(node))
@@ -455,7 +442,7 @@ class _Encoder:
         graph, node_pred = self.graph, self.node_pred
         zeros = [count[0] for count in self.counters.values()]
         start_messages = [  # (sender's start predicate, marker) of each message a start event sends
-            (node_pred[flow.source], self._marker(fid))
+            (node_pred[flow.source], self.markers[fid])
             for fid, flow in graph.flows.items()
             if flow.synthetic and graph.nodes[flow.source].kind is _START
         ]

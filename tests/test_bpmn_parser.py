@@ -335,8 +335,12 @@ def test_message_flows_of_pools_are_skipped():
     model = parse_bpmn(_two_processes("PA:P1 PB:P2 X:Q", flows=flows + '<bpmn:messageFlow id="M" sourceRef="T1" '
                                       'targetRef="T2"/>'))
     assert [f.id for f in model.message_flows] == ["M"]
-    with pytest.raises(DanglingReference):  # an unclaimed process is a pool; a participant without one is not
-        parse_bpmn(_two_processes("PA:P1 X:Q", flows='<bpmn:messageFlow id="M" sourceRef="T1" targetRef="X"/>'))
+    to_black_box = '<bpmn:messageFlow id="M" sourceRef="T1" targetRef="X"/>'
+    for claims in ("PA:P1 X:Q", "PA:P1 X:"):  # an unclaimed process is a pool, and so is a participant without one
+        black_box = _two_processes(claims, flows=to_black_box).replace(' processRef=""', "")
+        assert parse_bpmn(black_box).message_flows == []
+    with pytest.raises(DanglingReference):  # a reference that names no node, pool or participant
+        parse_bpmn(_two_processes("PA:P1 X:Q", flows='<bpmn:messageFlow id="M" sourceRef="T1" targetRef="Nowhere"/>'))
     to_process = '<bpmn:messageFlow id="M" sourceRef="T1" targetRef="P2"/>'
     assert parse_bpmn(_two_processes("PA:P1", flows=to_process)).message_flows == []
 

@@ -176,14 +176,13 @@ class TestSyntaxWordIds:
 
 
 class TestMarkers:
-    """Each flow's marker, decided once in `_Encoder.markers` when the domain
+    """Each flow's marker, decided once in `_Encoder.markers` when the encoder
     is built, is the one the original per-use branch chain gives."""
 
     @staticmethod
     def _assert_markers(xml, strategy: MessageStrategy) -> None:
         graph = build_graph(parse_bpmn(xml), strategy)
         enc = _Encoder(graph, EncodeOptions())
-        enc.domain()
         assert enc.markers == {fid: reference_solver.marker(enc, fid) for fid in graph.flows}
 
     @pytest.mark.parametrize("strategy", list(MessageStrategy))
@@ -201,23 +200,20 @@ class TestMarkers:
     def test_one_translation_builds_the_marker_table_once(self, monkeypatch):
         from bpmn2pddl import pddl_encoder
 
-        encoders, calls = [], []
-        init, flow_markers = pddl_encoder._Encoder.__init__, pddl_encoder._Encoder._flow_markers
+        encoders, built = [], []  # each encoder, and its attributes when __init__ returns
+        init = pddl_encoder._Encoder.__init__
 
         def recorded(self, *args):
-            encoders.append(self)
             init(self, *args)
-
-        def counted(self):
-            calls.append(self)
-            return flow_markers(self)
+            encoders.append(self)
+            built.append(dict(vars(self)))
 
         monkeypatch.setattr(pddl_encoder._Encoder, "__init__", recorded)
-        monkeypatch.setattr(pddl_encoder._Encoder, "_flow_markers", counted)
         translate(fixture("msg_task_task.bpmn"))  # the domain and the problems from one encoder
         assert len(encoders) == 1
-        assert calls == encoders
-        assert hasattr(encoders[0], "messages_from")
+        assert {"markers", "messages_from", "join_split"} <= built[0].keys()
+        assert vars(encoders[0]).keys() == built[0].keys()  # building the domain and problems adds no table
+        assert built[0]["messages_from"]  # the fixture's task-task message is emulated
 
 
 class TestTaskEncoding:
@@ -659,18 +655,25 @@ class TestInclusiveJoinMatching:
     @given(_block_pools())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_on_random_pools(self, graph):
-        enc = _Encoder(graph, EncodeOptions(max_inclusive_branches=len(graph.flows)))
+        options = EncodeOptions(max_inclusive_branches=len(graph.flows))
         try:
             expected = reference_solver.match_inclusive_joins(graph)
         except EncodingError as exc:
             with pytest.raises(EncodingError, match=f"^{re.escape(str(exc))}$"):
-                enc._match_inclusive_joins()
+                _Encoder(graph, options)
         else:
-            assert enc._match_inclusive_joins() == expected
+            assert _Encoder(graph, options).join_split == expected
 
     def test_join_no_split_dominates_rejected(self):
         with pytest.raises(EncodingError, match="^inclusive join 'Join_1' has no matching diverging inclusive gateway$"):
             emit_domain(_graph(BYPASS))
+
+    def test_problems_alone_reject_join_no_split_dominates(self):
+        with pytest.raises(EncodingError) as domain_error:
+            emit_domain(_graph(BYPASS))
+        with pytest.raises(EncodingError) as problems_error:
+            emit_problems(_graph(BYPASS))
+        assert str(problems_error.value) == str(domain_error.value)
 
     def test_translate_rejects_join_no_split_dominates(self, tmp_path, capsys):
         from bpmn2pddl.cli import main
@@ -1053,7 +1056,8 @@ class TestMessageShapes:
 
     def test_task_message_into_a_task_entered_only_by_messages(self):
         """Task TB has no sequence flow in; XA's message is its only control flow. TA's emulated message then
-        forces TB's own marker, and the explored space is the token game's."""
+        adds the marker of TB's first incoming flow, XA's message, so no state holds TB's own predicate, and the
+        explored space is the token game's."""
         from bpmn2pddl.fond_checker import explore
         from token_game import TokenGame
 
@@ -1069,7 +1073,8 @@ class TestMessageShapes:
         assert graph.normal_incoming("TB") == [] and [m.id for m in graph.task_task_messages] == ["M1"]
         domain = parse_pddl(render_pddl(emit_domain(graph)))
         actions = {action.name: action for action in domain.actions}
-        assert [sorted(_adds_of(outcome)) for outcome in actions["ta"].effect.items[0].outcomes] == [["XA"], ["TB", "XA"]]
+        outcomes = actions["ta"].effect.items[0].outcomes
+        assert [sorted(_adds_of(outcome)) for outcome in outcomes] == [["XA"], ["XA", "msg_XA_to_TB"]]
         game = TokenGame(graph)
         for problem in emit_problems(graph):
             space = explore(domain, problem)
@@ -1077,6 +1082,7 @@ class TestMessageShapes:
             assert set(space.states) == states, problem.variant
             assert {(space.states[s], space.states[t]) for s, moves in enumerate(space.transitions)
                     for _a, _o, t in moves} == edges, problem.variant
+            assert not any("TB" in state for state in states), problem.variant
 
     @pytest.mark.parametrize("done_mode, done", [(DoneMode.ANY_END, "done"), (DoneMode.ALL_POOLS, "pool_done_a")])
     def test_an_end_event_sends_its_message(self, done_mode, done):

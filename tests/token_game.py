@@ -191,9 +191,9 @@ class TokenGame:
             for msg in self.graph.task_task_messages:
                 if msg.source != nid:
                     continue
-                normal_in = self.graph.normal_incoming(msg.target)
-                trigger = self.marker(normal_in[0]) if normal_in else self.pred[msg.target]
-                results.append(base | {trigger})
+                # the receiving task's first incoming flow, a sequence flow first
+                entry = (self.graph.normal_incoming(msg.target) or self.graph.incoming[msg.target])[0]
+                results.append(base | {self.marker(entry)})
         return results
 
     def _fire_simple(self, state: frozenset, nid: str, end: bool) -> list[frozenset]:
