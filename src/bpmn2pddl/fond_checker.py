@@ -543,17 +543,21 @@ class StateSpace(Record):
     State ``s`` is the int ``masks[s]``; bit ``i`` is predicate ``preds[i]``.
     Pair ``p`` is action ``name[p]`` applied in state ``owner[p]``, with each
     outcome's successor in ``succs[p]``; state ``s`` has the pairs
-    ``range(first[s], first[s + 1])``, in domain order, and ``rev[t]`` lists
-    the pairs leading to ``t``, once per outcome. Successors are immutable
-    tuples, and every one-outcome pair into ``t`` shares the one ``(t,)``:
-    per state the space holds a mask, a ``rev`` list and that tuple, per
-    pair list entries and, for a multi-outcome pair, its own tuple, so its
-    size is O(states + transitions). ``actions`` maps each action name to
-    its outcomes' add masks, in outcome order; the applicable-action sets
-    :func:`explore` searches with are not kept. :meth:`state` decodes one
-    state from its set bits, once, so the solvers, traces and DOT export
-    decode only the states they touch; ``states`` and ``transitions`` decode
-    the whole space, once, on first use.
+    ``range(first[s], first[s + 1])``, in domain order. ``rev[t]`` lists
+    the transitions into ``t`` in pair order: a one-outcome pair as its
+    owner state ``s``, the int the space already holds, and a multi-outcome
+    pair ``p`` as ``~p``, negative, once per outcome; its first entry found
+    ``t``. Successors are immutable tuples, and every one-outcome pair into
+    ``t`` shares the one ``(t,)``: per state the space holds a mask, one
+    int, a ``rev`` list and that tuple, per pair list entries and, for a
+    multi-outcome pair, its own tuple and its ``~p``, so its size is
+    O(states + transitions) with no object per one-outcome transition.
+    ``actions`` maps each action name to its outcomes' add masks, in
+    outcome order; the applicable-action sets :func:`explore` searches with
+    are not kept. :meth:`state` decodes one state from its set bits, once,
+    so the solvers, traces and DOT export decode only the states they
+    touch; ``states`` and ``transitions`` decode the whole space, once, on
+    first use.
     """
 
     # no __slots__: the views and the decoded states live in the instance's __dict__
@@ -621,10 +625,13 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
     actions that need nothing and the users of that bit it satisfies.
 
     Successors are immutable tuples; a state's ``(t,)`` is shared by every
-    one-outcome pair into it, so each state allocates a mask, a ``rev`` list
-    and that tuple, each pair only flat-list entries, and ``owner`` comes
-    from ``first`` after the search. O(states + transitions) steps, each a
-    mask operation or a hash of a state of O(predicates / 30) machine words:
+    one-outcome pair into it, and its ``t`` is the state's one int object,
+    which the search expands, ``rev`` lists and ``owner`` repeats. So each
+    state allocates a mask, that int, a ``rev`` list and that tuple, each
+    one-outcome pair only flat-list entries, each multi-outcome pair its
+    tuple and one ``~p``, and ``owner`` comes from ``first`` after the
+    search. O(states + transitions) steps, each a mask operation or a hash
+    of a state of O(predicates / 30) machine words:
     a chain of n tasks, n + 2 states over n + 3 predicates, explores in
     O(n² / 30) word operations: 1.8, 4.4, 12.6 and 46 ms at 600, 1200, 2400
     and 4800 tasks (best of 30, GC off, Python 3.11 on a 2-vCPU Xeon VM).
@@ -647,13 +654,13 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
         table[bit] = [nm, *outs[0], None, None if len(outs) == 1 else [[add, keep, None] for add, keep in outs]]
         adds[nm] = tuple(map(add_of, outs))
 
-    masks, index, rev, alone = [init], {init: 0}, [[]], [(0,)]  # alone[t] is the tuple (t,)
+    masks, index, rev, alone = [init], {init: 0}, [[]], [(0,)]  # alone[t] is the tuple (t,) of t's one int
     woken = (bit for p, bit in _changes(init, -1, users)[1] if init & p == p)  # the users of init's bits that apply
     en = [reduce(or_, woken, always)]  # en[s]: bit a set if action a applies in state s
     name, succs, first = [], [], []
     goal_states, deadlock_states = set(), set()
     n, pairs, max_states = 1, 0, limits.max_states  # len(masks), len(name)
-    for s, state in enumerate(masks):  # grows while it is read: the BFS queue
+    for (s,), state in zip(alone, masks):  # grow while they are read: the BFS queue
         first.append(pairs)
         e = mine = en[s]
         while e:  # lowest bit first: domain order
@@ -681,10 +688,10 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
                         if succ & p == p:
                             new |= bit
                     en.append(new)
-                rev[t].append(pairs)
+                rev[t].append(s)
                 succs.append(alone[t])
             else:
-                out = []
+                out, q = [], ~pairs
                 for entry in outs:
                     add, keep, row = entry
                     succ = state & keep | add
@@ -703,7 +710,7 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
                             if succ & p == p:
                                 new |= bit
                         en.append(new)
-                    rev[t].append(pairs)
+                    rev[t].append(q)
                     out.append(t)
                 succs.append(tuple(out))
             pairs += 1
@@ -712,7 +719,8 @@ def explore(domain: PddlDomain, problem: PddlProblem, limits: Limits | None = No
         elif not mine:
             deadlock_states.add(s)
     first.append(pairs)
-    owner = list(chain.from_iterable(map(repeat, range(n), map(sub, first[1:], first))))
+    del en, index  # before `owner` is built, so the two never add to explore's peak memory
+    owner = list(chain.from_iterable(map(repeat, chain.from_iterable(alone), map(sub, first[1:], first))))
     return StateSpace(masks, list(power), owner, name, succs, first, rev, goal_states, deadlock_states, adds)
 
 
@@ -733,10 +741,12 @@ def _changes(add: int, keep: int, users: list[list[tuple[int, int]]]) -> tuple[i
 
 def _state_limit(limits: Limits, states: int, s: int, first: list[int], rev: list[list[int]]) -> LimitExceeded:
     """The error for a search that found `states` states, more than
-    `limits` allows, while expanding state `s`: how far it got."""
+    `limits` allows, while expanding state `s`: how far it got, its depth
+    read back along each state's first ``rev`` entry, which found it."""
     depth, u = 0, s
-    while u:  # back along the pairs that discovered each state; pair p's owner is the last u with first[u] <= p
-        depth, u = depth + 1, bisect_right(first, rev[u][0]) - 1
+    while u:  # ~p names pair p, whose owner is the last u with first[u] <= p: `owner` comes after the search
+        x = rev[u][0]
+        depth, u = depth + 1, x if x >= 0 else bisect_right(first, ~x) - 1
     exc = LimitExceeded(f"more than {limits.max_states} states reachable")
     exc.states, exc.expanded, exc.frontier, exc.depth = states, s, states - s, depth
     return exc
@@ -769,30 +779,36 @@ class Policy(Record):
         self._mapping, self._solved = mapping, None
 
 
-def _backward(owner: list[int], rev: list[list[int]], pending: list[int], goals) -> list[int]:
-    """Backward induction from `goals` over (state, successor-list) pairs.
+def _backward(owner: list[int], rev: list[list[int]] | dict[int, list[int]], pending: list[int] | dict[int, int],
+              goals, level: list[int] | dict[int, int]) -> list[int] | dict[int, int]:
+    """Backward induction from `goals` over reverse edges in the form of :attr:`StateSpace.rev`.
 
-    A pair fires when its `pending` counter reaches 0; each popped successor
-    decrements it once per outcome. Starting counters at the number of
+    `level` holds -1 for every state `rev` lists, a list or a dict, and is
+    filled in and returned. A state entry ``s`` in ``rev[t]`` fires at once
+    when ``t`` is popped: a one-outcome pair wins with its one successor. An
+    entry ``~p`` counts pair ``p``'s `pending` counter down, once per
+    outcome, and fires when it reaches 0. Starting counters at the number of
     outcomes asks for every outcome to win (strong); starting at 1 asks for
     some outcome to reach (strong-cyclic); 0 disables the pair. The first
-    pair to fire gives its owner a level one above the state that fired it.
-    The queue is FIFO, so levels are BFS layers: for "some outcome" they are
-    goal distances, for "every outcome" 1 + the max over the successors of
-    the best pair. Returns the level of each state of `rev`, -1 where
-    none. O(states + transitions), iterative; `pending` is consumed.
+    entry to fire gives its state, or pair ``p``'s owner, a level one above
+    the state that fired it. The queue is FIFO, so levels are BFS layers:
+    for "some outcome" they are goal distances, for "every outcome" 1 + the
+    max over the successors of the best pair. O(states + entries),
+    iterative; `pending` is consumed.
     """
-    level = [-1] * len(rev)
     queue = list(goals)
     for g in queue:
         level[g] = 0
     for t in queue:  # grows while it is read: a FIFO
         above = level[t] + 1
-        for p in rev[t]:
-            c = pending[p]
-            if c != 1:
-                pending[p] = c - 1
-            elif level[s := owner[p]] < 0:  # a fired pair stays at 1; its owner has a level from then on
+        for s in rev[t]:
+            if s < 0:
+                c = pending[~s]
+                if c != 1:
+                    pending[~s] = c - 1
+                    continue
+                s = owner[~s]  # a fired pair stays at 1; its owner has a level from then on
+            if level[s] < 0:
                 level[s] = above
                 queue.append(s)
     return level
@@ -822,8 +838,8 @@ def solve(
         space = explore(domain, problem, limits)
 
     strong = mode is SolveMode.STRONG
-    level = _backward(space.owner, space.rev, list(map(len, space.succs)), space.goal_states) if strong \
-        else _cyclic_levels(space)
+    level = _backward(space.owner, space.rev, list(map(len, space.succs)), space.goal_states,
+                      [-1] * len(space.rev)) if strong else _cyclic_levels(space)
     if level[0] < 0:
         raise Unsolvable(mode)
     first, name, succs = space.first, space.name, space.succs
@@ -860,13 +876,20 @@ def _cyclic_levels(space: StateSpace) -> list[int]:
     leave it. Region states not reached are the next wave: one fixpoint
     round per wave (decremental shortest paths; Even & Shiloach, JACM 1981).
     O(states + transitions), plus E log E for the E edges of each wave's
-    region. Stops once the initial state loses.
+    region. Stops once the initial state loses. Only when the first pass
+    leaves losers does it list the pairs into each state, once per outcome,
+    from ``succs``: a wave disables pairs, and ``rev``'s state entries do
+    not name theirs.
     """
-    owner, rev, succs, first = space.owner, space.rev, space.succs, space.first
-    level = _backward(owner, rev, [1] * len(owner), space.goal_states)
+    owner, succs, first = space.owner, space.succs, space.first
+    level = _backward(owner, space.rev, [1] * len(owner), space.goal_states, [-1] * len(space.rev))
     wave = [s for s, d in enumerate(level) if d < 0]
     if not wave:
         return level
+    rev = [[] for _ in level]  # rev[t]: the pairs into t, once per outcome, in pair order
+    for p, ts in enumerate(succs):
+        for t in ts:
+            rev[t].append(p)
     live = [True] * len(owner)
 
     def ends(r: int) -> list[int]:  # the levels the live pairs of r lead to, once per outcome
@@ -952,16 +975,20 @@ def verify_policy(space: StateSpace, policy: Policy) -> None:
     :func:`_policy_pairs` follows the policy from the initial state; in
     every reached non-goal state its action must be mapped and applicable,
     unless the state has no applicable action at all (a non-goal leaf).
-    Then one :func:`_backward` pass over the space's own edges, with only
-    the chosen pairs enabled, checks the mode: strong asks every outcome to
-    win, so the initial state wins exactly when the policy graph has no
-    cycle and no non-goal leaf; strong-cyclic asks some outcome to reach,
-    so every reached state must still reach a goal. O(states + transitions),
+    Then one :func:`_backward` pass over the policy graph alone checks the
+    mode. Its reverse edges take ``rev``'s form for the chosen pairs only: a
+    one-outcome pair as its owner state, a multi-outcome pair ``p`` as
+    ``~p`` per outcome, with its counter in a dict. So the pairs the policy
+    did not choose, which the space's ``rev`` lists as bare states too,
+    cannot fire. Strong asks every outcome to win, so the initial state wins
+    exactly when the policy graph has no cycle and no non-goal leaf;
+    strong-cyclic asks some outcome to reach, so every reached state must
+    still reach a goal. O(reached states + their chosen outcomes),
     iterative. Raises :class:`PolicyVerificationError`.
     """
     strong = policy.kind is SolveMode.STRONG
     reached, chosen = _policy_pairs(space, policy)
-    pending = [0] * len(space.owner)  # only the chosen pairs can fire
+    rev, pending = {s: [] for s in reached}, {}  # the policy graph's reverse edges and counters
     leaves = False
     for s, p in chosen.items():  # in the order reached
         if p == -1:
@@ -970,13 +997,18 @@ def verify_policy(space: StateSpace, policy: Policy) -> None:
             leaves = True
         elif p == -2:
             raise PolicyVerificationError(f"policy action {policy.mapping[space.state(s)]!r} not applicable")
+        elif len(ts := space.succs[p]) == 1:
+            rev[ts[0]].append(s)
         else:
-            pending[p] = len(space.succs[p]) if strong else 1
+            pending[p], q = len(ts) if strong else 1, ~p
+            for t in ts:
+                rev[t].append(q)
 
-    level = _backward(space.owner, space.rev, pending, [s for s in reached if s in space.goal_states])
+    goals = [s for s in reached if s in space.goal_states]
+    level = _backward(space.owner, rev, pending, goals, dict.fromkeys(rev, -1))
     if strong and level[0] < 0:
         raise PolicyVerificationError(f"strong policy {'reaches a non-goal leaf' if leaves else 'revisits a state'}")
-    if not strong and any(level[s] < 0 for s in reached):
+    if not strong and -1 in level.values():
         raise PolicyVerificationError("strong-cyclic policy can get stuck away from the goal")
 
 

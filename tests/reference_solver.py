@@ -27,9 +27,11 @@ bitmasks and decodes its ``ground_domain`` from them; the two must give equal
 lists, and every reference version here grounds with this one.
 
 ``round_levels`` is the backward core's original strong-cyclic loop,
-verbatim but for returning None where it raised ``Unsolvable``: one full
-"some outcome reaches" ``_backward`` pass per round of the greatest
-fixpoint, until the winning set is stable. ``fond_checker._cyclic_levels``
+verbatim but for returning None where it raised ``Unsolvable`` and for its
+own pair-level ``_backward``, which lists the pairs into each state from
+``succs`` and ``owner`` instead of calling ``fond_checker._backward``: one
+full "some outcome reaches" pass per round of the greatest fixpoint, until
+the winning set is stable. ``fond_checker._cyclic_levels``
 computes the same levels in one pass plus re-levelled loser waves and must
 return them on every input.
 
@@ -100,7 +102,6 @@ from bpmn2pddl.fond_checker import (
     TraceSet,
     Unsolvable,
     UnsupportedFeature,
-    _backward,
     _COMMENT,
     _position,
 )
@@ -193,13 +194,32 @@ def round_levels(space: StateSpace) -> list[int] | None:
             int(level[s] >= 0 and all(level[t] >= 0 for t in succs))
             for s, succs in zip(space.owner, space.succs)
         ]
-        reach = _backward(space.owner, space.rev, pending, space.goal_states)
+        reach = _backward(space, pending)
         if reach[0] < 0:
             return None
         stable = reach.count(-1) == level.count(-1)
         level = reach
         if stable:
             return level
+
+
+def _backward(space: StateSpace, pending: list[int]) -> list[int]:
+    """Goal distances over the pairs whose `pending` is 1, -1 where none:
+    a BFS from the goals along the pairs into each state."""
+    into = [[] for _ in space.masks]
+    for p, succs in enumerate(space.succs):
+        for t in succs:
+            into[t].append(p)
+    level = [-1] * len(space.masks)
+    queue = list(space.goal_states)
+    for g in queue:
+        level[g] = 0
+    for t in queue:
+        for p in into[t]:
+            if pending[p] and level[s := space.owner[p]] < 0:
+                level[s] = level[t] + 1
+                queue.append(s)
+    return level
 
 
 def _group_by_action(transitions: list[tuple[str, int, int]]) -> dict[str, list[int]]:

@@ -1095,6 +1095,28 @@ class TestExploreOracle:
             for problem in problems:
                 _assert_same_space(domain, problem, f"{make.__name__}{params} {problem.variant}")
 
+    @pytest.mark.parametrize("make, params", [
+        (GEN.parallel, (8, 2)),
+        (GEN.message_pools, ([3, 3, 3, 3], [(0, 1, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0)])),
+    ])
+    def test_rev_keeps_no_object_per_transition(self, make, params):
+        """``rev`` lists a one-outcome pair as its owner state, an int the space holds anyway, and a
+        multi-outcome pair p as ~p once per outcome: at most one distinct object per state, plus one per
+        outcome of a multi-outcome pair, and the transitions into each state in pair order. `owner`, the
+        successor tuples and `rev` share one int per state."""
+        domain, problems = _pipeline(make(random.Random(1), "layout", *params).xml, MessageStrategy.EXCLUSIVE_EMULATION)
+        for problem in problems:
+            space = explore(domain, problem)
+            want = [[] for _ in space.masks]
+            for p, succs in enumerate(space.succs):
+                for t in succs:
+                    want[t].append(space.owner[p] if len(succs) == 1 else ~p)
+            assert space.rev == want, problem.variant
+            allowed = len(space.masks) + sum(len(succs) for succs in space.succs if len(succs) > 1)
+            assert len({id(x) for xs in space.rev for x in xs}) <= allowed, problem.variant
+            shared = {id(x) for xs in (*space.rev, *space.succs, space.owner) for x in xs}
+            assert len(shared) <= len(space.masks) + sum(len(succs) > 1 for succs in space.succs), problem.variant
+
     def test_bench_explore_counters(self):
         """The traced benchmark's explore counters read the same numbers from both spaces."""
         tracing = bench_module("tracing")
@@ -1359,6 +1381,17 @@ def test_bench_tracing_wraps_and_restores_the_program():
         assert getattr(module, attr) is original is before[id(module)][attr]
 
 
+def _finders(space) -> list[int]:
+    """Who expanded into each state: the owner of the first pair, in pair order, with it as an outcome."""
+    found = [-1] * len(space.masks)
+    for p, succs in enumerate(space.succs):
+        for t in succs:
+            if found[t] < 0:
+                found[t] = space.owner[p]
+    found[0] = 0
+    return found
+
+
 def _moves_of(space, atoms):
     """The action names applicable in the state whose true atoms are `atoms`."""
     return {name for name, _o, _t in space.transitions[space.states.index(frozenset(atoms))]}
@@ -1434,7 +1467,7 @@ class TestMarkerIndex:
         domain, (problem,) = _pipeline(GEN.parallel(random.Random(0), "par", 3, 2).xml)
         space = explore(domain, problem)
         n = len(space.masks)
-        found = [0] + [space.owner[space.rev[t][0]] for t in range(1, n)]  # who expanded into t
+        found = _finders(space)
         depth = [0] * n
         for t in range(1, n):
             depth[t] = depth[found[t]] + 1
@@ -1541,7 +1574,7 @@ class TestSharedSuccessors:
             for problem in problems:
                 space = explore(domain, problem)
                 n = len(space.masks)
-                found = [0] + [space.owner[space.rev[t][0]] for t in range(1, n)]  # who expanded into t
+                found = _finders(space)
                 depth = [0] * n
                 for t in range(1, n):
                     depth[t] = depth[found[t]] + 1
@@ -1761,6 +1794,26 @@ class TestVerifyPolicy:
         for mapping in ({self.S: "go", self.A: "back"}, {self.S: "dead"}, {self.S: "try", self.T: "spin"}):
             with pytest.raises(PolicyVerificationError, match="can get stuck away from the goal"):
                 self._verify(mapping, SolveMode.STRONG_CYCLIC)
+
+    def test_verification_counts_only_chosen_pairs(self):
+        """`a` leads from t straight to the goal, but the policy takes c and d round t and u instead:
+        verification must not let the unchosen `a` fire t, though ``rev`` lists it as the bare state t."""
+        domain = PddlDomain("c", [":strips"], [], ["s", "g", "t", "u"], [
+            PddlAction("a", ["t"], EffAnd([EffAdd("g"), EffNot("t")])),
+            PddlAction("b", ["s"], EffAnd([EffNot("s"), EffOneOf([EffAdd("g"), EffAdd("t")])])),
+            PddlAction("c", ["t"], EffAnd([EffAdd("u"), EffNot("t")])),
+            PddlAction("d", ["u"], EffAnd([EffAdd("t"), EffNot("u")])),
+        ])
+        space = explore(domain, PddlProblem(name="p", domain_name="c", init=["s"], goal=["g"]))
+        t = space.states.index(frozenset({"t"}))
+        assert t in space.rev[space.states.index(frozenset({"g"}))]  # `a`'s entry: the bare state t
+        mapping = {frozenset({"s"}): "b", frozenset({"t"}): "c", frozenset({"u"}): "d"}
+        with pytest.raises(PolicyVerificationError, match="strong policy revisits a state"):
+            verify_policy(space, Policy(mapping, SolveMode.STRONG))
+        with pytest.raises(PolicyVerificationError, match="can get stuck away from the goal"):
+            verify_policy(space, Policy(mapping, SolveMode.STRONG_CYCLIC))
+        for kind in SolveMode:
+            verify_policy(space, Policy({**mapping, frozenset({"t"}): "a"}, kind))
 
     def test_retry_loop_is_cyclic_not_strong(self):
         domain, (problem,) = _pipeline(fixture("loop_retry.bpmn").read_text())

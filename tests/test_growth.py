@@ -11,9 +11,11 @@ natural size:
   but ``render_pddl`` and ``parse_pddl`` on a family whose PDDL grows
   faster than its diagram: the rendered forms (the texts' ``(`` count);
 - ``validate_graph``: nodes plus flows plus the warnings it returns;
-- ``explore``, each solve and ``verify_policy``: states plus transitions,
-  since a solve keeps the pair it chose per reached state and decodes no
-  state;
+- ``explore`` and each solve: states plus transitions, since a solve
+  keeps the pair it chose per reached state and decodes no state;
+- ``verify_policy`` of the strong-cyclic policy: the states that policy
+  reaches plus their chosen outcomes, since it runs on the policy graph
+  alone;
 - ``export_policy_dot`` of the strong-cyclic policy: states plus
   transitions plus the atoms of the states that policy maps, since its
   labels decode them.
@@ -34,7 +36,15 @@ import sys
 import pytest
 
 from bpmn2pddl.bpmn_parser import parse_bpmn
-from bpmn2pddl.fond_checker import SolveMode, explore, export_policy_dot, parse_pddl, solve, verify_policy
+from bpmn2pddl.fond_checker import (
+    SolveMode,
+    _policy_pairs,
+    explore,
+    export_policy_dot,
+    parse_pddl,
+    solve,
+    verify_policy,
+)
 from bpmn2pddl.pddl_encoder import emit_pddl, render_pddl
 from bpmn2pddl.process_graph import MessageStrategy, build_graph, validate_graph
 from conftest import bench_module
@@ -120,9 +130,11 @@ def _phases(xml: str, checker: bool, by_forms: bool) -> dict[str, tuple[int, int
         _, strong_calls = _calls(solve, domain, problem, SolveMode.STRONG, None, space)
         cyclic, cyclic_calls = _calls(solve, domain, problem, SolveMode.STRONG_CYCLIC, None, space)
         _, verify_calls = _calls(verify_policy, space, cyclic)
+        reached, chosen = _policy_pairs(space, cyclic)
+        policy_graph = len(reached) + sum(len(space.succs[p]) for p in chosen.values() if p >= 0)
         _, dot_calls = _calls(export_policy_dot, domain, problem, cyclic, space)
         counts |= {"explore": (explore_calls, states), "solve_strong": (strong_calls, states),
-                   "solve_cyclic": (cyclic_calls, states), "verify_policy": (verify_calls, states),
+                   "solve_cyclic": (cyclic_calls, states), "verify_policy": (verify_calls, policy_graph),
                    "export_policy_dot": (dot_calls, states + sum(map(len, cyclic.mapping)))}
     return counts
 
