@@ -869,63 +869,58 @@ def _cyclic_levels(space: StateSpace) -> list[int]:
     """Goal distances over the greatest strong-cyclic winning set, -1 off it.
 
     One "some outcome reaches" :func:`_backward` pass; the states it misses
-    are the first wave of losers. A wave disables the pairs with an outcome
-    in it. A state keeps its level while it has support, a live edge into
-    level - 1; the states left without, closed along support edges, form
-    the region, re-levelled by increasing level from the live edges that
-    leave it. Region states not reached are the next wave: one fixpoint
-    round per wave (decremental shortest paths; Even & Shiloach, JACM 1981).
-    O(states + transitions), plus E log E for the E edges of each wave's
-    region. Stops once the initial state loses. Only when the first pass
-    leaves losers does it list the pairs into each state, once per outcome,
-    from ``succs``: a wave disables pairs, and ``rev``'s state entries do
-    not name theirs.
+    are the first wave of losers. Each wave reads ``rev`` as that pass does
+    and kills the multi-outcome pairs ``~p`` with an outcome in it; a
+    one-outcome pair into a loser needs no flag, as its one successor stays
+    at -1 for good. A state keeps its level while some live pair of it has
+    an outcome at level - 1, and is checked, by a scan of its pairs, only
+    when such a support edge goes. The states left without, closed along
+    support edges, form the region, re-levelled by increasing level from
+    the live edges that leave it; those not reached are the next wave: one
+    fixpoint round per wave (decremental shortest paths; Even & Shiloach,
+    JACM 1981). O(states + transitions) for the first pass, then per wave
+    the edges into it and its region times their owners' out-degree, plus
+    E log E for the E edges of the heap. Stops once the initial state
+    loses, with nothing set up if the first pass lost it.
     """
-    owner, succs, first = space.owner, space.succs, space.first
-    level = _backward(owner, space.rev, [1] * len(owner), space.goal_states, [-1] * len(space.rev))
-    wave = [s for s, d in enumerate(level) if d < 0]
-    if not wave:
+    owner, succs, first, rev = space.owner, space.succs, space.first, space.rev
+    level = _backward(owner, rev, [1] * len(owner), space.goal_states, [-1] * len(rev))
+    if level[0] < 0:
         return level
-    rev = [[] for _ in level]  # rev[t]: the pairs into t, once per outcome, in pair order
-    for p, ts in enumerate(succs):
-        for t in ts:
-            rev[t].append(p)
-    live = [True] * len(owner)
+    wave, dead = [s for s, d in enumerate(level) if d < 0], set()  # dead: the killed multi-outcome pairs
 
     def ends(r: int) -> list[int]:  # the levels the live pairs of r lead to, once per outcome
-        return [level[u] for p in range(first[r], first[r + 1]) if live[p] for u in succs[p]]
+        return [level[u] for p in range(first[r], first[r + 1]) if p not in dead for u in succs[p]]
 
-    def leaning(r: int) -> list[int]:  # the states outside the region r supports, once per edge
-        return [owner[p] for p in rev[r] if live[p] and level[owner[p]] - 1 == level[r] and owner[p] not in moved]
-    support = [ends(s).count(d - 1) if d > 0 else 0 for s, d in enumerate(level)]
+    def into(r: int) -> list[int]:  # the owners of the live pairs into r, once per outcome
+        return [x if x >= 0 else owner[~x] for x in rev[r] if x >= 0 or ~x not in dead]
+
+    def lost(s: int) -> None:  # a support edge of s went: s joins this wave's region unless another is left
+        if s not in moved and level[s] - 1 not in ends(s):
+            moved.add(s)
+            region.append(s)
     while wave and level[0] >= 0:
         region, moved = [], set()
         for t in wave:
-            for p in rev[t]:
-                if live[p] and level[s := owner[p]] > 0:
-                    support[s] -= [level[u] for u in succs[p]].count(level[s] - 1)
-                    if not support[s] and s not in moved:
-                        moved.add(s)
-                        region.append(s)
-                live[p] = False
+            for x in rev[t]:
+                if x < 0 and ~x not in dead:
+                    dead.add(~x)
+                    if level[s := owner[~x]] > 0 and level[s] - 1 in [level[u] for u in succs[~x]]:
+                        lost(s)
         for r in region:  # grows while it is read; support edges go one level down, so no cycle
-            for s in leaning(r):
-                support[s] -= 1
-                if not support[s]:
-                    moved.add(s)
-                    region.append(s)
-            level[r] = -1  # its supporters are counted down
+            d, level[r] = level[r], -1  # first, so the scans of the states leaning on r skip it
+            for s in into(r):
+                if level[s] == d + 1:
+                    lost(s)
         heap = sorted((d + 1, r) for r in region for d in ends(r) if d >= 0)  # sorted, so a heap
         while heap:
             d, r = heappop(heap)
             if level[r] < 0:
                 level[r] = d
-                for p in rev[r]:
-                    if live[p] and level[owner[p]] < 0 and owner[p] in moved:
-                        heappush(heap, (d + 1, owner[p]))
+                for s in into(r):
+                    if level[s] < 0 and s in moved:
+                        heappush(heap, (d + 1, s))
         wave = [r for r in region if level[r] < 0]
-        for r in moved.difference(wave):  # re-levelled strictly higher, so no outside state leans on r
-            support[r] = ends(r).count(level[r] - 1)
     return level
 
 

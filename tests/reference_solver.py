@@ -59,12 +59,14 @@ error. ``fond_checker.parse_pddl`` reads the tokens straight into records,
 in one pass with no tree, and must return an equal record or raise the same
 exception type and message as ``reference_parse_pddl``.
 
-``validate_graph`` is the original structural check, verbatim: one forward
-walk for unreachable nodes, then one backward walk per parallel join and a
-loop over exclusive splits × parallel joins × branches for
-``PotentialDeadlock``. ``process_graph.validate_graph`` finds the deadlock
-pairs in one pass over strongly connected components and must return the
-same diagnostics in the same order.
+``validate_graph`` is the original structural check, verbatim but for its
+own forward walk, ``_reachable``, the mirror of its ``_reaching``, in place
+of ``process_graph._reachable_from``: one forward walk for unreachable
+nodes, then one backward walk per parallel join and a loop over exclusive
+splits × parallel joins × branches for ``PotentialDeadlock``.
+``process_graph.validate_graph`` finds the deadlock pairs in one pass over
+strongly connected components and must return the same diagnostics in the
+same order.
 
 ``marker`` is the encoder's original per-use marker resolution, verbatim
 but for taking the encoder as an argument and reading a join's arrival by
@@ -117,7 +119,7 @@ from bpmn2pddl.pddl_encoder import (
     PddlDomain,
     PddlProblem,
 )
-from bpmn2pddl.process_graph import Diagnostic, ProcessGraph, _reachable_from
+from bpmn2pddl.process_graph import Diagnostic, ProcessGraph
 from conftest import DoubleAdd
 
 
@@ -929,6 +931,21 @@ def _validate_domain(domain: PddlDomain, action_forms: list[list] | None = None)
                 raise defect(f"action {action.name!r} uses undeclared predicate {p!r}", i)
 
 
+def _reachable(graph: ProcessGraph, roots: list[str]) -> set[str]:
+    """Nodes reachable from `roots` (roots included) along every flow,
+    synthetic ones too. One DFS along the flows, O(nodes + flows)."""
+    seen = set(roots)
+    frontier = list(roots)
+    while frontier:
+        nid = frontier.pop()
+        for fid in graph.outgoing[nid]:
+            nxt = graph.flows[fid].target
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def _reaching(graph: ProcessGraph, roots: list[str]) -> set[str]:
     """Nodes from which `roots` are reachable (roots included) along every
     flow, synthetic ones too. One DFS against the flows, O(nodes + flows)."""
@@ -952,7 +969,7 @@ def validate_graph(graph: ProcessGraph) -> list[Diagnostic]:
     backward walk per join finds them: O(parallel joins × (nodes + flows))."""
     diagnostics: list[Diagnostic] = []
 
-    reachable = _reachable_from(graph, [n for starts in graph.start_nodes.values() for n in starts])
+    reachable = _reachable(graph, [n for starts in graph.start_nodes.values() for n in starts])
     for nid in graph.nodes:
         if nid not in reachable:
             diagnostics.append(

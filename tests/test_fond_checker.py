@@ -53,9 +53,10 @@ from bpmn2pddl.pddl_encoder import (
     render_pddl,
 )
 from bpmn2pddl.process_graph import MessageStrategy, build_graph
-from conftest import CORPUS_FILES, bench_module, double_adds, fixture, token_double_adds, translate
+from conftest import CORPUS_DIR, CORPUS_FILES, bench_module, double_adds, fixture, token_double_adds, translate
 import reference_solver
 from reference_solver import applicable, apply, reference_mapping, reference_read, round_levels
+from test_growth import _calls
 from test_process_graph import _review_chain
 
 FIG_DOMAIN = """(define (domain credit_scoring)
@@ -1016,6 +1017,52 @@ def test_review_chain_is_one_backward_pass(n, monkeypatch):
     with pytest.raises(Unsolvable):
         solve(domain, problem, SolveMode.STRONG_CYCLIC, space=space)
     assert len(calls) == 1
+
+
+class _Unlistable(list):
+    """A list that may be indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("iterated the successor lists")
+
+
+def _credit_scoring_space(variant):
+    """The explored space of a credit_scoring variant, exclusive emulation, done mode all."""
+    result = translate(CORPUS_DIR / "credit_scoring.bpmn", MessageStrategy.EXCLUSIVE_EMULATION,
+                       done_mode=DoneMode.ALL_POOLS)
+    return explore(result.domain, next(p for p in result.problems if p.variant == variant))
+
+
+def _review_chain_space(n):
+    domain, (problem,) = _pipeline(_review_chain(n))
+    return explore(domain, problem)
+
+
+class TestCyclicWaves:
+    """The strong-cyclic waves read the space's own reverse edges and index successors, never list them."""
+
+    @staticmethod
+    def _first_pass(space):
+        return fond_checker._backward(space.owner, space.rev, [1] * len(space.owner), space.goal_states,
+                                      [-1] * len(space.rev))
+
+    @pytest.mark.parametrize("make", [lambda: _credit_scoring_space("prestarted_frontend"),
+                                      lambda: _review_chain_space(10)], ids=["prestarted_frontend", "review_chain"])
+    def test_waves_never_iterate_the_successor_lists(self, make):
+        space = make()
+        first = self._first_pass(space)
+        assert first[0] >= 0 and -1 in first  # the first pass leaves losers and keeps the initial state: waves run
+        want = round_levels(space)
+        space.succs = _Unlistable(space.succs)
+        got = fond_checker._cyclic_levels(space)
+        assert got == want if want is not None else got[0] < 0
+
+    def test_a_lost_first_pass_sets_nothing_up(self):
+        space = _credit_scoring_space("prestarted_scoring")
+        level, calls = _calls(fond_checker._cyclic_levels, space)
+        assert level[0] < 0 and round_levels(space) is None
+        _, backward_calls = _calls(self._first_pass, space)
+        assert calls - backward_calls <= 10, (calls, backward_calls)
 
 
 def _assert_same_space(domain, problem, label, want=None):

@@ -19,6 +19,9 @@ natural size:
 - ``export_policy_dot`` of the strong-cyclic policy: states plus
   transitions plus the atoms of the states that policy maps, since its
   labels decode them.
+- ``_cyclic_levels`` on a chain of reviews, whose strong-cyclic solve
+  re-levels losers in waves until the initial state loses (no family above
+  has a strong-cyclic loser): states plus transitions.
 
 The count ratio, scaled to a doubling of the natural size, must stay under
 :data:`BOUND`. A linear phase reads about 2, a quadratic one about 4.
@@ -38,6 +41,7 @@ import pytest
 from bpmn2pddl.bpmn_parser import parse_bpmn
 from bpmn2pddl.fond_checker import (
     SolveMode,
+    _cyclic_levels,
     _policy_pairs,
     explore,
     export_policy_dot,
@@ -48,6 +52,7 @@ from bpmn2pddl.fond_checker import (
 from bpmn2pddl.pddl_encoder import emit_pddl, render_pddl
 from bpmn2pddl.process_graph import MessageStrategy, build_graph, validate_graph
 from conftest import bench_module
+from test_process_graph import _review_chain
 
 GEN = bench_module("gen")
 
@@ -153,3 +158,15 @@ def test_every_phase_grows_linearly(family):
     if checker:
         per_unit = [round(calls / units, 2) for calls, units in (small["explore"], large["explore"])]
         assert max(per_unit) < EXPLORE_CALLS, per_unit
+
+
+def test_strong_cyclic_waves_grow_linearly():
+    """``_cyclic_levels`` on ``_review_chain(100 * n)``, re-levelled in waves until the initial state loses."""
+    ratios = []
+    for n in (1, 2):
+        domain, (problem,) = emit_pddl(build_graph(parse_bpmn(_review_chain(100 * n)), MessageStrategy.IGNORE))
+        space = explore(domain, problem)
+        level, calls = _calls(_cyclic_levels, space)
+        assert level[0] < 0
+        ratios.append(calls / (len(space.masks) + sum(map(len, space.succs))))
+    assert round(ratios[1] / ratios[0] * 2, 2) < BOUND, ratios
